@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .greedy import EULER_GAMMA
+EULER_GAMMA = 0.5772156649015329
 
 
 class HarmonicSum(NamedTuple):

@@ -15,6 +15,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import __version__, bounds, compose, exact, greedy, hilbert, synth
 from .errors import CompositionError, ContractError, FactorizationError, SchemaError
 
@@ -162,7 +164,7 @@ def cmd_exact_feasible(args) -> int:
 def cmd_exact_search(args) -> int:
     grid = _grid_override(args.grid)
     found = exact.search_free_series(args.n, args.k, grid)
-    params = {"k": args.k, "n": args.n, "grid": grid, "seed": args.seed}
+    params = {"k": args.k, "n": args.n, "grid": grid}
     if found is None:
         _emit_json(_report("exact search", params, {"found": False}))
         return EXIT_INFEASIBLE
@@ -176,16 +178,7 @@ def cmd_exact_search(args) -> int:
             {
                 "found": True,
                 "free": {name: s.to_dict() for name, s in free.items()},
-                "certificates": {
-                    str(ell): {
-                        "grid_points": c.grid_points,
-                        "grid_min": c.grid_min,
-                        "lipschitz": c.lipschitz,
-                        "margin": c.margin,
-                        "verdict": c.verdict,
-                    }
-                    for ell, c in certs.items()
-                },
+                "certificates": {str(ell): c.to_dict() for ell, c in certs.items()},
                 "out": args.out,
             },
         )
@@ -248,10 +241,7 @@ def cmd_exact_synth(args) -> int:
 def cmd_verify(args) -> int:
     schedule = hilbert.load_schedule(args.schedule)
     n = schedule.n
-    success = []
-    for j in range(n):
-        _, prob = hilbert.run_schedule(schedule, j)
-        success.append(prob)
+    success = np.concatenate([p for _, p in hilbert.run_all_answers(schedule)]).tolist()
     columns = [synth.v_column(stage, n) for stage in schedule.stages]
     if args.format == "json":
         _emit_json(
@@ -367,7 +357,6 @@ def build_parser() -> _Parser:
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--grid", type=int)
-    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", metavar="FILE")
     ps.set_defaults(func=cmd_exact_search)
 

@@ -17,42 +17,26 @@ import numpy as np
 
 from . import hilbert
 from .errors import CompositionError, ContractError
-from .hilbert import POSITION, PhaseSchedule, StateVector
+from .hilbert import PhaseSchedule
 
 SUCCESS_FLOOR = 1 - 1e-6
 
 
-class ReducedOracle:
-    """Doubled-domain oracle of the reduced insertion function.
+def reduced_oracle(j: int, base: int, scale: int, m: int) -> np.ndarray:
+    """Position signs of the doubled oracle of the reduced insertion function.
 
     f'(s) = f_j(base + (s + 1) scale - 1) for s = 0..M-1, doubled to 2M
-    points the same way as the full problem.  Every ``apply`` counts as one
-    query to the underlying f_j.
+    points the same way as the full problem.
     """
-
-    def __init__(self, j: int, base: int, scale: int, m: int):
-        if scale < 1 or m < 2:
-            raise ValueError("need scale >= 1 and m >= 2")
-        if not base <= j < base + m * scale:
-            raise ContractError(
-                f"hidden index {j} outside the interval [{base}, {base + m * scale})"
-            )
-        s = np.arange(m)
-        probes = base + (s + 1) * scale - 1
-        f = np.where(probes < j, -1.0, 1.0)
-        self.m = m
-        self.signs = np.concatenate([f, -f])
-        self.queries = 0
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.basis != POSITION or state.n != self.m:
-            raise ValueError("reduced oracle expects a position-basis state of its own size")
-        self.queries += 1
-        return StateVector(self.m, POSITION, self.signs * state.amps)
-
-
-def reduced_oracle(j: int, base: int, scale: int, m: int) -> ReducedOracle:
-    return ReducedOracle(j, base, scale, m)
+    if scale < 1 or m < 2:
+        raise ValueError("need scale >= 1 and m >= 2")
+    if not base <= j < base + m * scale:
+        raise ContractError(
+            f"hidden index {j} outside the interval [{base}, {base + m * scale})"
+        )
+    probes = base + (np.arange(m) + 1) * scale - 1
+    f = np.where(probes < j, -1.0, 1.0)
+    return np.concatenate([f, -f])
 
 
 @dataclass(frozen=True)
@@ -67,14 +51,6 @@ class CompositionRun:
     per_level: list  # (interval base, level t, subanswer j')
 
 
-def _run_subroutine(oracle: ReducedOracle, schedule: PhaseSchedule) -> StateVector:
-    state = hilbert.uniform_start(schedule.n)
-    for stage in schedule.stages:
-        state = oracle.apply(state)
-        state = hilbert.apply_momentum_phases(state, stage)
-    return state
-
-
 def compose_solve(
     m: int, k: int, h: int, schedule: PhaseSchedule, hidden_j: int
 ) -> CompositionRun:
@@ -83,7 +59,8 @@ def compose_solve(
     Measurement is simulated deterministically: the exact subroutine leaves
     essentially unit overlap with exactly one target, and that subanswer is
     selected.  An overlap below 1 - 1e-6 at any level aborts, since the
-    schedule is then not exact enough to compose.
+    schedule is then not exact enough to compose.  Each level runs the k
+    stages of the schedule and so queries f_j k times.
     """
     if schedule.n != m or schedule.k != k:
         raise ValueError(
@@ -95,16 +72,13 @@ def compose_solve(
     if not 0 <= hidden_j < n_total:
         raise ValueError(f"hidden index must lie in 0..{n_total - 1}, got {hidden_j}")
 
-    sign = hilbert.final_sign(k)
-    targets = np.array([hilbert.target_state(j, sign, m).amps for j in range(m)])
     base = 0
     queries = 0
     per_level = []
     for t in range(h, 0, -1):
         scale = m ** (t - 1)
-        oracle = ReducedOracle(hidden_j, base, scale, m)
-        final = _run_subroutine(oracle, schedule)
-        probs = np.abs(targets @ np.conj(final.amps)) ** 2
+        signs = reduced_oracle(hidden_j, base, scale, m)
+        probs = hilbert.target_probs(hilbert.run_signs(schedule.stages, signs), k)
         best = int(np.argmax(probs))
         if probs[best] < SUCCESS_FLOOR:
             raise CompositionError(
@@ -113,7 +87,7 @@ def compose_solve(
             )
         per_level.append((base, t, best))
         base += best * scale
-        queries += oracle.queries
+        queries += schedule.k
     return CompositionRun(
         m=m,
         k=k,

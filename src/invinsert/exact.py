@@ -11,7 +11,8 @@ the interleaved matching conditions B_1 = B_0, A_2 = A_1, B_3 = B_2, ...
 hold, and 1 + A_l + B_l >= 0 on [0, pi] for every stage.  For k = 2 nothing
 is free and feasibility reduces to 1 + B_0 >= 0; for k >= 3 there are k - 2
 free series, searched here with a maximize-minimum-slack linear program on a
-theta grid followed by a Lipschitz grid certificate.
+theta grid followed by a Lipschitz grid certificate.  Every fixed series is
+evaluated on the grid by one real FFT (``grid_values``).
 
 Sine-sector coefficients are identically zero throughout: the endpoints have
 none and dropping them loses no generality.
@@ -19,6 +20,7 @@ none and dropping them loses no generality.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -106,6 +108,9 @@ class FeasibilityCertificate:
     margin: float
     verdict: str
 
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
 
 @dataclass(frozen=True)
 class MatchingChain:
@@ -148,6 +153,14 @@ def eval_series(series: CosineSeries, theta) -> np.ndarray | float:
     return float(values) if np.isscalar(theta) else values
 
 
+def grid_values(coeffs: np.ndarray, grid_points: int) -> np.ndarray:
+    """sum_r c_r cos(r pi m / G) for m = 0..G, where coeffs[r - 1] = c_r: the
+    real part of the length-2G real FFT of the zero-padded coefficients."""
+    if len(coeffs) >= 2 * grid_points:  # the FFT would fold high harmonics
+        raise ValueError(f"{grid_points} grid intervals fold {len(coeffs)} harmonics")
+    return np.fft.rfft(np.concatenate([[0.0], coeffs]), 2 * grid_points).real
+
+
 def certify_nonneg(
     one_plus: Sequence[CosineSeries], grid_points: int
 ) -> FeasibilityCertificate:
@@ -170,11 +183,10 @@ def certify_nonneg(
             raise ValueError(f"need at least {8 * n} grid intervals, got {grid_points}")
     elif grid_points < 1:
         raise ValueError("grid_points must be positive")
-    thetas = np.linspace(0.0, np.pi, grid_points + 1)
     f = np.ones(grid_points + 1)
     lipschitz = 0.0
     for series in one_plus:
-        f = f + eval_series(series, thetas)
+        f += grid_values(series.coeffs, grid_points)
         r = np.arange(1, series.n)
         lipschitz += float(np.sum(r * np.abs(series.coeffs)))
     grid_min = float(f.min())
@@ -344,10 +356,7 @@ def _series_from_params(n: int, klass: str, rs: list, x: np.ndarray) -> CosineSe
 
 
 def search_free_series(
-    n: int,
-    k: int,
-    grid_points: Optional[int] = None,
-    solver_params: Optional[dict] = None,
+    n: int, k: int, grid_points: Optional[int] = None
 ) -> Optional[tuple[dict, dict]]:
     """Search the free series making every stage constraint nonnegative.
 
@@ -355,82 +364,71 @@ def search_free_series(
     all stages l = 1..k-1 and all grid angles, as a linear program in the
     symmetric free coefficients.  A grid optimum delta* < 0 means no free
     choice works on this grid (strong evidence, not proof, of infeasibility)
-    and None is returned.  Otherwise the free series are post-certified with
-    :func:`certify_nonneg`; if a finer certificate exposes a genuine
-    violation the grid is doubled and the program re-solved, up to three
-    rounds.
+    and None is returned.  Otherwise each stage of the found chain gets a
+    :func:`certify_nonneg` certificate on the same grid, and None is
+    returned if one of them is infeasible.
 
     Returns (free series by name, certificate by stage) or None.
     """
     if k < 2:
         raise ValueError(f"search needs k >= 2, got {k}")
-    params = dict(solver_params or {})
-    method = params.pop("method", "highs")
-    rounds = int(params.pop("rounds", 3))
-    if params:
-        raise ValueError(f"unknown solver parameters {sorted(params)}")
     grid = grid_points or default_grid(n)
     resolved, free_names = _chain_structure(n, k)
 
-    for _ in range(rounds):
-        thetas = np.linspace(0.0, np.pi, grid + 1)
-        bases = {}
-        offsets = {}
-        width = 0
-        for name in free_names:
-            _, _, klass = _resolve(resolved, name)
-            cols, rs = _symmetric_basis(n, klass, thetas)
-            bases[name] = (cols, rs)
-            offsets[name] = width
-            width += len(rs)
+    thetas = np.linspace(0.0, np.pi, grid + 1)
+    bases = {}
+    offsets = {}
+    width = 0
+    for name in free_names:
+        _, _, klass = _resolve(resolved, name)
+        cols, rs = _symmetric_basis(n, klass, thetas)
+        bases[name] = (cols, rs)
+        offsets[name] = width
+        width += len(rs)
 
-        rows = []
-        rhs = []
-        for ell in range(1, k):
-            fixed = np.ones(thetas.size)
-            block = np.zeros((thetas.size, width + 1))
-            block[:, -1] = 1.0  # the slack variable delta
-            for prefix in ("A", "B"):
-                root, kind, payload = _resolve(resolved, f"{prefix}{ell}")
-                if kind == "fixed":
-                    fixed = fixed + eval_series(payload, thetas)
-                elif kind == "free":
-                    cols, _ = bases[root]
-                    off = offsets[root]
-                    block[:, off: off + cols.shape[1]] = -cols
-            rows.append(block)
-            rhs.append(fixed)
-        a_ub = np.vstack(rows)
-        b_ub = np.concatenate(rhs)
-        cost = np.zeros(width + 1)
-        cost[-1] = -1.0
-        result = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=[(None, None)] * (width + 1),
-            method=method,
-        )
-        if not result.success:
-            raise RuntimeError(f"LP solver failed: {result.message}")
-        if result.x[-1] < 0:
-            return None
+    rows = []
+    rhs = []
+    for ell in range(1, k):
+        fixed = np.ones(thetas.size)
+        block = np.zeros((thetas.size, width + 1))
+        block[:, -1] = 1.0  # the slack variable delta
+        for prefix in ("A", "B"):
+            root, kind, payload = _resolve(resolved, f"{prefix}{ell}")
+            if kind == "fixed":
+                fixed += grid_values(payload.coeffs, grid)
+            elif kind == "free":
+                cols, _ = bases[root]
+                off = offsets[root]
+                block[:, off: off + cols.shape[1]] = -cols
+        rows.append(block)
+        rhs.append(fixed)
+    cost = np.zeros(width + 1)
+    cost[-1] = -1.0
+    result = linprog(
+        cost,
+        A_ub=np.vstack(rows),
+        b_ub=np.concatenate(rhs),
+        bounds=[(None, None)] * (width + 1),
+        method="highs",
+    )
+    if not result.success:
+        raise RuntimeError(f"LP solver failed: {result.message}")
+    if result.x[-1] < 0:
+        return None
 
-        free = {}
-        for name in free_names:
-            _, _, klass = _resolve(resolved, name)
-            _, rs = bases[name]
-            off = offsets[name]
-            free[name] = _series_from_params(n, klass, rs, result.x[off: off + len(rs)])
-        chain = build_chain(n, k, free)
-        certificates = {
-            ell: certify_nonneg(series_list, grid)
-            for ell, series_list in chain_constraints(chain).items()
-        }
-        if all(c.verdict != INFEASIBLE for c in certificates.values()):
-            return free, certificates
-        grid *= 2
-    return None
+    free = {}
+    for name in free_names:
+        _, _, klass = _resolve(resolved, name)
+        _, rs = bases[name]
+        off = offsets[name]
+        free[name] = _series_from_params(n, klass, rs, result.x[off: off + len(rs)])
+    certificates = {
+        ell: certify_nonneg(series_list, grid)
+        for ell, series_list in chain_constraints(build_chain(n, k, free)).items()
+    }
+    if any(c.verdict == INFEASIBLE for c in certificates.values()):
+        return None
+    return free, certificates
 
 
 # ---------------------------------------------------------------------------

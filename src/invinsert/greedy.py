@@ -2,14 +2,16 @@
 
 At stage l the oracle output <p|F_0|psi_{l-1}> is rotated onto the
 nonnegative real axis momentum by momentum, which maximizes the overlap with
-the stage-l target among all diagonal phase choices.  Because the oracle
-matrix element is (1 + i cot(pi (q - p) / 2N)) / N on the live parity, the
-whole recursion runs on real amplitude vectors:
+the stage-l target among all diagonal phase choices.  The oracle matrix
+element is (1 + i cot(pi (q - p) / 2N)) / N between opposite parities, so
+the recursion runs on real amplitude vectors:
 
     new_amp(p) = |sum_q amp(q) + i sum_q cot(pi (q - p) / 2N) amp(q)| / N
 
-with q ranging over the previous parity class.  The success probability
-after l queries is (sum_p new_amp(p))^2 / N.
+with q ranging over the previous parity class.  The sum is the oracle image
+<p|F_0|psi_{l-1}>, which ``hilbert.oracle_image`` computes with two FFTs in
+O(N log N) time and O(N) memory.  The success probability after l queries
+is (sum_p new_amp(p))^2 / N.
 """
 
 from __future__ import annotations
@@ -19,16 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import EULER_GAMMA, harmonic_sum
 from .errors import ContractError
 from .hilbert import (
     MOMENTUM,
     PhaseSchedule,
     StateVector,
     momentum_basis_vector,
+    oracle_image,
     reduce_phases as hilbert_reduce_phases,
 )
-
-EULER_GAMMA = 0.5772156649015329
 
 # below this magnitude the aligning phase is arbitrary; 0 keeps tables tidy
 ZERO_AMP_TOL = 1e-14
@@ -48,12 +50,6 @@ def _parity_indices(n: int, parity: int) -> np.ndarray:
     return np.arange(parity % 2, 2 * n, 2)
 
 
-def _cot_kernel(n: int, outs: np.ndarray, ins: np.ndarray) -> np.ndarray:
-    """cot(pi (q - p) / 2N) for p in outs, q in ins (odd differences only)."""
-    d = ins[None, :] - outs[:, None]
-    return 1.0 / np.tan(np.pi * d / (2 * n))
-
-
 def _check_parity_support(amps: np.ndarray, n: int, parity: int) -> None:
     dead = _parity_indices(n, parity + 1)
     worst = float(np.max(np.abs(amps[dead]))) if dead.size else 0.0
@@ -64,12 +60,13 @@ def _check_parity_support(amps: np.ndarray, n: int, parity: int) -> None:
         )
 
 
-def _advance(amps_in: np.ndarray, n: int, ell: int, kernel: np.ndarray):
-    """One greedy stage on the live-parity amplitude slice."""
+def _advance(amps_in: np.ndarray, n: int, ell: int):
+    """One greedy stage from the live-parity amplitudes of stage l - 1."""
     ins = _parity_indices(n, ell - 1)
     outs = _parity_indices(n, ell)
-    psi_in = amps_in[ins]
-    phi = (psi_in.sum() + 1j * (kernel @ psi_in)) / n
+    psi_in = np.zeros(2 * n, dtype=complex)
+    psi_in[ins] = amps_in[ins]
+    phi = oracle_image(psi_in, n)[outs]
     phases = np.zeros(2 * n)
     live = np.abs(phi) > ZERO_AMP_TOL
     phases[outs[live]] = hilbert_reduce_phases(-np.angle(phi[live]))
@@ -92,8 +89,7 @@ def greedy_step(psi_prev: StateVector, ell: int) -> tuple[StateVector, np.ndarra
         raise ValueError(f"stage index must be >= 1, got {ell}")
     n = psi_prev.n
     _check_parity_support(psi_prev.amps, n, ell - 1)
-    kernel = _cot_kernel(n, _parity_indices(n, ell), _parity_indices(n, ell - 1))
-    amps_out, phases = _advance(psi_prev.amps, n, ell, kernel)
+    amps_out, phases = _advance(psi_prev.amps, n, ell)
     return StateVector(n, MOMENTUM, amps_out), phases
 
 
@@ -114,13 +110,9 @@ def greedy_run(n: int, k: int, keep_states: bool = True) -> GreedyTrace:
     probs[0] = 1.0 / n
     states = [state] if keep_states else []
     stages = np.empty((k, 2 * n))
-    # the two parity kernels are reused across stages
-    evens = _parity_indices(n, 0)
-    odds = _parity_indices(n, 1)
-    kernels = {0: _cot_kernel(n, evens, odds), 1: _cot_kernel(n, odds, evens)}
     amps = state.amps
     for ell in range(1, k + 1):
-        amps, stages[ell - 1] = _advance(amps, n, ell, kernels[ell % 2])
+        amps, stages[ell - 1] = _advance(amps, n, ell)
         live = _parity_indices(n, ell)
         probs[ell] = float(amps[live].real.sum()) ** 2 / n
         if keep_states:
@@ -132,13 +124,10 @@ def greedy_run(n: int, k: int, keep_states: bool = True) -> GreedyTrace:
 def one_query_prob(n: int) -> float:
     """Success probability of the single-query greedy algorithm.
 
-    Equals [ sum over odd p of 1/sin(pi p / 2N) ]^2 / N^3.
+    Equals S^2 / N with S = (1/N) sum over odd p of 1/sin(pi p / 2N), the
+    harmonic sum of :func:`bounds.harmonic_sum`.
     """
-    if n < 2:
-        raise ValueError(f"problem size must be >= 2, got {n}")
-    p = np.arange(1, 2 * n, 2)
-    s = float(np.sum(1.0 / np.sin(np.pi * p / (2 * n))))
-    return (s / n**1.5) ** 2
+    return harmonic_sum(n).exact ** 2 / n
 
 
 def one_query_asymptotic(n: int) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -146,12 +147,20 @@ def uniform_start(n: int) -> StateVector:
     return StateVector(n=n, basis=POSITION, amps=amps)
 
 
-def oracle_signs(j: int, n: int) -> np.ndarray:
-    """Sign vector of the doubled oracle F_j on positions 0..2N-1."""
-    if not 0 <= j <= n - 1:
+def oracle_signs(j, n: int) -> np.ndarray:
+    """Sign vector of the doubled oracle F_j on positions 0..2N-1; an array
+    of indices gives one row per index."""
+    js = np.asarray(j)
+    if np.any((js < 0) | (js > n - 1)):
         raise ValueError(f"oracle index must satisfy 0 <= j <= {n - 1}, got {j}")
-    f = np.where(np.arange(n) < j, -1.0, 1.0)
-    return np.concatenate([f, -f])
+    f = np.where(np.arange(n) < js[..., None], -1.0, 1.0)
+    return np.concatenate([f, -f], axis=-1)
+
+
+def oracle_image(amps: np.ndarray, n: int) -> np.ndarray:
+    """Momentum amplitudes of F_0 |psi> from those of |psi> (last axis);
+    the 1/sqrt(2N) factors of the two transforms cancel."""
+    return np.fft.fft(oracle_signs(0, n) * np.fft.ifft(amps))
 
 
 def apply_oracle(j: int, state: StateVector) -> StateVector:
@@ -162,9 +171,7 @@ def apply_oracle(j: int, state: StateVector) -> StateVector:
     """
     signs = oracle_signs(j, state.n)
     if state.basis == MOMENTUM:
-        pos = to_position(state)
-        flipped = StateVector(state.n, POSITION, signs * pos.amps)
-        return to_momentum(flipped)
+        return StateVector(state.n, MOMENTUM, np.fft.fft(signs * np.fft.ifft(state.amps)))
     return StateVector(state.n, POSITION, signs * state.amps)
 
 
@@ -240,16 +247,32 @@ def apply_momentum_phases(state: StateVector, phases: np.ndarray) -> StateVector
             f"expected {2 * state.n} phases, got shape {phases.shape}"
         )
     if state.basis == POSITION:
-        mom = to_momentum(state)
-        return to_position(
-            StateVector(state.n, MOMENTUM, np.exp(1j * phases) * mom.amps)
-        )
+        amps = np.fft.ifft(np.exp(1j * phases) * np.fft.fft(state.amps))
+        return StateVector(state.n, POSITION, amps)
     return StateVector(state.n, MOMENTUM, np.exp(1j * phases) * state.amps)
 
 
 def final_sign(k: int) -> int:
     """Target sign after k queries: + for even k, - for odd."""
     return 1 if k % 2 == 0 else -1
+
+
+def target_probs(amps: np.ndarray, k: int) -> np.ndarray:
+    """|<target(j)|psi>|^2 = |<j|psi> + s <j+N|psi>|^2 / 2, s = final_sign(k),
+    for every answer j = 0..N-1 in place of the last (position) axis."""
+    n = amps.shape[-1] // 2
+    return np.abs(amps[..., :n] + final_sign(k) * amps[..., n:]) ** 2 / 2
+
+
+def run_signs(stages: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Final position amplitudes of the phase stages run from the uniform
+    start against the oracles whose position signs are the rows of ``signs``
+    (shape (..., 2N)): each stage is the oracle, then exp(i alpha(p))."""
+    signs = np.asarray(signs, dtype=float)
+    amps = np.full(signs.shape, 1.0 / np.sqrt(signs.shape[-1]), dtype=complex)
+    for stage in stages:
+        amps = np.fft.ifft(np.exp(1j * stage) * np.fft.fft(signs * amps))
+    return amps
 
 
 def run_schedule(schedule: PhaseSchedule, j: int) -> tuple[StateVector, float]:
@@ -259,16 +282,23 @@ def run_schedule(schedule: PhaseSchedule, j: int) -> tuple[StateVector, float]:
     final position-basis state together with its success probability
     |<target(j)|psi_k>|^2, the target sign being fixed by the parity of k.
     """
+    final = run_signs(schedule.stages, oracle_signs(j, schedule.n))
+    prob = float(target_probs(final, schedule.k)[j])
+    return StateVector(schedule.n, POSITION, final), prob
+
+
+ANSWER_BLOCK_AMPS = 1 << 18  # bounds the memory of a batch of answers at any N
+
+
+def run_all_answers(schedule: PhaseSchedule) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Run the schedule against every oracle F_j, j = 0..N-1, yielding
+    (final position amplitudes, success probabilities) per block of answers."""
     n = schedule.n
-    signs = oracle_signs(j, n)
-    amps = uniform_start(n).amps.copy()
-    for stage in schedule.stages:
-        amps = signs * amps
-        amps = np.fft.ifft(np.exp(1j * stage) * np.fft.fft(amps))
-    final = StateVector(n, POSITION, amps)
-    target = target_state(j, final_sign(schedule.k), n)
-    prob = float(abs(np.vdot(target.amps, final.amps)) ** 2)
-    return final, prob
+    step = max(1, ANSWER_BLOCK_AMPS // (2 * n))
+    for lo in range(0, n, step):
+        js = np.arange(lo, min(lo + step, n))
+        finals = run_signs(schedule.stages, oracle_signs(js, n))
+        yield finals, target_probs(finals, schedule.k)[js - lo, js]
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

@@ -305,13 +305,6 @@ def states_from_poly(p: Poly, ell: int) -> StateVector:
     return StateVector(n, POSITION, amps / norm)
 
 
-def _oracle_image(psi: StateVector) -> StateVector:
-    """F_0 |psi> expressed in the momentum basis."""
-    pos = hilbert.to_position(psi) if psi.basis == MOMENTUM else psi
-    signs = hilbert.oracle_signs(0, psi.n)
-    return hilbert.to_momentum(StateVector(psi.n, POSITION, signs * pos.amps))
-
-
 def phases_from_states(psi_prev: StateVector, psi: StateVector) -> np.ndarray:
     """Diagonal phases turning F_0 |psi_prev> into |psi>.
 
@@ -334,18 +327,18 @@ def phases_from_states(psi_prev: StateVector, psi: StateVector) -> np.ndarray:
     if cur_parity == prev_parity or max(leak_prev, leak_cur) > 1e-12:
         raise ContractError("states do not occupy adjacent parity classes")
 
-    phi = _oracle_image(psi_prev)
-    mismatch = float(np.max(np.abs(np.abs(psi.amps) - np.abs(phi.amps))))
+    phi = hilbert.oracle_image(psi_prev.amps, n)
+    mismatch = float(np.max(np.abs(np.abs(psi.amps) - np.abs(phi))))
     if mismatch > MAGNITUDE_TOL:
         raise ContractError(
             f"magnitude mismatch {mismatch:.3e} between the stage state and "
             "the oracle image; the Q sequence is invalid"
         )
     phases = np.zeros(2 * n)
-    live = np.abs(phi.amps) > ZERO_AMP_TOL
+    live = np.abs(phi) > ZERO_AMP_TOL
     live &= (np.arange(2 * n) % 2) == cur_parity
-    phases[live] = hilbert.reduce_phases(np.angle(psi.amps[live] / phi.amps[live]))
-    rebuilt = np.exp(1j * phases) * phi.amps
+    phases[live] = hilbert.reduce_phases(np.angle(psi.amps[live] / phi[live]))
+    rebuilt = np.exp(1j * phases) * phi
     err = float(np.max(np.abs(rebuilt - psi.amps)))
     if err > MAGNITUDE_TOL:
         raise ContractError(f"extracted phases reproduce the state only to {err:.3e}")
@@ -405,13 +398,12 @@ def synthesize_exact(
             psi_pos = states_from_poly(poly, ell)
         except (FactorizationError, ContractError) as exc:
             raise type(exc)(f"stage {ell}: {exc}") from exc
-        prev_pos = hilbert.to_position(states[ell - 1])
-        propagated = hilbert.oracle_signs(0, n) * prev_pos.amps
-        aligned = _align_global_phase(psi_pos.amps, propagated)
+        phi = hilbert.oracle_image(states[ell - 1].amps, n)
+        propagated = hilbert.to_position(StateVector(n, MOMENTUM, phi))
+        aligned = _align_global_phase(psi_pos.amps, propagated.amps)
         psi_mom = hilbert.to_momentum(StateVector(n, POSITION, aligned))
-        phi = _oracle_image(states[ell - 1])
         magnitude_mismatch.append(
-            float(np.max(np.abs(np.abs(psi_mom.amps) - np.abs(phi.amps))))
+            float(np.max(np.abs(np.abs(psi_mom.amps) - np.abs(phi))))
         )
         try:
             stages[ell - 1] = phases_from_states(states[ell - 1], psi_mom)
@@ -420,13 +412,10 @@ def synthesize_exact(
         states.append(psi_mom)
 
     schedule = PhaseSchedule(n=n, k=k, stages=stages)
-    finals = []
-    success = np.empty(n)
-    for j in range(n):
-        final, prob = hilbert.run_schedule(schedule, j)
-        finals.append(final.amps)
-        success[j] = prob
-    overlaps = np.abs(np.array(finals) @ np.conj(np.array(finals)).T)
+    blocks = list(hilbert.run_all_answers(schedule))
+    finals = np.concatenate([f for f, _ in blocks])
+    success = np.concatenate([p for _, p in blocks])
+    overlaps = np.abs(finals @ np.conj(finals).T)
     np.fill_diagonal(overlaps, 0.0)
     columns = [v_column(stage, n) for stage in schedule.stages]
     report = {
@@ -439,15 +428,6 @@ def synthesize_exact(
         "v_columns": [[[float(c.real), float(c.imag)] for c in col] for col in columns],
         "max_v_imag": float(max(np.abs(col.imag).max() for col in columns)),
         "magnitude_mismatch": magnitude_mismatch,
-        "certificates": {
-            str(ell): {
-                "grid_points": c.grid_points,
-                "grid_min": c.grid_min,
-                "lipschitz": c.lipschitz,
-                "margin": c.margin,
-                "verdict": c.verdict,
-            }
-            for ell, c in certificates.items()
-        },
+        "certificates": {str(ell): c.to_dict() for ell, c in certificates.items()},
     }
     return schedule, report

@@ -137,6 +137,13 @@ class TestExactCommands:
         assert code == 2
         assert json.loads(out)["results"]["found"] is False
 
+    def test_search_takes_no_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "exact", "search", "--k", "2", "--n", "6")
+        assert code == 0
+        assert json.loads(out)["params"] == {"k": 2, "n": 6, "grid": None}
+        code, _, err = run_cli(capsys, "exact", "search", "--k", "2", "--n", "6", "--seed", "1")
+        assert code == 64 and "--seed" in err
+
     def test_grid_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("INVINSERT_GRID", "5000")
         code, out, _ = run_cli(capsys, "exact", "search", "--k", "2", "--n", "6")

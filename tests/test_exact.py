@@ -1,13 +1,17 @@
 """Cosine-series endpoints, matching chain, certificates, and the LP search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from invinsert import exact
 from invinsert.errors import ContractError, SchemaError
 from invinsert.exact import (
     CERTIFIED_POSITIVE,
     INFEASIBLE,
     CosineSeries,
+    FeasibilityCertificate,
     a0,
     b0,
     build_chain,
@@ -16,6 +20,7 @@ from invinsert.exact import (
     chain_free_names,
     default_grid,
     eval_series,
+    grid_values,
     k1_feasible,
     k2_feasible,
     load_series,
@@ -88,6 +93,36 @@ class TestEvalSeries:
             CosineSeries(n=4, klass="B", coeffs=[1.0, 0.5, -1.0])
 
 
+def random_series(n, klass, rng):
+    c = rng.standard_normal(n - 1)
+    return CosineSeries(n=n, klass=klass, coeffs=(c + c[::-1] if klass == "A" else c - c[::-1]) / 2)
+
+
+class TestGridValues:
+    @pytest.mark.parametrize("klass", ["A", "B"])
+    @pytest.mark.parametrize("n", [2, 7, 16, 51, 52])
+    def test_matches_direct_sum_at_grid_angles(self, n, klass):
+        series = random_series(n, klass, np.random.default_rng(n))
+        # 8N + 3 and 12N + 1 are not powers of two
+        for grid in (8 * n, 8 * n + 3, 12 * n + 1, default_grid(n)):
+            thetas = np.linspace(0.0, np.pi, grid + 1)
+            np.testing.assert_allclose(
+                grid_values(series.coeffs, grid), eval_series(series, thetas), atol=1e-10
+            )
+
+    def test_endpoints_at_n1024(self):
+        grid = 8 * 1024 + 5
+        thetas = np.linspace(0.0, np.pi, grid + 1)
+        for series in (a0(1024), b0(1024)):
+            np.testing.assert_allclose(
+                grid_values(series.coeffs, grid), eval_series(series, thetas), atol=1e-10
+            )
+
+    def test_too_coarse_grid_rejected(self):
+        with pytest.raises(ValueError):
+            grid_values(b0(52).coeffs, 25)
+
+
 class TestCertifyNonneg:
     def test_empty_list_is_certified_one(self):
         cert = certify_nonneg([], 64)
@@ -124,6 +159,27 @@ class TestCertifyNonneg:
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):
             certify_nonneg([b0(6)], 40)
+
+    def test_to_dict_fields(self):
+        cert = certify_nonneg([b0(6)], default_grid(6))
+        assert cert.to_dict() == {
+            "grid_points": cert.grid_points,
+            "grid_min": cert.grid_min,
+            "lipschitz": cert.lipschitz,
+            "margin": cert.margin,
+            "verdict": cert.verdict,
+        }
+
+    def test_memory_stays_small_at_n1024(self):
+        # the default grid at N = 1024 has 65536 intervals; a (grid x N)
+        # cosine matrix there would take about 0.5 GiB
+        tracemalloc.start()
+        try:
+            k2_feasible(1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestFeasibilityBoundaries:
@@ -260,6 +316,13 @@ class TestSearchFreeSeries:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             search_free_series(6, 1)
+
+    def test_infeasible_certificate_gives_none(self, monkeypatch):
+        infeasible = FeasibilityCertificate(
+            grid_points=1, grid_min=-1.0, lipschitz=0.0, margin=-1.0, verdict=INFEASIBLE
+        )
+        monkeypatch.setattr(exact, "certify_nonneg", lambda series, grid: infeasible)
+        assert search_free_series(6, 3) is None
 
 
 class TestSeriesSerialization:

@@ -1,5 +1,7 @@
 """Greedy phase choice, probability recursion, and published probabilities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,8 @@ TABLE_SPOT_CELLS = {
 
 
 def oracle_image_amps(state):
-    """<p|F_0|psi> via position-basis application, independent of the cot kernel."""
-    pos = hilbert.to_position(state)
-    flipped = hilbert.oracle_signs(0, state.n) * pos.amps
-    return np.fft.fft(flipped) / np.sqrt(2 * state.n)
+    """<p|F_0|psi> from the dense closed-form matrix, independent of the FFTs."""
+    return hilbert.oracle_momentum_matrix(state.n) @ state.amps
 
 
 class TestGreedyStep:
@@ -123,6 +123,16 @@ class TestGreedyRun:
         _, prob = run_schedule(trace.phase_schedule, 17)
         assert abs(prob - trace.probs[4]) < 1e-10
 
+    def test_memory_stays_small_at_n4096(self):
+        # an N x N stage kernel at N = 4096 would take 128 MiB
+        tracemalloc.start()
+        try:
+            greedy_run(4096, 6, keep_states=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_recorded_states_match_schedule_runner(self):
         n, k = 6, 3
         trace = greedy_run(n, k)
@@ -139,6 +149,11 @@ class TestOneQueryProb:
     def test_matches_greedy_and_table(self):
         assert abs(one_query_prob(64) - 0.2036) < 1e-4
         assert abs(one_query_prob(64) - greedy_run(64, 1).probs[1]) < 1e-12
+
+    def test_matches_greedy_at_n65536(self):
+        n = 2**16
+        prob = greedy_run(n, 6, keep_states=False).probs[1]
+        assert abs(prob - one_query_prob(n)) < 1e-10 * one_query_prob(n)
 
     @pytest.mark.parametrize("n", [64, 256, 1024, 2048, 4096])
     def test_beats_classical(self, n):

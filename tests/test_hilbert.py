@@ -7,6 +7,8 @@ import pytest
 
 from invinsert import hilbert
 from invinsert.errors import SchemaError
+from invinsert.exact import search_free_series
+from invinsert.greedy import greedy_run
 from invinsert.hilbert import (
     MOMENTUM,
     POSITION,
@@ -16,7 +18,9 @@ from invinsert.hilbert import (
     inner,
     oracle_momentum_element,
     oracle_momentum_matrix,
+    oracle_image,
     oracle_signs,
+    run_all_answers,
     run_schedule,
     target_state,
     to_momentum,
@@ -24,6 +28,7 @@ from invinsert.hilbert import (
     translate,
     uniform_start,
 )
+from invinsert.synth import synthesize_exact
 
 PROP_SIZES = [2, 3, 6, 8, 16, 52]
 
@@ -85,6 +90,34 @@ class TestOracle:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             apply_oracle(5, uniform_start(5))
+
+
+class TestOracleImage:
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("n", PROP_SIZES)
+    def test_matches_dense_matrix(self, n, parity):
+        rng = np.random.default_rng(10 * n + parity)
+        amps = hilbert.random_state(n, rng, MOMENTUM).amps.copy()
+        amps[(np.arange(2 * n) + parity) % 2 == 1] = 0  # one parity class
+        np.testing.assert_allclose(
+            oracle_image(amps, n), oracle_momentum_matrix(n) @ amps, atol=1e-12
+        )
+
+    def test_rows_are_separate_states(self):
+        n = 7
+        rng = np.random.default_rng(11)
+        batch = rng.standard_normal((3, 2 * n)) + 1j * rng.standard_normal((3, 2 * n))
+        np.testing.assert_allclose(
+            oracle_image(batch, n), batch @ oracle_momentum_matrix(n).T, atol=1e-12
+        )
+
+    def test_signs_of_an_index_array(self):
+        n = 5
+        rows = oracle_signs(np.arange(n), n)
+        for j in range(n):
+            np.testing.assert_array_equal(rows[j], oracle_signs(j, n))
+        with pytest.raises(ValueError):
+            oracle_signs(np.array([0, n]), n)
 
 
 class TestTransforms:
@@ -231,6 +264,23 @@ class TestRunSchedule:
             assert abs(prob - brute) < 1e-12
             assert abs(prob - 1.0 / n) < 1e-12  # the product evaluates to 1/N
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_matches_dense_simulation(self, n):
+        # independent runner: explicit 2N x 2N Fourier and oracle matrices
+        rng = np.random.default_rng(n + 300)
+        schedule = hilbert.random_schedule(n, 3, rng)
+        x = np.arange(2 * n)
+        fourier = np.exp(-1j * np.pi * np.outer(x, x) / n) / np.sqrt(2 * n)
+        for j in range(n):
+            psi = np.full(2 * n, 1 / np.sqrt(2 * n), dtype=complex)
+            for stage in schedule.stages:
+                psi = np.diag(oracle_signs(j, n)) @ psi
+                psi = fourier.conj().T @ (np.exp(1j * stage) * (fourier @ psi))
+            final, prob = run_schedule(schedule, j)
+            np.testing.assert_allclose(final.amps, psi, atol=1e-12)
+            brute = abs(np.vdot(target_state(j, -1, n).amps, psi)) ** 2
+            assert abs(prob - brute) < 1e-12
+
     @pytest.mark.parametrize("n", PROP_SIZES)
     def test_translation_covariance_random_schedules(self, n):
         rng = np.random.default_rng(n + 100)
@@ -258,6 +308,32 @@ class TestRunSchedule:
             PhaseSchedule(n=4, k=2, stages=np.zeros((2, 7)))
         with pytest.raises(SchemaError):
             PhaseSchedule(n=4, k=2, stages=np.full((2, 8), np.nan))
+
+
+ANSWER_SCHEDULES = {
+    "greedy-3-2": lambda: greedy_run(3, 2, keep_states=False).phase_schedule,
+    "greedy-52-4": lambda: greedy_run(52, 4, keep_states=False).phase_schedule,
+    "exact-6-2": lambda: synthesize_exact(6, 2)[0],
+    "exact-16-3": lambda: synthesize_exact(16, 3, search_free_series(16, 3)[0])[0],
+}
+
+
+class TestRunAllAnswers:
+    @pytest.mark.parametrize("name", sorted(ANSWER_SCHEDULES))
+    def test_matches_per_answer_runs(self, name, monkeypatch):
+        schedule = ANSWER_SCHEDULES[name]()
+        n = schedule.n
+        # blocks of 5 answers, so most sizes end on a partial block
+        monkeypatch.setattr(hilbert, "ANSWER_BLOCK_AMPS", 5 * 2 * n)
+        blocks = list(run_all_answers(schedule))
+        assert blocks[0][0].shape == (min(5, n), 2 * n)
+        finals = np.concatenate([f for f, _ in blocks])
+        success = np.concatenate([p for _, p in blocks])
+        assert finals.shape == (n, 2 * n) and success.shape == (n,)
+        for j in range(n):
+            final, prob = run_schedule(schedule, j)
+            np.testing.assert_allclose(finals[j], final.amps, atol=1e-12)
+            assert abs(success[j] - prob) < 1e-12
 
 
 class TestScheduleSerialization:
