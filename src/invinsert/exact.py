@@ -210,7 +210,8 @@ def k2_feasible(
     n: int, grid_points: Optional[int] = None
 ) -> tuple[bool, FeasibilityCertificate]:
     """Two-query feasibility: is 1 + B_0 >= 0 on [0, pi]?"""
-    cert = certify_nonneg([b0(n)], grid_points or default_grid(n))
+    grid = default_grid(n) if grid_points is None else grid_points
+    cert = certify_nonneg([b0(n)], grid)
     return cert.verdict != INFEASIBLE, cert
 
 
@@ -372,7 +373,7 @@ def search_free_series(
     """
     if k < 2:
         raise ValueError(f"search needs k >= 2, got {k}")
-    grid = grid_points or default_grid(n)
+    grid = default_grid(n) if grid_points is None else grid_points
     resolved, free_names = _chain_structure(n, k)
 
     thetas = np.linspace(0.0, np.pi, grid + 1)

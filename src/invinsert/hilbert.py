@@ -28,9 +28,6 @@ from .errors import SchemaError
 POSITION = "position"
 MOMENTUM = "momentum"
 
-# phases at the dead parity never multiply a nonzero amplitude; kept at 0
-DEAD_PARITY_PHASE = 0.0
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -128,11 +125,6 @@ def load_schedule(path) -> PhaseSchedule:
     return PhaseSchedule.from_dict(data)
 
 
-def state_to_pairs(state: StateVector) -> list:
-    """Serialize amplitudes as [re, im] pairs."""
-    return [[float(a.real), float(a.imag)] for a in state.amps]
-
-
 def reduce_phases(phases: np.ndarray) -> np.ndarray:
     """Reduce to [0, 2pi); values within 1e-9 of the branch point become 0."""
     out = np.mod(phases, 2 * np.pi)
@@ -217,16 +209,6 @@ def oracle_momentum_element(p: int, q: int, n: int) -> complex:
     return 1j * np.exp(-1j * ang) / (n * np.sin(ang))
 
 
-def oracle_momentum_matrix(n: int) -> np.ndarray:
-    """Full 2N x 2N momentum-basis matrix of F_0 from the closed form."""
-    d = (np.arange(2 * n)[None, :] - np.arange(2 * n)[:, None]) % (2 * n)
-    ang = np.pi * d / (2 * n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = 1j * np.exp(-1j * ang) / (n * np.sin(ang))
-    m[d % 2 == 0] = 0
-    return m
-
-
 def target_state(j: int, sign: int, n: int) -> StateVector:
     """(|j> + sign |j+N>) / sqrt(2): the measurement target for answer j."""
     if not 0 <= j <= n - 1:
@@ -301,33 +283,12 @@ def run_all_answers(schedule: PhaseSchedule) -> Iterator[tuple[np.ndarray, np.nd
         yield finals, target_probs(finals, schedule.k)[js - lo, js]
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b> for two states expressed in the same basis."""
-    if a.basis != b.basis or a.n != b.n:
-        raise ValueError("states must share problem size and basis")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 def parity_masses(state: StateVector) -> tuple[float, float]:
     """Squared amplitude mass on even and odd momenta (diagnostic)."""
     if state.basis != MOMENTUM:
         state = to_momentum(state)
     mags = np.abs(state.amps) ** 2
     return float(mags[0::2].sum()), float(mags[1::2].sum())
-
-
-def random_state(n: int, rng: np.random.Generator, basis: str = POSITION) -> StateVector:
-    """A Haar-ish random unit vector, for tests and property checks."""
-    amps = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
-    amps /= np.linalg.norm(amps)
-    return StateVector(n, basis, amps)
-
-
-def random_schedule(
-    n: int, k: int, rng: np.random.Generator
-) -> PhaseSchedule:
-    """Uniformly random phase stages, for covariance property checks."""
-    return PhaseSchedule(n=n, k=k, stages=rng.uniform(0, 2 * np.pi, (k, 2 * n)))
 
 
 def momentum_basis_vector(n: int, p: int) -> StateVector:

@@ -4,19 +4,24 @@ Pipeline per stage l:
 
 1. ``q_from_chain``  - assemble the Hermitian Laurent polynomial
    Q_l(z) = 1 + A_l + B_l with cos(r theta) split as (z^r + z^-r) / 2.
-2. ``spectral_factor`` - write Q_l = P_l(z) conj(P_l(1/conj(z))) on |z| = 1.
-   z^M Q(z) has its zeros in reciprocal-conjugate pairs (a e^{ia}, e^{ia}/a),
-   circle zeros with even multiplicity; one zero per pair (canonically the
-   one with modulus <= 1) builds P.
+2. ``spectral_factor`` - write Q_l = P_l(z) conj(P_l(1/conj(z))) on |z| = 1,
+   with P's zeros in the closed unit disk.
 3. ``states_from_poly`` - read the stage state off P's coefficients.
 4. ``phases_from_states`` - the diagonal stage is the phase of
    <p|psi_l> / <p|F_0|psi_{l-1}> on the live parity.
 
-Numerical notes: companion-matrix roots are Newton-polished (off-circle roots
-only; circle clusters keep their symmetric eigenvalue splits, whose pairwise
-products are second-order accurate), and P's coefficients are recovered by
-evaluating the root product on roots of unity and inverse transforming, which
-avoids the instability of coefficient-by-coefficient expansion.
+Numerical notes: Q positive on the circle is factored by Kolmogorov's
+minimum-phase construction, H = exp(causal part of log Q), with FFTs on a
+grid that doubles until H's coefficients past degree N-1 vanish (Sayed &
+Kailath, "A survey of spectral factorization methods", Numer. Linear Algebra
+Appl. 8, 2001).  Q with zeros on the circle, such as the start polynomial's
+squared magnitude, makes log Q singular and does not converge; it is
+factored from the companion-matrix roots of z^M Q(z) instead.  Circle zeros
+come in clusters of even multiplicity whose symmetric eigenvalue splits are
+halved by sqrt(z1 z2), and P's coefficients are recovered by evaluating the
+root product on roots of unity and inverse transforming, which avoids the
+instability of coefficient-by-coefficient expansion.  Either way |P|^2 - Q
+is checked on the circle against FACTOR_GRID_TOL.
 """
 
 from __future__ import annotations
@@ -41,9 +46,9 @@ from .hilbert import MOMENTUM, POSITION, PhaseSchedule, StateVector
 
 CIRCLE_TOL = 1e-7       # |abs(root) - 1| below this joins a circle cluster
 CLUSTER_ANGLE_TOL = 1e-5
-PAIR_TOL = 1e-6         # required quality of r * conj(partner) = 1
-ROOT_RESIDUAL_TOL = 1e-10
 FACTOR_GRID_TOL = 1e-8
+FFT_MIN_SIZE = 1 << 10  # the cepstral grid starts at max(this, 16N) points
+FFT_MAX_SIZE = 1 << 18  # and doubles up to this cap
 ZERO_AMP_TOL = 1e-12    # arbitrary-phase threshold in phase extraction
 MAGNITUDE_TOL = 1e-8    # stage state vs oracle image, momentum by momentum
 
@@ -79,11 +84,11 @@ class LaurentPoly:
         return complex(self.q[r + self.n - 1])
 
     def circle_values(self, grid: int) -> np.ndarray:
-        """Q(e^{i theta}) on grid uniform angles over [0, 2 pi)."""
-        arr = np.zeros(grid, dtype=complex)
-        for r in range(-(self.n - 1), self.n):
-            arr[r % grid] += self.q[r + self.n - 1]
-        return (grid * np.fft.ifft(arr)).real
+        """Q(e^{i theta}) on grid uniform angles over [0, 2 pi): by Hermitian
+        symmetry, the inverse real FFT of q_0..q_{N-1}."""
+        if grid < 2 * self.n - 1:
+            raise ValueError(f"{grid} angles fold {self.n - 1} harmonics")
+        return np.fft.irfft(self.q[self.n - 1:], grid) * grid
 
 
 @dataclass(frozen=True)
@@ -123,52 +128,6 @@ def q_from_chain(a: CosineSeries, b: CosineSeries) -> LaurentPoly:
         q[n - 1 + r] = half[r - 1]
         q[n - 1 - r] = half[r - 1]
     return LaurentPoly(n=n, q=q)
-
-
-def _polish_roots(desc: np.ndarray, roots: np.ndarray, iters: int = 6) -> np.ndarray:
-    """Guarded Newton refinement: accept steps only when the residual drops."""
-    if roots.size == 0:
-        return roots
-    deriv = np.polyder(desc)
-    z = roots.copy()
-    best = np.abs(np.polyval(desc, z))
-    for _ in range(iters):
-        dz = np.polyval(deriv, z)
-        dz = np.where(np.abs(dz) < 1e-300, 1.0, dz)
-        cand = z - np.polyval(desc, z) / dz
-        resid = np.abs(np.polyval(desc, cand))
-        improved = resid < best
-        if not improved.any():
-            break
-        z = np.where(improved, cand, z)
-        best = np.where(improved, resid, best)
-    return z
-
-
-def _pair_off_circle(off: list) -> list:
-    """Pick one root per reciprocal-conjugate pair, modulus <= 1 preferred."""
-    selected = []
-    pool = list(off)
-    while pool:
-        root = pool.pop()
-        if not pool:
-            raise FactorizationError(
-                f"root {root} has no reciprocal partner left to pair with"
-            )
-        idx = min(range(len(pool)), key=lambda i: abs(root * np.conj(pool[i]) - 1))
-        partner = pool.pop(idx)
-        quality = abs(root * np.conj(partner) - 1)
-        if quality > PAIR_TOL:
-            raise FactorizationError(
-                f"no reciprocal partner for root {root} "
-                f"(best pairing defect {quality:.3e})"
-            )
-        if abs(abs(root) - abs(partner)) < 1e-12:
-            chosen = root if np.angle(root) <= np.angle(partner) else partner
-        else:
-            chosen = root if abs(root) <= abs(partner) else partner
-        selected.append(chosen)
-    return selected
 
 
 def _collapse_circle_clusters(circ: np.ndarray) -> list:
@@ -216,15 +175,44 @@ def _coeffs_from_roots(
     return np.fft.fft(values) / n_coeffs
 
 
-def spectral_factor(q_poly: LaurentPoly) -> Poly:
-    """Factor Q(z) = P(z) conj(P(1/conj(z))) with |P|^2 = Q on the circle.
+def _cepstral_factor(q_poly: LaurentPoly) -> Optional[np.ndarray]:
+    """Kolmogorov's minimum-phase factor: H = exp(causal part of log Q).
 
-    Vanishing leading coefficients are deflated before root finding and the
-    lost degree restored as a z^d prefactor, so Q = 1 factors as z^(N-1).
+    H(z) = sum_n h_n z^n has no zeros in the disk, so the returned
+    coefficients conj(h[:N][::-1]) put P's zeros inside it.  The FFT grid
+    doubles until h is a polynomial of degree < N to within
+    FACTOR_GRID_TOL.  Returns None when Q is not positive on the grid or
+    the cap is reached first, as for zeros on the circle.
+    """
+    n = q_poly.n
+    size = max(FFT_MIN_SIZE, 1 << (16 * n - 1).bit_length())
+    while size <= FFT_MAX_SIZE:
+        values = q_poly.circle_values(size)
+        if values.min() <= 0:
+            return None
+        # one (size,) complex buffer at a time: at the cap each is 4 MiB
+        cepstrum = np.fft.rfft(np.log(values))
+        del values
+        cepstrum[0] /= 2
+        cepstrum[-1] /= 2
+        h = np.fft.ifft(cepstrum, size)
+        del cepstrum
+        np.exp(h, out=h)
+        h = np.fft.fft(h)
+        h /= size
+        # the |P|^2 - Q gate alone can pass while P's coefficients are
+        # still off; the degree overflow tracks the coefficient error
+        if np.max(np.abs(h[n:])) <= FACTOR_GRID_TOL:
+            return np.conj(h[:n][::-1])
+        size *= 2
+    return None
 
-    Raises FactorizationError when roots cannot be paired (or a circle
-    cluster has odd size) and ContractError when the overall scale D fails
-    to be real and positive.
+
+def _root_factor(q_poly: LaurentPoly) -> np.ndarray:
+    """Factor coefficients from the zeros of z^M Q(z), for Q that the FFT
+    factor cannot take, as with zeros on the circle.  Vanishing leading coefficients are deflated and the lost
+    degree restored as a z^d prefactor; the zeros inside the disk and one
+    of each pair of circle zeros build P.
     """
     n = q_poly.n
     mid = n - 1
@@ -235,34 +223,12 @@ def spectral_factor(q_poly: LaurentPoly) -> Poly:
         if mags[mid + r] > defl_tol:
             top = r
             break
-    if top == 0:
-        q0 = q_poly.coeff(0).real
-        if q0 <= 0:
-            raise ContractError(f"constant polynomial {q0} is not positive")
-        coeffs = np.zeros(n, dtype=complex)
-        coeffs[n - 1] = np.sqrt(q0)
-        return Poly(degree=n - 1, coeffs=coeffs)
 
-    desc = q_poly.q[mid - top: mid + top + 1][::-1]
-    roots = np.roots(desc)
+    roots = np.roots(q_poly.q[mid - top: mid + top + 1][::-1])
     on_circle = np.abs(np.abs(roots) - 1) < CIRCLE_TOL
-    circ = roots[on_circle]
-    off = _polish_roots(desc, roots[~on_circle])
-    if off.size:
-        # the evaluation floor at a root grows like |z|^degree, so scale
-        # the residual contract accordingly for far-outside roots
-        residuals = np.abs(np.polyval(desc, off))
-        scale = np.linalg.norm(desc) * np.maximum(1.0, np.abs(off)) ** (2 * top)
-        worst = float((residuals / scale).max())
-        if worst > ROOT_RESIDUAL_TOL:
-            raise FactorizationError(
-                f"scaled root residual {worst:.3e} exceeds tolerance; "
-                "the polynomial is too ill-conditioned to factor"
-            )
-
-    selected = _pair_off_circle(list(off))
-    if circ.size:
-        selected.extend(_collapse_circle_clusters(circ))
+    selected = list(roots[~on_circle & (np.abs(roots) < 1)])
+    if on_circle.any():
+        selected.extend(_collapse_circle_clusters(roots[on_circle]))
     if len(selected) != top:
         raise FactorizationError(
             f"selected {len(selected)} roots for a degree-{top} factor"
@@ -274,7 +240,26 @@ def spectral_factor(q_poly: LaurentPoly) -> Poly:
             f"factor scale {d_scale} is not real positive; Q is not "
             "nonnegative on the circle"
         )
-    coeffs = _coeffs_from_roots(selected, np.sqrt(d_scale.real), n, n - 1 - top)
+    return _coeffs_from_roots(selected, np.sqrt(d_scale.real), n, n - 1 - top)
+
+
+def spectral_factor(q_poly: LaurentPoly) -> Poly:
+    """Factor Q(z) = P(z) conj(P(1/conj(z))) with |P|^2 = Q on the circle.
+
+    P has its zeros in the closed unit disk.  Q positive on the circle
+    takes the FFT (cepstral) factor, so Q = 1 factors as z^(N-1); only Q
+    that is not positive on the FFT grid, or does not converge by its cap,
+    reaches the roots of z^M Q(z).
+
+    Raises FactorizationError when the zeros cannot be split (a circle
+    cluster of odd size, or the wrong number inside the disk) or |P|^2
+    misses Q on the circle, and ContractError when the overall scale D
+    fails to be real and positive.
+    """
+    n = q_poly.n
+    coeffs = _cepstral_factor(q_poly)
+    if coeffs is None:
+        coeffs = _root_factor(q_poly)
     poly = Poly(degree=n - 1, coeffs=coeffs)
 
     grid = 64 * n
@@ -378,7 +363,7 @@ def synthesize_exact(
     Factorization or magnitude failures raise with the stage number.
     """
     chain: MatchingChain = build_chain(n, k, free)
-    grid = grid_points or default_grid(n)
+    grid = default_grid(n) if grid_points is None else grid_points
     certificates = {}
     for ell, series_list in chain_constraints(chain).items():
         cert = certify_nonneg(series_list, grid)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from invinsert import hilbert
+import hilbert_testing as hilbert
 from invinsert.bounds import harmonic_sum, overlap_bound
 from invinsert.compose import compose_solve, rate
 from invinsert.exact import (

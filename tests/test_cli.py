@@ -151,6 +151,15 @@ class TestExactCommands:
         certs = json.loads(out)["results"]["certificates"]
         assert certs["1"]["grid_points"] == 5000
 
+    @pytest.mark.parametrize("argv", [
+        ("exact", "search", "--k", "3", "--n", "16", "--grid", "0"),
+        ("exact", "feasible", "--k", "2", "--n-range", "6..7", "--grid", "0"),
+    ])
+    def test_zero_grid_rejected(self, capsys, argv):
+        # a grid of 0 is too coarse, not a request for the default grid
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and "grid intervals" in err and out == ""
+
     def test_results_deterministic_across_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "exact", "search", "--k", "3", "--n", "8")
         _, out2, _ = run_cli(capsys, "exact", "search", "--k", "3", "--n", "8")

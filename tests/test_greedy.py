@@ -14,6 +14,7 @@ from invinsert.greedy import (
     one_query_prob,
 )
 from invinsert.hilbert import MOMENTUM, StateVector, run_schedule, to_momentum
+from hilbert_testing import oracle_momentum_matrix
 
 # published success probabilities (N, k) -> prob, 4 significant figures
 TABLE_SPOT_CELLS = {
@@ -25,7 +26,7 @@ TABLE_SPOT_CELLS = {
 
 def oracle_image_amps(state):
     """<p|F_0|psi> from the dense closed-form matrix, independent of the FFTs."""
-    return hilbert.oracle_momentum_matrix(state.n) @ state.amps
+    return oracle_momentum_matrix(state.n) @ state.amps
 
 
 class TestGreedyStep:

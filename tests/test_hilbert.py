@@ -15,9 +15,7 @@ from invinsert.hilbert import (
     PhaseSchedule,
     StateVector,
     apply_oracle,
-    inner,
     oracle_momentum_element,
-    oracle_momentum_matrix,
     oracle_image,
     oracle_signs,
     run_all_answers,
@@ -29,6 +27,7 @@ from invinsert.hilbert import (
     uniform_start,
 )
 from invinsert.synth import synthesize_exact
+from hilbert_testing import inner, oracle_momentum_matrix, random_schedule, random_state
 
 PROP_SIZES = [2, 3, 6, 8, 16, 52]
 
@@ -74,14 +73,14 @@ class TestOracle:
     def test_involution(self):
         rng = np.random.default_rng(7)
         for n in (2, 5, 8):
-            state = hilbert.random_state(n, rng)
+            state = random_state(n, rng)
             for j in range(n):
                 twice = apply_oracle(j, apply_oracle(j, state))
                 np.testing.assert_allclose(twice.amps, state.amps, atol=1e-14)
 
     def test_momentum_input_round_trips(self):
         rng = np.random.default_rng(8)
-        state = to_momentum(hilbert.random_state(6, rng))
+        state = to_momentum(random_state(6, rng))
         out = apply_oracle(2, state)
         assert out.basis == MOMENTUM
         expected = to_momentum(apply_oracle(2, to_position(state)))
@@ -97,7 +96,7 @@ class TestOracleImage:
     @pytest.mark.parametrize("n", PROP_SIZES)
     def test_matches_dense_matrix(self, n, parity):
         rng = np.random.default_rng(10 * n + parity)
-        amps = hilbert.random_state(n, rng, MOMENTUM).amps.copy()
+        amps = random_state(n, rng, MOMENTUM).amps.copy()
         amps[(np.arange(2 * n) + parity) % 2 == 1] = 0  # one parity class
         np.testing.assert_allclose(
             oracle_image(amps, n), oracle_momentum_matrix(n) @ amps, atol=1e-12
@@ -124,14 +123,14 @@ class TestTransforms:
     @pytest.mark.parametrize("n", PROP_SIZES)
     def test_round_trip(self, n):
         rng = np.random.default_rng(n)
-        state = hilbert.random_state(n, rng)
+        state = random_state(n, rng)
         back = to_position(to_momentum(state))
         np.testing.assert_allclose(back.amps, state.amps, atol=1e-12)
 
     @pytest.mark.parametrize("n", PROP_SIZES)
     def test_unitary(self, n):
         rng = np.random.default_rng(n + 1)
-        state = hilbert.random_state(n, rng)
+        state = random_state(n, rng)
         assert abs(to_momentum(state).norm() - 1) < 1e-12
 
     def test_position_zero_n2(self):
@@ -154,7 +153,7 @@ class TestTransforms:
 class TestTranslate:
     def test_full_cycle_identity(self):
         rng = np.random.default_rng(3)
-        state = hilbert.random_state(6, rng)
+        state = random_state(6, rng)
         out = translate(state, 12)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-15)
 
@@ -170,7 +169,7 @@ class TestTranslate:
     @pytest.mark.parametrize("n", [3, 6, 8])
     def test_conjugation_shifts_oracle(self, n):
         rng = np.random.default_rng(n + 10)
-        state = hilbert.random_state(n, rng)
+        state = random_state(n, rng)
         for j in range(n - 1):
             lhs = translate(apply_oracle(j, translate(state, -1)), 1)
             rhs = apply_oracle(j + 1, state)
@@ -178,7 +177,7 @@ class TestTranslate:
 
     def test_bases_agree(self):
         rng = np.random.default_rng(11)
-        state = hilbert.random_state(6, rng)
+        state = random_state(6, rng)
         via_mom = to_position(translate(to_momentum(state), 5))
         np.testing.assert_allclose(via_mom.amps, translate(state, 5).amps, atol=1e-12)
 
@@ -268,7 +267,7 @@ class TestRunSchedule:
     def test_matches_dense_simulation(self, n):
         # independent runner: explicit 2N x 2N Fourier and oracle matrices
         rng = np.random.default_rng(n + 300)
-        schedule = hilbert.random_schedule(n, 3, rng)
+        schedule = random_schedule(n, 3, rng)
         x = np.arange(2 * n)
         fourier = np.exp(-1j * np.pi * np.outer(x, x) / n) / np.sqrt(2 * n)
         for j in range(n):
@@ -284,7 +283,7 @@ class TestRunSchedule:
     @pytest.mark.parametrize("n", PROP_SIZES)
     def test_translation_covariance_random_schedules(self, n):
         rng = np.random.default_rng(n + 100)
-        schedule = hilbert.random_schedule(n, 3, rng)
+        schedule = random_schedule(n, 3, rng)
         final0, prob0 = run_schedule(schedule, 0)
         for j in range(n):
             final, prob = run_schedule(schedule, j)
@@ -296,7 +295,7 @@ class TestRunSchedule:
     def test_norm_and_parity_support(self, n):
         rng = np.random.default_rng(n + 200)
         for k in (1, 2, 3):
-            schedule = hilbert.random_schedule(n, k, rng)
+            schedule = random_schedule(n, k, rng)
             final, _ = run_schedule(schedule, 0)
             assert abs(final.norm() - 1) < 1e-12
             mom = to_momentum(final)
@@ -339,7 +338,7 @@ class TestRunAllAnswers:
 class TestScheduleSerialization:
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(5)
-        schedule = hilbert.random_schedule(5, 3, rng)
+        schedule = random_schedule(5, 3, rng)
         path = tmp_path / "schedule.json"
         hilbert.save_schedule(schedule, path)
         loaded = hilbert.load_schedule(path)
@@ -369,10 +368,3 @@ class TestScheduleSerialization:
         stages = np.array([[7.0, -1.0, 0.0, 2 * np.pi]])
         schedule = PhaseSchedule(n=2, k=1, stages=stages)
         assert np.all(schedule.stages >= 0) and np.all(schedule.stages < 2 * np.pi)
-
-    def test_state_pair_serialization(self):
-        state = target_state(1, -1, 3)
-        pairs = hilbert.state_to_pairs(state)
-        assert pairs[1] == [pytest.approx(1 / np.sqrt(2)), 0.0]
-        assert pairs[4] == [pytest.approx(-1 / np.sqrt(2)), 0.0]
-        assert all(len(p) == 2 for p in pairs) and len(pairs) == 6

@@ -1,11 +1,13 @@
 """Laurent assembly, spectral factorization, state recovery, phase extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from invinsert import hilbert
+from invinsert import hilbert, synth
 from invinsert.errors import ContractError, FactorizationError
-from invinsert.exact import a0, b0, zero_series
+from invinsert.exact import a0, b0, build_chain, search_free_series, zero_series
 from invinsert.greedy import greedy_run
 from invinsert.hilbert import (
     MOMENTUM,
@@ -42,6 +44,18 @@ def triangular_q(n):
 
 def q_on_circle(q_poly, grid):
     return q_poly.circle_values(grid)
+
+
+def root_reference(q_poly):
+    """P from the zeros of z^(N-1) Q(z) inside the disk, scaled so that
+    sum |p_k|^2 = q_0.  The product is interpolated on the N-th roots of
+    unity: np.poly's expansion of the N = 52 stage zeros, 0.002 inside the
+    circle, is off by 1e-5."""
+    n = q_poly.n
+    roots = np.roots(q_poly.q[::-1])
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    monic = np.fft.fft(np.prod(w[:, None] - roots[np.abs(roots) < 1], axis=1)) / n
+    return monic * np.sqrt(q_poly.coeff(0).real / np.sum(np.abs(monic) ** 2))
 
 
 class TestQFromChain:
@@ -118,6 +132,35 @@ class TestSpectralFactor:
             err = np.max(np.abs(np.abs(p.circle_values(grid)) ** 2 - q_on_circle(q, grid)))
             worst = max(worst, err)
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("n,k", [(16, 3), (52, 3)])
+    def test_chain_stages_match_root_reference(self, n, k, monkeypatch):
+        free, _ = search_free_series(n, k)
+        chain = build_chain(n, k, free)
+        qs = [q_from_chain(*chain.stages[ell]) for ell in range(1, k + 1)]
+        references = [root_reference(q) for q in qs]
+
+        def no_eigensolve(_):
+            raise AssertionError("a positive Q reached np.roots")
+
+        monkeypatch.setattr(synth.np, "roots", no_eigensolve)
+        for q, ref in zip(qs, references):
+            coeffs = spectral_factor(q).coeffs
+            i = np.argmax(np.abs(ref))
+            phase = coeffs[i] / ref[i] / abs(coeffs[i] / ref[i])
+            np.testing.assert_allclose(coeffs, ref * phase, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 52])
+    def test_memory_bounded_by_fft_cap(self, n):
+        # N = 3's circle zeros miss every FFT grid, so its Q walks the grid
+        # to the cap before taking the root path; N = 52's lie on the first grid
+        tracemalloc.start()
+        try:
+            spectral_factor(triangular_q(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_sign_crossing_rejected(self):
         # 1 + B0(7) dips below zero, so its circle zeros have odd multiplicity
