@@ -1,8 +1,8 @@
 """Command-line front end: simulation, bounds, feasibility, synthesis, composition.
 
-Exit codes: 0 success, 2 infeasible or empty result, 64 usage error,
-65 malformed input file.  JSON reports carry full-precision values; CSV
-tables round probabilities to 4 decimal places.
+Exit codes: 0 success, 1 failed stage, 2 infeasible or empty result,
+64 usage error, 65 malformed input file.  JSON reports carry full-precision
+values; CSV tables round probabilities to 4 decimal places.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, bounds, compose, exact, greedy, hilbert, synth
-from .errors import CompositionError, ContractError, FactorizationError, SchemaError
+from .errors import (
+    CompositionError, ContractError, FactorizationError, SchemaError, SolverError,
+)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -140,6 +142,8 @@ def _feasible_one(task) -> bool:
 
 
 def cmd_exact_feasible(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     grid = _grid_override(args.grid)
     ns = list(_parse_range(args.n_range))
     tasks = [(n, args.k, grid) for n in ns]
@@ -411,7 +415,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"invinsert: {exc}\n")
         return EXIT_SCHEMA
-    except (ContractError, FactorizationError, CompositionError, ValueError) as exc:
+    except (ContractError, FactorizationError, CompositionError, SolverError, ValueError) as exc:
         sys.stderr.write(f"invinsert: {exc}\n")
         return 1
 

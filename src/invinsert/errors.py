@@ -14,5 +14,9 @@ class CompositionError(RuntimeError):
     """A composed run used a subroutine schedule that is not exact enough."""
 
 
+class SolverError(RuntimeError):
+    """A linear program ended without an optimal solution."""
+
+
 class SchemaError(ValueError):
     """A JSON input file does not match its documented layout."""

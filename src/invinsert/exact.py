@@ -11,8 +11,18 @@ the interleaved matching conditions B_1 = B_0, A_2 = A_1, B_3 = B_2, ...
 hold, and 1 + A_l + B_l >= 0 on [0, pi] for every stage.  For k = 2 nothing
 is free and feasibility reduces to 1 + B_0 >= 0; for k >= 3 there are k - 2
 free series, searched here with a maximize-minimum-slack linear program on a
-theta grid followed by a Lipschitz grid certificate.  Every fixed series is
+theta grid followed by a Lipschitz grid certificate.  Every series is
 evaluated on the grid by one real FFT (``grid_values``).
+
+The LP is never written out over the whole grid.  Where every free series
+of a stage vanishes (N theta an odd multiple of pi for class A, an even one
+for class B) the row does not depend on the free coefficients, so those
+rows leave the LP and their least value caps the slack; the cap is the same
+for every choice of coefficients, so min(cap, optimum of the rest) is the
+full LP's optimum.  The rest is solved by exchange on HiGHS: start from
+N + 1 angles per stage, evaluate every stage on the full grid after each
+solve, add the violated local minima as rows and re-solve warm, and stop
+when no angle outside the LP is violated.
 
 Sine-sector coefficients are identically zero throughout: the endpoints have
 none and dropping them loses no generality.
@@ -26,9 +36,9 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
-from .errors import ContractError, SchemaError
+from .errors import ContractError, SchemaError, SolverError
 
 KLASS_A = "A"  # symmetric: vanishes where exp(i N theta) = -1
 KLASS_B = "B"  # antisymmetric: vanishes where exp(i N theta) = +1
@@ -325,35 +335,151 @@ def chain_constraints(chain: MatchingChain) -> dict[int, list[CosineSeries]]:
 # free-series search (maximize minimum slack over a theta grid)
 # ---------------------------------------------------------------------------
 
-def _symmetric_basis(n: int, klass: str, thetas: np.ndarray) -> tuple[np.ndarray, list]:
-    """Columns of basis functions respecting the class symmetry.
-
-    Class A uses r = 1..floor(N/2) with c_r = c_{N-r}; class B uses
-    r = 1..ceil(N/2)-1 with c_r = -c_{N-r} (the middle coefficient is pinned
-    to 0 for even N).
-    """
+def _basis_orders(n: int, klass: str) -> tuple[np.ndarray, float]:
+    """Free orders r and mirror sign of a class: class A uses r = 1..floor(N/2)
+    with c_r = c_{N-r}; class B uses r = 1..ceil(N/2)-1 with c_r = -c_{N-r}
+    (the middle coefficient is pinned to 0 for even N)."""
     if klass == KLASS_A:
-        rs = list(range(1, n // 2 + 1))
-        sign = 1.0
-    else:
-        rs = list(range(1, (n + 1) // 2))
-        sign = -1.0
-    cols = np.zeros((thetas.size, len(rs)))
-    for i, r in enumerate(rs):
-        cols[:, i] = np.cos(r * thetas)
-        if n - r != r:
-            cols[:, i] += sign * np.cos((n - r) * thetas)
-    return cols, rs
+        return np.arange(1, n // 2 + 1), 1.0
+    return np.arange(1, (n + 1) // 2), -1.0
 
 
-def _series_from_params(n: int, klass: str, rs: list, x: np.ndarray) -> CosineSeries:
+def _symmetric_basis(n: int, klass: str, thetas: np.ndarray) -> np.ndarray:
+    """Basis columns cos(r theta) +/- cos((N - r) theta) at the given angles."""
+    rs, sign = _basis_orders(n, klass)
+    cols = np.cos(np.multiply.outer(thetas, rs))
+    mirror = rs != n - rs
+    cols[:, mirror] += sign * np.cos(np.multiply.outer(thetas, n - rs[mirror]))
+    return cols
+
+
+def _pinned(n: int, klass: str, grid: int) -> np.ndarray:
+    """Mask of the grid angles theta_i = pi i / G where every class-`klass`
+    series vanishes: N theta an odd (A) or even (B) multiple of pi, since
+    the basis columns factor as 2 cos(N theta / 2) cos((N/2 - r) theta) (A)
+    and 2 sin(N theta / 2) sin((N/2 - r) theta) (B).  A class with no free
+    orders (class B at N = 2) vanishes everywhere."""
+    if not len(_basis_orders(n, klass)[0]):
+        return np.ones(grid + 1, dtype=bool)
+    multiple, rest = np.divmod(n * np.arange(grid + 1), grid)
+    return (rest == 0) & (multiple % 2 == (1 if klass == KLASS_A else 0))
+
+
+def _series_from_params(n: int, klass: str, x: np.ndarray) -> CosineSeries:
+    rs, sign = _basis_orders(n, klass)
     coeffs = np.zeros(n - 1)
-    sign = 1.0 if klass == KLASS_A else -1.0
-    for r, value in zip(rs, x):
-        coeffs[r - 1] = value
-        if n - r != r:
-            coeffs[n - r - 1] = sign * value
+    coeffs[n - rs - 1] = sign * x
+    coeffs[rs - 1] = x  # the middle order of class A keeps +x
     return CosineSeries(n=n, klass=klass, coeffs=coeffs)
+
+
+def _maximize_last(n_vars: int, rows: list, more_rows) -> np.ndarray:
+    """Maximize the last of n_vars free variables subject to rows, then add
+    more_rows(x) and re-solve warm from the last basis until it adds none.
+
+    A row batch (columns, block, upper) stands for
+    block[i] @ var[columns] <= upper[i].  Every call into scipy's private
+    HiGHS binding is made here, so a change to that binding fails here.
+    Raises SolverError unless every solve ends optimal.
+    """
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.addVars(n_vars, np.full(n_vars, -np.inf), np.full(n_vars, np.inf))
+    highs.changeColsCost(1, np.array([n_vars - 1], dtype=np.int32), np.array([-1.0]))
+    while rows:
+        for columns, block, upper in rows:
+            m, w = block.shape
+            highs.addRows(
+                m, np.full(m, -np.inf), upper, m * w,
+                np.arange(0, m * w, w, dtype=np.int32),
+                np.tile(np.asarray(columns, dtype=np.int32), m),
+                np.ascontiguousarray(block).ravel(),
+            )
+        highs.run()
+        status = highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise SolverError(
+                f"exact search: LP ended {highs.modelStatusToString(status)!r}, not optimal"
+            )
+        x = np.array(highs.getSolution().col_value)
+        rows = more_rows(x)
+    return x
+
+
+def _stage_rows(n: int, k: int, grid: int) -> tuple[dict, dict, list]:
+    """The grid LP's layout: each free series' class and indices among the LP
+    variables (delta comes last), and per stage l = 1..k-1 its fixed values
+    on the grid, its free series and its mask of x-independent rows."""
+    resolved, free_names = _chain_structure(n, k)
+    klass = {name: _resolve(resolved, name)[2] for name in free_names}
+    params, width = {}, 0
+    for name in free_names:
+        size = len(_basis_orders(n, klass[name])[0])
+        params[name] = np.arange(width, width + size)
+        width += size
+    stages = []
+    for ell in range(1, k):
+        fixed = np.ones(grid + 1)
+        names = []
+        for prefix in ("A", "B"):
+            root, kind, payload = _resolve(resolved, f"{prefix}{ell}")
+            if kind == "fixed":
+                fixed += grid_values(payload.coeffs, grid)
+            elif kind == "free":
+                names.append(root)
+        pinned = np.ones(grid + 1, dtype=bool)
+        for name in names:
+            pinned &= _pinned(n, klass[name], grid)
+        stages.append((fixed, names, pinned))
+    return klass, params, stages
+
+
+def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
+    """delta* of the grid LP and free series that reach it (see
+    :func:`search_free_series`)."""
+    klass, params, stages = _stage_rows(n, k, grid)
+    width = sum(len(p) for p in params.values())
+    thetas = np.pi * np.arange(grid + 1) / grid
+    active = [np.zeros(grid + 1, dtype=bool) for _ in stages]
+
+    def free_series(x: np.ndarray) -> dict:
+        return {name: _series_from_params(n, klass[name], x[p]) for name, p in params.items()}
+
+    def activate(indices: list) -> list:
+        """Mark the angles of each stage active and build their row batches."""
+        batches = []
+        for (fixed, names, _), idx, used in zip(stages, indices, active):
+            if len(idx):
+                used[idx] = True
+                columns = np.concatenate([params[name] for name in names] + [[width]])
+                block = np.hstack(
+                    [-_symmetric_basis(n, klass[name], thetas[idx]) for name in names]
+                    + [np.ones((len(idx), 1))]
+                )
+                batches.append((columns, block, fixed[idx]))
+        return batches
+
+    def violated_rows(x: np.ndarray) -> list:
+        free = free_series(x)
+        indices = []
+        for (fixed, names, pinned), used in zip(stages, active):
+            coeffs = sum((free[name].coeffs for name in names), np.zeros(n - 1))
+            slack = fixed - x[-1] + grid_values(coeffs, grid)
+            slack[pinned | used] = np.inf
+            low = slack < -1e-9
+            padded = np.r_[np.inf, slack, np.inf]
+            minima = low & (slack <= padded[:-2]) & (slack <= padded[2:])
+            indices.append(np.flatnonzero(minima if minima.any() else low))
+        return activate(indices)
+
+    cap = min((f[p].min() for f, _, p in stages if p.any()), default=np.inf)
+    # N + 1 angles spread evenly over [0, pi] (to the nearest grid angle): on
+    # an even spread the trapezoid rule integrates every free series to 0, so
+    # no choice of coefficients raises every row and delta is bounded
+    start = grid * np.arange(n + 1) // n
+    first = activate([start[~pinned[start]] for _, _, pinned in stages])
+    x = _maximize_last(width + 1, first, violated_rows) if first else np.r_[np.zeros(width), cap]
+    return float(min(cap, x[-1])), free_series(x)
 
 
 def search_free_series(
@@ -361,68 +487,42 @@ def search_free_series(
 ) -> Optional[tuple[dict, dict]]:
     """Search the free series making every stage constraint nonnegative.
 
-    Solves  max delta  s.t.  1 + A_l(theta_i) + B_l(theta_i) >= delta  over
-    all stages l = 1..k-1 and all grid angles, as a linear program in the
-    symmetric free coefficients.  A grid optimum delta* < 0 means no free
-    choice works on this grid (strong evidence, not proof, of infeasibility)
-    and None is returned.  Otherwise each stage of the found chain gets a
-    :func:`certify_nonneg` certificate on the same grid, and None is
-    returned if one of them is infeasible.
+    The grid LP is  max delta  s.t.  1 + A_l(theta_i) + B_l(theta_i) >= delta
+    for every stage l = 1..k-1 and grid angle theta_i = pi i / G, in the
+    symmetric free coefficients.  Its optimum delta* is found without
+    building the (grid x width) matrix:
 
-    Returns (free series by name, certificate by stage) or None.
+    * Rows where every free series of the stage vanishes (``_pinned``) do
+      not depend on the coefficients.  They stay out of the LP, and the
+      least of their fixed values caps delta: delta* = min(cap, delta'),
+      where delta' is the optimum of the LP without them.  This is exact,
+      since no choice of coefficients moves the cap.  These rows are also
+      the ones that make the full LP degenerate.
+    * The LP without them is solved by exchange.  It starts from N + 1
+      evenly spread angles of each stage, enough to bound delta.  After
+      each solve every stage is evaluated on the full grid by
+      ``grid_values``.  The angles outside the LP that fall below delta by
+      more than 1e-9 and are local minima there (all of them, if none is)
+      become rows, and HiGHS re-solves warm from its last basis.  It stops
+      when no angle outside the LP falls below delta, so the solution holds
+      on the full grid.  Each round adds a row of a finite grid, so the
+      loop ends.  With no free series (k = 2) every row is fixed and no LP
+      is solved.
+
+    delta* < 0 means no free choice works on this grid (strong evidence, not
+    proof, of infeasibility) and None is returned.  Otherwise each stage of
+    the found chain gets a :func:`certify_nonneg` certificate on the same
+    grid, and None is returned if one of them is infeasible.
+
+    Returns (free series by name, certificate by stage) or None.  Raises
+    SolverError if a solve does not end optimal.
     """
     if k < 2:
         raise ValueError(f"search needs k >= 2, got {k}")
     grid = default_grid(n) if grid_points is None else grid_points
-    resolved, free_names = _chain_structure(n, k)
-
-    thetas = np.linspace(0.0, np.pi, grid + 1)
-    bases = {}
-    offsets = {}
-    width = 0
-    for name in free_names:
-        _, _, klass = _resolve(resolved, name)
-        cols, rs = _symmetric_basis(n, klass, thetas)
-        bases[name] = (cols, rs)
-        offsets[name] = width
-        width += len(rs)
-
-    rows = []
-    rhs = []
-    for ell in range(1, k):
-        fixed = np.ones(thetas.size)
-        block = np.zeros((thetas.size, width + 1))
-        block[:, -1] = 1.0  # the slack variable delta
-        for prefix in ("A", "B"):
-            root, kind, payload = _resolve(resolved, f"{prefix}{ell}")
-            if kind == "fixed":
-                fixed += grid_values(payload.coeffs, grid)
-            elif kind == "free":
-                cols, _ = bases[root]
-                off = offsets[root]
-                block[:, off: off + cols.shape[1]] = -cols
-        rows.append(block)
-        rhs.append(fixed)
-    cost = np.zeros(width + 1)
-    cost[-1] = -1.0
-    result = linprog(
-        cost,
-        A_ub=np.vstack(rows),
-        b_ub=np.concatenate(rhs),
-        bounds=[(None, None)] * (width + 1),
-        method="highs",
-    )
-    if not result.success:
-        raise RuntimeError(f"LP solver failed: {result.message}")
-    if result.x[-1] < 0:
+    delta, free = _max_min_slack(n, k, grid)
+    if delta < 0:
         return None
-
-    free = {}
-    for name in free_names:
-        _, _, klass = _resolve(resolved, name)
-        _, rs = bases[name]
-        off = offsets[name]
-        free[name] = _series_from_params(n, klass, rs, result.x[off: off + len(rs)])
     certificates = {
         ell: certify_nonneg(series_list, grid)
         for ell, series_list in chain_constraints(build_chain(n, k, free)).items()

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from exact_testing import NonOptimalHighs
 
-from invinsert import cli, hilbert
+from invinsert import cli, exact, hilbert
 
 TABLE_N64 = ["0.2036", "0.6495", "0.9615", "0.9997", "1.0000", "1.0000"]
 
@@ -96,6 +97,23 @@ class TestExactCommands:
         assert code == 0
         flags = [line.split(",")[1] for line in out.strip().splitlines()[1:]]
         assert flags == ["true"] * 5 + ["false"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_feasible_jobs_below_one_rejected(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        code, out, err = run_cli(
+            capsys, "exact", "feasible", "--k", "2", "--n-range", "2..7", "--jobs", jobs,
+        )
+        assert code == 64 and "--jobs" in err and out == ""
+
+    def test_search_solver_failure_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(exact, "_Highs", NonOptimalHighs)
+        code, out, err = run_cli(capsys, "exact", "search", "--k", "3", "--n", "16")
+        assert code == 1 and out == ""
+        assert err.startswith("invinsert: exact search: LP ") and err.count("\n") == 1
 
     def test_search_writes_series_and_synth_consumes_it(self, capsys, tmp_path):
         series_path = tmp_path / "a1.json"

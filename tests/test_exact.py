@@ -1,12 +1,14 @@
 """Cosine-series endpoints, matching chain, certificates, and the LP search."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from exact_testing import NonOptimalHighs, dense_lp
 
 from invinsert import exact
-from invinsert.errors import ContractError, SchemaError
+from invinsert.errors import ContractError, SchemaError, SolverError
 from invinsert.exact import (
     CERTIFIED_POSITIVE,
     INFEASIBLE,
@@ -323,6 +325,73 @@ class TestSearchFreeSeries:
         )
         monkeypatch.setattr(exact, "certify_nonneg", lambda series, grid: infeasible)
         assert search_free_series(6, 3) is None
+
+
+PARITY_CASES = [(6, 2), (7, 2), (6, 3), (16, 3), (52, 3), (57, 3), (24, 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def dense_reference(n: int, k: int) -> tuple:
+    return dense_lp(n, k, default_grid(n))
+
+
+class TestExchangeSearch:
+    @pytest.mark.parametrize("n,k", PARITY_CASES)
+    def test_delta_matches_dense_lp(self, n, k):
+        delta, _ = exact._max_min_slack(n, k, default_grid(n))
+        dense_delta, _ = dense_reference(n, k)
+        assert abs(delta - dense_delta) <= 1e-9
+        assert (search_free_series(n, k) is not None) == (dense_delta >= 0)
+
+    @pytest.mark.parametrize("n,k", PARITY_CASES)
+    def test_fixed_rows_are_the_dense_zero_rows(self, n, k):
+        # rows found from the class structure are exactly the rows where
+        # every free column of the dense LP vanishes
+        _, _, stages = exact._stage_rows(n, k, default_grid(n))
+        _, blocks = dense_reference(n, k)
+        assert len(stages) == len(blocks) == k - 1
+        for (_, _, pinned), block in zip(stages, blocks):
+            np.testing.assert_array_equal(pinned, np.all(np.abs(block) < 1e-12, axis=1))
+
+    def test_verdicts_at_paper_sizes(self):
+        found = {n: search_free_series(n, 3) is not None for n in (52, 56, 57)}
+        assert found == {52: True, 56: True, 57: False}
+
+    def test_memory_stays_small_at_n100_k4(self):
+        # the dense LP at (100, 4) is a 19203 x 101 matrix, about 100 MiB with
+        # the copies the solver makes of it
+        tracemalloc.start()
+        try:
+            assert search_free_series(100, 4) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_highs_binding_solves_a_known_lp(self):
+        # max t s.t. t - x <= 1, t + x <= 3 has t = 2 at x = 1; the added row
+        # t <= 1.5 is solved warm and moves the optimum to t = 1.5
+        added = []
+
+        def more_rows(x):
+            added.append(x.copy())
+            return [] if len(added) > 1 else [([1], np.array([[1.0]]), np.array([1.5]))]
+
+        rows = [([0, 1], np.array([[-1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 3.0]))]
+        x = exact._maximize_last(2, rows, more_rows)
+        np.testing.assert_allclose(added[0], [1.0, 2.0], atol=1e-12)
+        assert x[1] == pytest.approx(1.5, abs=1e-12)
+        assert x[0] - x[1] >= -1 - 1e-12 and x[0] + x[1] <= 3 + 1e-12
+
+    def test_non_optimal_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(exact, "_Highs", NonOptimalHighs)
+        with pytest.raises(SolverError, match=r"^exact search: LP .*Infeasible"):
+            search_free_series(16, 3)
+
+    def test_k2_needs_no_lp(self, monkeypatch):
+        monkeypatch.setattr(exact, "_Highs", NonOptimalHighs)
+        assert search_free_series(6, 2) is not None
+        assert search_free_series(7, 2) is None
 
 
 class TestSeriesSerialization:
