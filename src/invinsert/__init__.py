@@ -1,7 +1,7 @@
 """Translationally invariant quantum query algorithms for ordered insertion."""
 
 from .bounds import bound_report, harmonic_sum, min_queries_invariant, overlap_bound
-from .compose import CompositionRun, compose_solve, rate, reduced_oracle
+from .compose import CompositionRun, compose_all, compose_solve, rate, reduced_oracle
 from .errors import (
     CompositionError, ContractError, FactorizationError, SchemaError, SolverError,
 )
@@ -13,28 +13,12 @@ from .exact import (
     b0,
     build_chain,
     certify_nonneg,
-    eval_series,
     k1_feasible,
     k2_feasible,
     search_free_series,
 )
-from .greedy import GreedyTrace, greedy_run, greedy_step, one_query_asymptotic, one_query_prob
-from .hilbert import (
-    MOMENTUM,
-    POSITION,
-    PhaseSchedule,
-    StateVector,
-    apply_oracle,
-    load_schedule,
-    oracle_momentum_element,
-    run_schedule,
-    save_schedule,
-    target_state,
-    to_momentum,
-    to_position,
-    translate,
-    uniform_start,
-)
+from .greedy import GreedyTrace, greedy_run, one_query_asymptotic, one_query_prob
+from .hilbert import PhaseSchedule, load_schedule, save_schedule
 from .synth import (
     LaurentPoly,
     Poly,
@@ -58,23 +42,18 @@ __all__ = [
     "GreedyTrace",
     "LaurentPoly",
     "MatchingChain",
-    "MOMENTUM",
-    "POSITION",
     "PhaseSchedule",
     "Poly",
     "SchemaError",
     "SolverError",
-    "StateVector",
     "a0",
-    "apply_oracle",
     "b0",
     "bound_report",
     "build_chain",
     "certify_nonneg",
+    "compose_all",
     "compose_solve",
-    "eval_series",
     "greedy_run",
-    "greedy_step",
     "harmonic_sum",
     "k1_feasible",
     "k2_feasible",
@@ -82,22 +61,15 @@ __all__ = [
     "min_queries_invariant",
     "one_query_asymptotic",
     "one_query_prob",
-    "oracle_momentum_element",
     "overlap_bound",
     "phases_from_states",
     "q_from_chain",
     "rate",
     "reduced_oracle",
-    "run_schedule",
     "save_schedule",
     "search_free_series",
     "spectral_factor",
     "states_from_poly",
     "synthesize_exact",
-    "target_state",
-    "to_momentum",
-    "to_position",
-    "translate",
-    "uniform_start",
     "v_column",
 ]

@@ -214,22 +214,23 @@ def _load_free_series(n: int, k: int, paths: list) -> dict:
     return loaded
 
 
+def _free_series(n: int, k: int, grid, paths) -> dict | None:
+    """The free series from the files at ``paths``, or from the search when
+    no file is given; None when the search finds none."""
+    if paths:
+        return _load_free_series(n, k, paths)
+    if not exact.chain_free_names(n, k):
+        return {}
+    found = exact.search_free_series(n, k, grid)
+    return None if found is None else found[0]
+
+
 def cmd_exact_synth(args) -> int:
     grid = _grid_override(args.grid)
-    free = _load_free_series(args.n, args.k, args.series or [])
-    needed = exact.chain_free_names(args.n, args.k)
-    if set(free) != set(needed) and not args.series:
-        found = exact.search_free_series(args.n, args.k, grid)
-        if found is None:
-            _emit_json(
-                _report(
-                    "exact synth",
-                    {"n": args.n, "k": args.k},
-                    {"found": False},
-                )
-            )
-            return EXIT_INFEASIBLE
-        free = found[0]
+    free = _free_series(args.n, args.k, grid, args.series)
+    if free is None:
+        _emit_json(_report("exact synth", {"n": args.n, "k": args.k}, {"found": False}))
+        return EXIT_INFEASIBLE
     schedule, report = synth.synthesize_exact(args.n, args.k, free, grid)
     hilbert.save_schedule(schedule, args.out)
     _emit_json(
@@ -276,6 +277,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    if args.h < 1:
+        raise _UsageError(f"--h must be at least 1, got {args.h}")
+    n_total = args.m**args.h
+    if args.j is not None and not 0 <= args.j < n_total:
+        raise _UsageError(f"--j must lie in 0..{n_total - 1}, got {args.j}")
     if args.schedule:
         schedule = hilbert.load_schedule(args.schedule)
         if schedule.n != args.m or schedule.k != args.k:
@@ -285,34 +291,27 @@ def cmd_compose(args) -> int:
             )
     else:
         grid = _grid_override(None)
-        free = None
-        if exact.chain_free_names(args.m, args.k):
-            found = exact.search_free_series(args.m, args.k, grid)
-            if found is None:
-                _emit_json(
-                    _report("compose", {"m": args.m, "k": args.k}, {"found": False})
-                )
-                return EXIT_INFEASIBLE
-            free = found[0]
+        free = _free_series(args.m, args.k, grid, None)
+        if free is None:
+            _emit_json(_report("compose", {"m": args.m, "k": args.k}, {"found": False}))
+            return EXIT_INFEASIBLE
         schedule, _ = synth.synthesize_exact(args.m, args.k, free, grid)
-    hidden = range(args.m**args.h) if args.all else [args.j]
-    runs = []
-    for j in hidden:
-        run = compose.compose_solve(args.m, args.k, args.h, schedule, j)
-        runs.append(
-            {
-                "hidden_j": run.hidden_j,
-                "found_j": run.found_j,
-                "queries_used": run.queries_used,
-                "per_level": [list(level) for level in run.per_level],
-            }
-        )
+    hidden = range(n_total) if args.all else [args.j]
+    runs = [
+        {
+            "hidden_j": run.hidden_j,
+            "found_j": run.found_j,
+            "queries_used": run.queries_used,
+            "per_level": [list(level) for level in run.per_level],
+        }
+        for run in compose.compose_all(args.m, args.k, args.h, schedule, hidden)
+    ]
     ok = all(r["found_j"] == r["hidden_j"] for r in runs)
     _emit_json(
         _report(
             "compose",
             {"m": args.m, "k": args.k, "h": args.h},
-            {"n": args.m**args.h, "all_recovered": ok, "runs": runs},
+            {"n": n_total, "all_recovered": ok, "runs": runs},
         )
     )
     return EXIT_OK if ok else EXIT_INFEASIBLE
@@ -398,21 +397,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        sys.stderr.write(f"invinsert: {exc}\n")
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"invinsert: {exc}\n")
         return EXIT_USAGE
-    except SchemaError as exc:
-        sys.stderr.write(f"invinsert: {exc}\n")
-        return EXIT_SCHEMA
-    except FileNotFoundError as exc:
+    except (SchemaError, FileNotFoundError) as exc:
         sys.stderr.write(f"invinsert: {exc}\n")
         return EXIT_SCHEMA
     except (ContractError, FactorizationError, CompositionError, SolverError, ValueError) as exc:

@@ -20,3 +20,12 @@ class SolverError(RuntimeError):
 
 class SchemaError(ValueError):
     """A JSON input file does not match its documented layout."""
+
+    @staticmethod
+    def require_int(data: dict, key: str, document: str) -> int:
+        """``data[key]`` if it is a JSON integer; floats, strings and
+        booleans raise SchemaError."""
+        value = data[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{document} field {key!r} must be an integer, got {value!r}")
+        return value

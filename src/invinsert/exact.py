@@ -96,8 +96,8 @@ class CosineSeries:
         missing = {"n", "klass", "coeffs"} - set(data)
         if missing:
             raise SchemaError(f"series document missing fields {sorted(missing)}")
+        n = SchemaError.require_int(data, "n", "series")
         try:
-            n = int(data["n"])
             klass = str(data["klass"])
             coeffs = np.asarray(data["coeffs"], dtype=float)
         except (TypeError, ValueError) as exc:
@@ -153,14 +153,6 @@ def b0(n: int) -> CosineSeries:
         coeffs[r - 1] = value
         coeffs[n - r - 1] = -value  # exact antisymmetry by construction
     return CosineSeries(n=n, klass=KLASS_B, coeffs=coeffs)
-
-
-def eval_series(series: CosineSeries, theta) -> np.ndarray | float:
-    """Evaluate sum_r c_r cos(r theta) at a scalar or array of angles."""
-    th = np.asarray(theta, dtype=float)
-    r = np.arange(1, series.n)
-    values = np.cos(th[..., None] * r) @ series.coeffs
-    return float(values) if np.isscalar(theta) else values
 
 
 def grid_values(coeffs: np.ndarray, grid_points: int) -> np.ndarray:

@@ -11,7 +11,8 @@ the recursion runs on real amplitude vectors:
 with q ranging over the previous parity class.  The sum is the oracle image
 <p|F_0|psi_{l-1}>, which ``hilbert.oracle_image`` computes with two FFTs in
 O(N log N) time and O(N) memory.  The success probability after l queries
-is (sum_p new_amp(p))^2 / N.
+is (sum_p new_amp(p))^2 / N.  States are plain arrays of 2N momentum
+amplitudes, starting from the unit vector at p = 0.
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import EULER_GAMMA, harmonic_sum
-from .errors import ContractError
-from .hilbert import (
-    MOMENTUM,
-    PhaseSchedule,
-    StateVector,
-    momentum_basis_vector,
-    oracle_image,
-    reduce_phases as hilbert_reduce_phases,
-)
+from .hilbert import PhaseSchedule, oracle_image, reduce_phases as hilbert_reduce_phases
 
 # below this magnitude the aligning phase is arbitrary; 0 keeps tables tidy
 ZERO_AMP_TOL = 1e-14
@@ -38,11 +31,12 @@ ZERO_AMP_TOL = 1e-14
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    """Result of a greedy run: probabilities, per-stage states, schedule."""
+    """Result of a greedy run: probabilities, per-stage momentum amplitudes,
+    schedule."""
 
     n: int
     probs: np.ndarray
-    states: list[StateVector]
+    states: list[np.ndarray]
     phase_schedule: PhaseSchedule
 
 
@@ -50,23 +44,11 @@ def _parity_indices(n: int, parity: int) -> np.ndarray:
     return np.arange(parity % 2, 2 * n, 2)
 
 
-def _check_parity_support(amps: np.ndarray, n: int, parity: int) -> None:
-    dead = _parity_indices(n, parity + 1)
-    worst = float(np.max(np.abs(amps[dead]))) if dead.size else 0.0
-    if worst > 1e-12:
-        raise ContractError(
-            f"input state leaks {worst:.3e} onto parity {(parity + 1) % 2}; "
-            f"expected support on parity {parity % 2}"
-        )
-
-
 def _advance(amps_in: np.ndarray, n: int, ell: int):
-    """One greedy stage from the live-parity amplitudes of stage l - 1."""
-    ins = _parity_indices(n, ell - 1)
+    """One greedy stage from the amplitudes of stage l - 1, which vanish off
+    parity l - 1."""
     outs = _parity_indices(n, ell)
-    psi_in = np.zeros(2 * n, dtype=complex)
-    psi_in[ins] = amps_in[ins]
-    phi = oracle_image(psi_in, n)[outs]
+    phi = oracle_image(amps_in, n)[outs]
     phases = np.zeros(2 * n)
     live = np.abs(phi) > ZERO_AMP_TOL
     phases[outs[live]] = hilbert_reduce_phases(-np.angle(phi[live]))
@@ -74,23 +56,6 @@ def _advance(amps_in: np.ndarray, n: int, ell: int):
     amps_out[outs] = np.abs(phi)
     amps_out[outs[~live]] = phi[~live]  # keep sub-tolerance dust unrotated
     return amps_out, phases
-
-
-def greedy_step(psi_prev: StateVector, ell: int) -> tuple[StateVector, np.ndarray]:
-    """Advance one stage; returns the new state and the aligning phases.
-
-    ``psi_prev`` must be a momentum-basis state supported on parity l - 1.
-    The returned state is supported on parity l with every live amplitude
-    real and nonnegative.
-    """
-    if psi_prev.basis != MOMENTUM:
-        raise ContractError("greedy_step expects a momentum-basis state")
-    if ell < 1:
-        raise ValueError(f"stage index must be >= 1, got {ell}")
-    n = psi_prev.n
-    _check_parity_support(psi_prev.amps, n, ell - 1)
-    amps_out, phases = _advance(psi_prev.amps, n, ell)
-    return StateVector(n, MOMENTUM, amps_out), phases
 
 
 def greedy_run(n: int, k: int, keep_states: bool = True) -> GreedyTrace:
@@ -105,18 +70,18 @@ def greedy_run(n: int, k: int, keep_states: bool = True) -> GreedyTrace:
         raise ValueError(f"problem size must be >= 2, got {n}")
     if k < 1:
         raise ValueError(f"query count must be >= 1, got {k}")
-    state = momentum_basis_vector(n, 0)
+    amps = np.zeros(2 * n, dtype=complex)
+    amps[0] = 1.0
     probs = np.empty(k + 1)
     probs[0] = 1.0 / n
-    states = [state] if keep_states else []
+    states = [amps] if keep_states else []
     stages = np.empty((k, 2 * n))
-    amps = state.amps
     for ell in range(1, k + 1):
         amps, stages[ell - 1] = _advance(amps, n, ell)
         live = _parity_indices(n, ell)
         probs[ell] = float(amps[live].real.sum()) ** 2 / n
         if keep_states:
-            states.append(StateVector(n, MOMENTUM, amps))
+            states.append(amps)
     schedule = PhaseSchedule(n=n, k=k, stages=stages)
     return GreedyTrace(n=n, probs=probs, states=states, phase_schedule=schedule)
 

@@ -6,9 +6,13 @@ Pipeline per stage l:
    Q_l(z) = 1 + A_l + B_l with cos(r theta) split as (z^r + z^-r) / 2.
 2. ``spectral_factor`` - write Q_l = P_l(z) conj(P_l(1/conj(z))) on |z| = 1,
    with P's zeros in the closed unit disk.
-3. ``states_from_poly`` - read the stage state off P's coefficients.
+3. ``states_from_poly`` - read the stage state's position amplitudes off
+   P's coefficients.
 4. ``phases_from_states`` - the diagonal stage is the phase of
    <p|psi_l> / <p|F_0|psi_{l-1}> on the live parity.
+
+States are plain arrays of 2N amplitudes; ``np.fft.fft(..., norm="ortho")``
+takes position to momentum and ``np.fft.ifft(..., norm="ortho")`` back.
 
 Numerical notes: Q positive on the circle is factored by Kolmogorov's
 minimum-phase construction, H = exp(causal part of log Q), with FFTs on a
@@ -42,7 +46,7 @@ from .exact import (
     certify_nonneg,
     default_grid,
 )
-from .hilbert import MOMENTUM, POSITION, PhaseSchedule, StateVector
+from .hilbert import PhaseSchedule
 
 CIRCLE_TOL = 1e-7       # |abs(root) - 1| below this joins a circle cluster
 CLUSTER_ANGLE_TOL = 1e-5
@@ -273,12 +277,11 @@ def spectral_factor(q_poly: LaurentPoly) -> Poly:
     return poly
 
 
-def states_from_poly(p: Poly, ell: int) -> StateVector:
-    """Position-basis state with <x|psi> = coeff(z^{N-1-x}) / sqrt(2).
+def states_from_poly(p: Poly, ell: int) -> np.ndarray:
+    """Position amplitudes with <x|psi> = coeff(z^{N-1-x}) / sqrt(2).
 
     The upper half is the parity image <x+N|psi> = (-1)^ell <x|psi>.
     """
-    n = p.degree + 1
     lower = p.coeffs[::-1] / np.sqrt(2)
     sign = 1.0 if ell % 2 == 0 else -1.0
     amps = np.concatenate([lower, sign * lower])
@@ -287,33 +290,28 @@ def states_from_poly(p: Poly, ell: int) -> StateVector:
         raise ContractError(
             f"state norm {norm} deviates from 1; the factorization is bad"
         )
-    return StateVector(n, POSITION, amps / norm)
+    return amps / norm
 
 
-def phases_from_states(psi_prev: StateVector, psi: StateVector) -> np.ndarray:
+def phases_from_states(psi_prev: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Diagonal phases turning F_0 |psi_prev> into |psi>.
 
-    Both states must be momentum-basis with adjacent parity supports and
+    Both arguments are momentum amplitudes with adjacent parity supports and
     matching magnitudes |<p|psi>| = |<p|F_0|psi_prev>| within 1e-8.  Where
     the oracle image vanishes the phase is arbitrary and reported as 0, as
     at the whole dead parity.
     """
-    if psi_prev.basis != MOMENTUM or psi.basis != MOMENTUM:
-        raise ContractError("phase extraction expects momentum-basis states")
-    if psi_prev.n != psi.n:
+    if psi_prev.shape != psi.shape:
         raise ValueError("states must share the same problem size")
-    n = psi.n
-    even_prev, odd_prev = hilbert.parity_masses(psi_prev)
-    even_cur, odd_cur = hilbert.parity_masses(psi)
-    prev_parity = 0 if even_prev >= odd_prev else 1
-    cur_parity = 0 if even_cur >= odd_cur else 1
-    leak_prev = min(even_prev, odd_prev)
-    leak_cur = min(even_cur, odd_cur)
-    if cur_parity == prev_parity or max(leak_prev, leak_cur) > 1e-12:
+    n = psi.shape[-1] // 2
+    mags = np.abs(np.stack([psi_prev, psi])) ** 2
+    even, odd = mags[:, 0::2].sum(axis=1), mags[:, 1::2].sum(axis=1)
+    prev_parity, cur_parity = (odd > even).astype(int)
+    if cur_parity == prev_parity or np.minimum(even, odd).max() > 1e-12:
         raise ContractError("states do not occupy adjacent parity classes")
 
-    phi = hilbert.oracle_image(psi_prev.amps, n)
-    mismatch = float(np.max(np.abs(np.abs(psi.amps) - np.abs(phi))))
+    phi = hilbert.oracle_image(psi_prev, n)
+    mismatch = float(np.max(np.abs(np.abs(psi) - np.abs(phi))))
     if mismatch > MAGNITUDE_TOL:
         raise ContractError(
             f"magnitude mismatch {mismatch:.3e} between the stage state and "
@@ -322,9 +320,9 @@ def phases_from_states(psi_prev: StateVector, psi: StateVector) -> np.ndarray:
     phases = np.zeros(2 * n)
     live = np.abs(phi) > ZERO_AMP_TOL
     live &= (np.arange(2 * n) % 2) == cur_parity
-    phases[live] = hilbert.reduce_phases(np.angle(psi.amps[live] / phi[live]))
+    phases[live] = hilbert.reduce_phases(np.angle(psi[live] / phi[live]))
     rebuilt = np.exp(1j * phases) * phi
-    err = float(np.max(np.abs(rebuilt - psi.amps)))
+    err = float(np.max(np.abs(rebuilt - psi)))
     if err > MAGNITUDE_TOL:
         raise ContractError(f"extracted phases reproduce the state only to {err:.3e}")
     return phases
@@ -373,7 +371,8 @@ def synthesize_exact(
                 f"stage {ell} positivity fails: grid minimum {cert.grid_min:.3e}"
             )
 
-    states = [hilbert.to_momentum(hilbert.uniform_start(n))]
+    psi_prev = np.zeros(2 * n, dtype=complex)
+    psi_prev[0] = 1.0  # the uniform start state is momentum p = 0
     magnitude_mismatch = []
     stages = np.empty((k, 2 * n))
     for ell in range(1, k + 1):
@@ -383,18 +382,18 @@ def synthesize_exact(
             psi_pos = states_from_poly(poly, ell)
         except (FactorizationError, ContractError) as exc:
             raise type(exc)(f"stage {ell}: {exc}") from exc
-        phi = hilbert.oracle_image(states[ell - 1].amps, n)
-        propagated = hilbert.to_position(StateVector(n, MOMENTUM, phi))
-        aligned = _align_global_phase(psi_pos.amps, propagated.amps)
-        psi_mom = hilbert.to_momentum(StateVector(n, POSITION, aligned))
+        phi = hilbert.oracle_image(psi_prev, n)
+        propagated = np.fft.ifft(phi, norm="ortho")
+        aligned = _align_global_phase(psi_pos, propagated)
+        psi_mom = np.fft.fft(aligned, norm="ortho")
         magnitude_mismatch.append(
-            float(np.max(np.abs(np.abs(psi_mom.amps) - np.abs(phi))))
+            float(np.max(np.abs(np.abs(psi_mom) - np.abs(phi))))
         )
         try:
-            stages[ell - 1] = phases_from_states(states[ell - 1], psi_mom)
+            stages[ell - 1] = phases_from_states(psi_prev, psi_mom)
         except ContractError as exc:
             raise ContractError(f"stage {ell}: {exc}") from exc
-        states.append(psi_mom)
+        psi_prev = psi_mom
 
     schedule = PhaseSchedule(n=n, k=k, stages=stages)
     blocks = list(hilbert.run_all_answers(schedule))

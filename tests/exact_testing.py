@@ -10,7 +10,8 @@ for all stages l = 1..k-1 and all grid angles theta_i = pi i / G as one
 without building this matrix; tests compare the two.
 
 ``NonOptimalHighs`` stands in for the library's HiGHS binding and reports
-every solve as infeasible.
+every solve as infeasible.  ``eval_series`` sums a cosine series directly,
+the reference for the library's FFT grid values.
 """
 
 import numpy as np
@@ -18,6 +19,14 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from invinsert.exact import _chain_structure, _resolve, _symmetric_basis, grid_values
+
+
+def eval_series(series, theta) -> np.ndarray | float:
+    """Evaluate sum_r c_r cos(r theta) at a scalar or array of angles."""
+    th = np.asarray(theta, dtype=float)
+    r = np.arange(1, series.n)
+    values = np.cos(th[..., None] * r) @ series.coeffs
+    return float(values) if np.isscalar(theta) else values
 
 
 class NonOptimalHighs:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hilbert_testing as hilbert
+from hilbert_testing import run_schedule, to_momentum, translate
 from invinsert.bounds import harmonic_sum, overlap_bound
 from invinsert.compose import compose_solve, rate
 from invinsert.exact import (
@@ -24,7 +25,6 @@ from invinsert.exact import (
     search_free_series,
 )
 from invinsert.greedy import greedy_run
-from invinsert.hilbert import run_schedule, to_momentum, translate
 from invinsert.synth import LaurentPoly, spectral_factor, synthesize_exact
 
 PROPERTY_SIZES = [2, 3, 6, 8, 16, 52]
@@ -235,7 +235,7 @@ class TestCriterion8Properties:
         trace = greedy_run(n, 5)
         assert np.all(np.diff(trace.probs) >= -1e-14)
         for ell in range(1, 6):
-            overlap = trace.states[ell].amps.real.sum() / np.sqrt(n)
+            overlap = trace.states[ell].real.sum() / np.sqrt(n)
             assert overlap <= overlap_bound(n, ell) + 1e-12
 
     def test_factorization_round_trip(self):

@@ -54,7 +54,7 @@ class TestOverlapBound:
         # one greedy query achieves the bound exactly
         n = 64
         trace = greedy_run(n, 1)
-        overlap = trace.states[1].amps.real.sum() / math.sqrt(n)
+        overlap = trace.states[1].real.sum() / math.sqrt(n)
         assert abs(overlap - overlap_bound(n, 1)) < 1e-12
 
     @pytest.mark.parametrize("n", [64, 256, 1024, 2048, 4096])

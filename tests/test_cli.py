@@ -11,6 +11,7 @@ import pytest
 from exact_testing import NonOptimalHighs
 
 from invinsert import cli, exact, hilbert
+from invinsert.errors import SchemaError
 
 TABLE_N64 = ["0.2036", "0.6495", "0.9615", "0.9997", "1.0000", "1.0000"]
 
@@ -244,6 +245,21 @@ class TestComposeAndRate:
         results = json.loads(out)["results"]
         assert results["all_recovered"] and len(results["runs"]) == 8
 
+    @pytest.mark.parametrize("argv", [
+        ["--h", "2", "--j", "36"],
+        ["--h", "2", "--j", "-1"],
+        ["--h", "0", "--j", "0"],
+        ["--h", "-1", "--all"],
+    ])
+    def test_compose_usage_errors_exit_64(self, capsys, monkeypatch, argv):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("a schedule was synthesized")
+
+        monkeypatch.setattr(cli.synth, "synthesize_exact", no_synthesis)
+        code, out, err = run_cli(capsys, "compose", "--m", "6", "--k", "2", *argv)
+        assert code == 64 and out == ""
+        assert err.startswith("invinsert: --") and err.count("\n") == 1
+
     def test_rate_prints_4dp(self, capsys):
         code, out, _ = run_cli(capsys, "rate", "--k", "3", "--m", "52")
         assert code == 0
@@ -259,6 +275,46 @@ class TestComposeAndRate:
         lines = out.strip().splitlines()
         expected = 1000 * (3 / np.log2(52)) * np.log2(1000)
         assert lines[1] == f"sort_queries={expected:.1f}"
+
+
+SCHEDULE_DOC = {"n": 6, "k": 2, "stages": [[0.0] * 12] * 2}
+SERIES_DOC = {"n": 6, "klass": "A", "coeffs": [0.0] * 5}
+
+
+def run_input_document(capsys, tmp_path, kind, doc):
+    """Load ``doc`` through the command that reads that kind of file."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    if kind == "schedule":
+        return run_cli(capsys, "verify", "--schedule", str(path))
+    return run_cli(
+        capsys, "exact", "synth", "--n", "6", "--k", "3",
+        "--series", str(path), "--out", str(tmp_path / "out.json"),
+    )
+
+
+class TestInputIntegers:
+    @pytest.mark.parametrize("kind", ["schedule", "series"])
+    def test_integer_documents_load(self, capsys, tmp_path, kind):
+        doc = SCHEDULE_DOC if kind == "schedule" else SERIES_DOC
+        code, _, _ = run_input_document(capsys, tmp_path, kind, doc)
+        assert code == 0
+
+    @pytest.mark.parametrize("value", [6.9, 6.5, 6.0, True, "6", None])
+    @pytest.mark.parametrize("kind", ["schedule", "series"])
+    def test_non_integer_n_rejected(self, capsys, tmp_path, kind, value):
+        doc = dict(SCHEDULE_DOC if kind == "schedule" else SERIES_DOC, n=value)
+        code, out, err = run_input_document(capsys, tmp_path, kind, doc)
+        assert code == 65 and out == "" and "'n' must be an integer" in err
+        loader = hilbert.load_schedule if kind == "schedule" else exact.load_series
+        with pytest.raises(SchemaError):
+            loader(tmp_path / f"{kind}.json")
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    def test_non_integer_k_rejected(self, capsys, tmp_path, value):
+        doc = dict(SCHEDULE_DOC, k=value)
+        code, out, err = run_input_document(capsys, tmp_path, "schedule", doc)
+        assert code == 65 and out == "" and "'k' must be an integer" in err
 
 
 class TestExitCodes:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from exact_testing import NonOptimalHighs, dense_lp
+from exact_testing import NonOptimalHighs, dense_lp, eval_series
 
 from invinsert import exact
 from invinsert.errors import ContractError, SchemaError, SolverError
@@ -21,7 +21,6 @@ from invinsert.exact import (
     chain_constraints,
     chain_free_names,
     default_grid,
-    eval_series,
     grid_values,
     k1_feasible,
     k2_feasible,

@@ -5,15 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invinsert import bounds, hilbert
-from invinsert.errors import ContractError
+from invinsert import bounds
 from invinsert.greedy import (
+    _advance,
     greedy_run,
-    greedy_step,
     one_query_asymptotic,
     one_query_prob,
 )
-from invinsert.hilbert import MOMENTUM, StateVector, run_schedule, to_momentum
+from invinsert.hilbert import oracle_signs, run_all_answers, run_signs
 from hilbert_testing import oracle_momentum_matrix
 
 # published success probabilities (N, k) -> prob, 4 significant figures
@@ -24,34 +23,34 @@ TABLE_SPOT_CELLS = {
 }
 
 
-def oracle_image_amps(state):
+def oracle_image_amps(amps):
     """<p|F_0|psi> from the dense closed-form matrix, independent of the FFTs."""
-    return oracle_momentum_matrix(state.n) @ state.amps
+    return oracle_momentum_matrix(amps.size // 2) @ amps
 
 
 class TestGreedyStep:
     def test_first_stage_amplitudes(self):
         n = 8
-        psi1, _ = greedy_step(hilbert.momentum_basis_vector(n, 0), 1)
+        psi1 = greedy_run(n, 1).states[1]
         p = np.arange(1, 2 * n, 2)
         expected = 1.0 / (n * np.sin(np.pi * p / (2 * n)))
-        np.testing.assert_allclose(psi1.amps[1::2].real, expected, atol=1e-13)
-        np.testing.assert_allclose(psi1.amps[0::2], 0, atol=1e-15)
+        np.testing.assert_allclose(psi1[1::2].real, expected, atol=1e-13)
+        np.testing.assert_allclose(psi1[0::2], 0, atol=1e-15)
 
     def test_uniform_fixed_point(self):
         n = 6
         amps = np.zeros(2 * n, dtype=complex)
         amps[1::2] = 1 / np.sqrt(n)
-        psi, _ = greedy_step(StateVector(n, MOMENTUM, amps), 2)
-        np.testing.assert_allclose(psi.amps[0::2].real, 1 / np.sqrt(n), atol=1e-12)
+        psi, _ = _advance(amps, n, 2)
+        np.testing.assert_allclose(psi[0::2].real, 1 / np.sqrt(n), atol=1e-12)
 
     def test_matches_single_phase_grid_search(self):
         # aligning each term is optimal: no single-phase change on a fine grid
         # beats the greedy overlap
         n = 3
-        psi0 = hilbert.momentum_basis_vector(n, 0)
-        psi1, phases = greedy_step(psi0, 1)
-        phi = oracle_image_amps(psi0)
+        trace = greedy_run(n, 1)
+        phases = trace.phase_schedule.stages[0]
+        phi = oracle_image_amps(trace.states[0])
         live = np.arange(1, 2 * n, 2)
         greedy_overlap = abs(np.sum(np.exp(1j * phases[live]) * phi[live])) / np.sqrt(n)
         grid = np.linspace(0, 2 * np.pi, 720, endpoint=False)
@@ -68,21 +67,10 @@ class TestGreedyStep:
         amps = np.zeros(2 * n, dtype=complex)
         amps[1::2] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         amps /= np.linalg.norm(amps)
-        state = StateVector(n, MOMENTUM, amps)
-        psi, _ = greedy_step(state, 2)
+        psi, _ = _advance(amps, n, 2)
         np.testing.assert_allclose(
-            psi.amps[0::2].real, np.abs(oracle_image_amps(state)[0::2]), atol=1e-12
+            psi[0::2].real, np.abs(oracle_image_amps(amps)[0::2]), atol=1e-12
         )
-
-    def test_wrong_parity_rejected(self):
-        n = 4
-        # stage 2 consumes odd-parity support; p = 0 is even
-        with pytest.raises(ContractError):
-            greedy_step(hilbert.momentum_basis_vector(n, 0), 2)
-
-    def test_position_basis_rejected(self):
-        with pytest.raises(ContractError):
-            greedy_step(hilbert.uniform_start(4), 1)
 
 
 class TestGreedyRun:
@@ -108,21 +96,21 @@ class TestGreedyRun:
     def test_bound_domination(self, n):
         trace = greedy_run(n, 5)
         for ell in range(1, 6):
-            live = trace.states[ell].amps.real.sum() / np.sqrt(n)
+            live = trace.states[ell].real.sum() / np.sqrt(n)
             assert live <= bounds.overlap_bound(n, ell) + 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 6, 8, 16])
     def test_schedule_reproduces_probs_for_every_j(self, n):
         k = 3
         trace = greedy_run(n, k)
-        for j in range(n):
-            _, prob = run_schedule(trace.phase_schedule, j)
-            assert abs(prob - trace.probs[k]) < 1e-10
+        for _, probs in run_all_answers(trace.phase_schedule):
+            np.testing.assert_allclose(probs, trace.probs[k], rtol=0, atol=1e-10)
 
     def test_schedule_reproduces_probs_medium_n(self):
         trace = greedy_run(256, 4, keep_states=False)
-        _, prob = run_schedule(trace.phase_schedule, 17)
-        assert abs(prob - trace.probs[4]) < 1e-10
+        probs = np.concatenate([p for _, p in run_all_answers(trace.phase_schedule)])
+        assert probs.shape == (256,)
+        np.testing.assert_allclose(probs, trace.probs[4], rtol=0, atol=1e-10)
 
     def test_memory_stays_small_at_n4096(self):
         # an N x N stage kernel at N = 4096 would take 128 MiB
@@ -137,9 +125,9 @@ class TestGreedyRun:
     def test_recorded_states_match_schedule_runner(self):
         n, k = 6, 3
         trace = greedy_run(n, k)
-        final, _ = run_schedule(trace.phase_schedule, 0)
+        final = run_signs(trace.phase_schedule.stages, oracle_signs(0, n))
         np.testing.assert_allclose(
-            to_momentum(final).amps, trace.states[k].amps, atol=1e-12
+            np.fft.fft(final, norm="ortho"), trace.states[k], atol=1e-12
         )
 
 

@@ -1,4 +1,4 @@
-"""State space, oracle, transforms, translation, and schedule runner."""
+"""Oracle, transforms, translation, and the schedule runner."""
 
 import json
 
@@ -10,24 +10,30 @@ from invinsert.errors import SchemaError
 from invinsert.exact import search_free_series
 from invinsert.greedy import greedy_run
 from invinsert.hilbert import (
-    MOMENTUM,
-    POSITION,
     PhaseSchedule,
-    StateVector,
-    apply_oracle,
-    oracle_momentum_element,
     oracle_image,
     oracle_signs,
     run_all_answers,
+    run_signs,
+)
+from invinsert.synth import synthesize_exact
+from hilbert_testing import (
+    MOMENTUM,
+    POSITION,
+    StateVector,
+    apply_oracle,
+    inner,
+    momentum_basis_vector,
+    oracle_momentum_element,
+    oracle_momentum_matrix,
+    random_schedule,
+    random_state,
     run_schedule,
     target_state,
     to_momentum,
     to_position,
     translate,
-    uniform_start,
 )
-from invinsert.synth import synthesize_exact
-from hilbert_testing import inner, oracle_momentum_matrix, random_schedule, random_state
 
 PROP_SIZES = [2, 3, 6, 8, 16, 52]
 
@@ -40,24 +46,24 @@ def brute_momentum_element(p, q, n):
 
 
 class TestUniformStart:
+    # the runner's start state: run_signs with no stages returns it
     def test_n6_amplitudes(self):
-        state = uniform_start(6)
-        assert state.basis == POSITION
-        assert state.amps.shape == (12,)
-        np.testing.assert_allclose(state.amps, 1 / np.sqrt(12), atol=1e-15)
+        start = run_signs(np.empty((0, 12)), oracle_signs(0, 6))
+        assert start.shape == (12,)
+        np.testing.assert_allclose(start, 1 / np.sqrt(12), atol=1e-15)
 
     def test_n2_amplitudes(self):
-        np.testing.assert_allclose(uniform_start(2).amps, 0.5, atol=1e-15)
+        np.testing.assert_allclose(run_signs(np.empty((0, 4)), np.ones(4)), 0.5, atol=1e-15)
 
     def test_momentum_representation_is_p0(self):
-        mom = to_momentum(uniform_start(6))
+        mom = np.fft.fft(run_signs(np.empty((0, 12)), np.ones(12)), norm="ortho")
         expected = np.zeros(12, dtype=complex)
         expected[0] = 1.0
-        np.testing.assert_allclose(mom.amps, expected, atol=1e-14)
+        np.testing.assert_allclose(mom, expected, atol=1e-14)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            uniform_start(1)
+            PhaseSchedule(n=1, k=1, stages=np.zeros((1, 2)))
 
 
 class TestOracle:
@@ -73,22 +79,24 @@ class TestOracle:
     def test_involution(self):
         rng = np.random.default_rng(7)
         for n in (2, 5, 8):
-            state = random_state(n, rng)
-            for j in range(n):
-                twice = apply_oracle(j, apply_oracle(j, state))
-                np.testing.assert_allclose(twice.amps, state.amps, atol=1e-14)
+            np.testing.assert_array_equal(oracle_signs(np.arange(n), n) ** 2, 1.0)
+            amps = random_state(n, rng, MOMENTUM).amps
+            twice = oracle_image(oracle_image(amps, n), n)
+            np.testing.assert_allclose(twice, amps, atol=1e-14)
 
     def test_momentum_input_round_trips(self):
+        # the library's momentum oracle against the position oracle
+        # conjugated by the reference transforms
         rng = np.random.default_rng(8)
         state = to_momentum(random_state(6, rng))
-        out = apply_oracle(2, state)
-        assert out.basis == MOMENTUM
-        expected = to_momentum(apply_oracle(2, to_position(state)))
-        np.testing.assert_allclose(out.amps, expected.amps, atol=1e-13)
+        expected = to_momentum(apply_oracle(0, to_position(state)))
+        np.testing.assert_allclose(oracle_image(state.amps, 6), expected.amps, atol=1e-13)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            apply_oracle(5, uniform_start(5))
+            oracle_signs(5, 5)
+        with pytest.raises(ValueError):
+            oracle_signs(-1, 5)
 
 
 class TestOracleImage:
@@ -142,7 +150,7 @@ class TestTransforms:
     def test_kernel_sign_convention(self):
         # <x|p> = exp(+i p x pi / N) / sqrt(2N): check one matrix element
         n = 4
-        p_vec = hilbert.momentum_basis_vector(n, 3)
+        p_vec = momentum_basis_vector(n, 3)
         pos = to_position(p_vec)
         x = np.arange(2 * n)
         np.testing.assert_allclose(
@@ -160,7 +168,7 @@ class TestTranslate:
     def test_momentum_phase(self):
         n = 5
         for p in range(2 * n):
-            state = hilbert.momentum_basis_vector(n, p)
+            state = momentum_basis_vector(n, p)
             out = translate(state, 1)
             np.testing.assert_allclose(
                 out.amps[p], np.exp(-1j * p * np.pi / n), atol=1e-14

@@ -9,14 +9,7 @@ from invinsert import hilbert, synth
 from invinsert.errors import ContractError, FactorizationError
 from invinsert.exact import a0, b0, build_chain, search_free_series, zero_series
 from invinsert.greedy import greedy_run
-from invinsert.hilbert import (
-    MOMENTUM,
-    StateVector,
-    run_schedule,
-    target_state,
-    to_momentum,
-    uniform_start,
-)
+from hilbert_testing import run_schedule, target_state
 from invinsert.synth import (
     LaurentPoly,
     Poly,
@@ -169,21 +162,28 @@ class TestSpectralFactor:
             spectral_factor(q)
 
 
+def start_momentum(n):
+    """The uniform start state in momentum: the unit vector at p = 0."""
+    amps = np.zeros(2 * n, dtype=complex)
+    amps[0] = 1.0
+    return amps
+
+
 class TestStatesFromPoly:
     def test_start_polynomial_gives_uniform(self):
         n = 6
         p = Poly(degree=n - 1, coeffs=np.ones(n) / np.sqrt(n))
         state = states_from_poly(p, 0)
-        np.testing.assert_allclose(state.amps, uniform_start(n).amps, atol=1e-14)
+        np.testing.assert_allclose(state, 1 / np.sqrt(2 * n), atol=1e-14)
 
     def test_monomial_gives_target(self):
         n = 5
         coeffs = np.zeros(n, dtype=complex)
         coeffs[n - 1] = 1.0
         even = states_from_poly(Poly(degree=n - 1, coeffs=coeffs), 2)
-        np.testing.assert_allclose(even.amps, target_state(0, 1, n).amps, atol=1e-14)
+        np.testing.assert_allclose(even, target_state(0, 1, n).amps, atol=1e-14)
         odd = states_from_poly(Poly(degree=n - 1, coeffs=coeffs), 3)
-        np.testing.assert_allclose(odd.amps, target_state(0, -1, n).amps, atol=1e-14)
+        np.testing.assert_allclose(odd, target_state(0, -1, n).amps, atol=1e-14)
 
     def test_parity_support(self):
         rng = np.random.default_rng(9)
@@ -192,8 +192,8 @@ class TestStatesFromPoly:
         coeffs /= np.linalg.norm(coeffs)  # sum |c|^2 = 1 makes the state unit
         for ell in (0, 1):
             state = states_from_poly(Poly(degree=n - 1, coeffs=coeffs), ell)
-            mom = to_momentum(state)
-            dead = mom.amps[(np.arange(2 * n) + ell) % 2 == 1]
+            mom = np.fft.fft(state, norm="ortho")
+            dead = mom[(np.arange(2 * n) + ell) % 2 == 1]
             assert np.max(np.abs(dead)) < 1e-12
 
     def test_bad_norm_rejected(self):
@@ -205,10 +205,9 @@ class TestStatesFromPoly:
 class TestPhasesFromStates:
     def test_oracle_image_itself_gives_zero_phases(self):
         n = 6
-        psi0 = to_momentum(uniform_start(n))
-        image_pos = hilbert.oracle_signs(0, n) * uniform_start(n).amps
-        psi1 = to_momentum(StateVector(n, "position", image_pos))
-        phases = phases_from_states(psi0, psi1)
+        image_pos = hilbert.oracle_signs(0, n) / np.sqrt(2 * n)
+        psi1 = np.fft.fft(image_pos, norm="ortho")
+        phases = phases_from_states(start_momentum(n), psi1)
         np.testing.assert_allclose(phases, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 6, 16])
@@ -222,15 +221,14 @@ class TestPhasesFromStates:
 
     def test_magnitude_mismatch_rejected(self):
         n = 4
-        psi0 = to_momentum(uniform_start(n))
         amps = np.zeros(2 * n, dtype=complex)
         amps[1] = 1.0  # odd parity but wrong magnitudes
         with pytest.raises(ContractError):
-            phases_from_states(psi0, StateVector(n, MOMENTUM, amps))
+            phases_from_states(start_momentum(n), amps)
 
     def test_same_parity_rejected(self):
         n = 4
-        psi0 = to_momentum(uniform_start(n))
+        psi0 = start_momentum(n)
         with pytest.raises(ContractError):
             phases_from_states(psi0, psi0)
 
@@ -249,10 +247,8 @@ class TestVColumn:
         for y in range(2 * n):
             basis = np.zeros(2 * n, dtype=complex)
             basis[y] = 1.0
-            out = hilbert.apply_momentum_phases(
-                StateVector(n, "position", basis), phases
-            )
-            np.testing.assert_allclose(out.amps, np.roll(col, y), atol=1e-12)
+            out = np.fft.ifft(np.exp(1j * phases) * np.fft.fft(basis))
+            np.testing.assert_allclose(out, np.roll(col, y), atol=1e-12)
 
 
 @pytest.fixture(scope="module")
