@@ -1,7 +1,7 @@
 """Translationally invariant quantum query algorithms for ordered insertion."""
 
 from .bounds import bound_report, harmonic_sum, min_queries_invariant, overlap_bound
-from .compose import CompositionRun, compose_all, compose_solve, rate, reduced_oracle
+from .compose import CompositionRun, compose_all, compose_solve, rate
 from .errors import (
     CompositionError, ContractError, FactorizationError, SchemaError, SolverError,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "phases_from_states",
     "q_from_chain",
     "rate",
-    "reduced_oracle",
     "save_schedule",
     "search_free_series",
     "spectral_factor",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import math
 import os
 import sys
@@ -37,19 +36,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _report(command: str, params: dict, results) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "results": results,
-        "tool_version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-
-
-def _emit_json(report: dict) -> None:
-    json.dump(report, sys.stdout)
-    sys.stdout.write("\n")
+def _emit_report(command: str, params: dict, results) -> None:
+    hilbert.write_json(
+        {
+            "command": command,
+            "params": params,
+            "results": results,
+            "tool_version": __version__,
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        },
+        sys.stdout,
+    )
 
 
 def _emit_csv(header: list, rows: list) -> None:
@@ -92,16 +89,14 @@ def cmd_greedy(args) -> int:
     if args.format == "csv":
         _emit_csv(["ell", "prob", "classical_2k_over_n"], rows)
     else:
-        _emit_json(
-            _report(
-                "greedy",
-                {"n": args.n, "k": args.k},
-                {
-                    "probs": trace.probs.tolist(),
-                    "classical": [2.0**ell / args.n for ell in range(args.k + 1)],
-                    "schedule_file": args.emit_schedule,
-                },
-            )
+        _emit_report(
+            "greedy",
+            {"n": args.n, "k": args.k},
+            {
+                "probs": trace.probs.tolist(),
+                "classical": [2.0**ell / args.n for ell in range(args.k + 1)],
+                "schedule_file": args.emit_schedule,
+            },
         )
     return EXIT_OK
 
@@ -115,19 +110,17 @@ def cmd_bound(args) -> int:
         ]
         _emit_csv(["ell", "overlap_bound", "bound_squared"], rows)
     else:
-        _emit_json(
-            _report(
-                "bound",
-                {"n": args.n, "epsilon": args.epsilon},
-                {
-                    "harmonic_exact": report.harmonic.exact,
-                    "harmonic_approx": report.harmonic.approx,
-                    "per_ell": report.per_ell.tolist(),
-                    "min_queries": report.min_queries,
-                    "asymptotic_ln": report.asymptotic,
-                    "asymptotic_log2": report.asymptotic_log2,
-                },
-            )
+        _emit_report(
+            "bound",
+            {"n": args.n, "epsilon": args.epsilon},
+            {
+                "harmonic_exact": report.harmonic.exact,
+                "harmonic_approx": report.harmonic.approx,
+                "per_ell": report.per_ell.tolist(),
+                "min_queries": report.min_queries,
+                "asymptotic_ln": report.asymptotic,
+                "asymptotic_log2": report.asymptotic_log2,
+            },
         )
     return EXIT_OK
 
@@ -155,12 +148,10 @@ def cmd_exact_feasible(args) -> int:
     if args.format == "csv":
         _emit_csv(["n", "feasible"], [(n, str(f).lower()) for n, f in zip(ns, flags)])
     else:
-        _emit_json(
-            _report(
-                "exact feasible",
-                {"k": args.k, "n_range": args.n_range},
-                {"n": ns, "feasible": flags},
-            )
+        _emit_report(
+            "exact feasible",
+            {"k": args.k, "n_range": args.n_range},
+            {"n": ns, "feasible": flags},
         )
     return EXIT_OK if any(flags) else EXIT_INFEASIBLE
 
@@ -170,22 +161,20 @@ def cmd_exact_search(args) -> int:
     found = exact.search_free_series(args.n, args.k, grid)
     params = {"k": args.k, "n": args.n, "grid": grid}
     if found is None:
-        _emit_json(_report("exact search", params, {"found": False}))
+        _emit_report("exact search", params, {"found": False})
         return EXIT_INFEASIBLE
     free, certs = found
     if args.out:
         exact.save_series(free, args.out)
-    _emit_json(
-        _report(
-            "exact search",
-            params,
-            {
-                "found": True,
-                "free": {name: s.to_dict() for name, s in free.items()},
-                "certificates": {str(ell): c.to_dict() for ell, c in certs.items()},
-                "out": args.out,
-            },
-        )
+    _emit_report(
+        "exact search",
+        params,
+        {
+            "found": True,
+            "free": {name: s.to_dict() for name, s in free.items()},
+            "certificates": {str(ell): c.to_dict() for ell, c in certs.items()},
+            "out": args.out,
+        },
     )
     return EXIT_OK
 
@@ -229,16 +218,14 @@ def cmd_exact_synth(args) -> int:
     grid = _grid_override(args.grid)
     free = _free_series(args.n, args.k, grid, args.series)
     if free is None:
-        _emit_json(_report("exact synth", {"n": args.n, "k": args.k}, {"found": False}))
+        _emit_report("exact synth", {"n": args.n, "k": args.k}, {"found": False})
         return EXIT_INFEASIBLE
     schedule, report = synth.synthesize_exact(args.n, args.k, free, grid)
     hilbert.save_schedule(schedule, args.out)
-    _emit_json(
-        _report(
-            "exact synth",
-            {"n": args.n, "k": args.k, "out": args.out},
-            report,
-        )
+    _emit_report(
+        "exact synth",
+        {"n": args.n, "k": args.k, "out": args.out},
+        report,
     )
     return EXIT_OK if report["exact"] else EXIT_INFEASIBLE
 
@@ -249,20 +236,18 @@ def cmd_verify(args) -> int:
     success = np.concatenate([p for _, p in hilbert.run_all_answers(schedule)]).tolist()
     columns = [synth.v_column(stage, n) for stage in schedule.stages]
     if args.format == "json":
-        _emit_json(
-            _report(
-                "verify",
-                {"schedule": args.schedule},
-                {
-                    "n": n,
-                    "k": schedule.k,
-                    "success_probs": success,
-                    "min_success_prob": min(success),
-                    "v_columns": [
-                        [[float(c.real), float(c.imag)] for c in col] for col in columns
-                    ],
-                },
-            )
+        _emit_report(
+            "verify",
+            {"schedule": args.schedule},
+            {
+                "n": n,
+                "k": schedule.k,
+                "success_probs": success,
+                "min_success_prob": min(success),
+                "v_columns": [
+                    [[float(c.real), float(c.imag)] for c in col] for col in columns
+                ],
+            },
         )
     else:
         sys.stdout.write(f"n={n} k={schedule.k}\n")
@@ -293,7 +278,7 @@ def cmd_compose(args) -> int:
         grid = _grid_override(None)
         free = _free_series(args.m, args.k, grid, None)
         if free is None:
-            _emit_json(_report("compose", {"m": args.m, "k": args.k}, {"found": False}))
+            _emit_report("compose", {"m": args.m, "k": args.k}, {"found": False})
             return EXIT_INFEASIBLE
         schedule, _ = synth.synthesize_exact(args.m, args.k, free, grid)
     hidden = range(n_total) if args.all else [args.j]
@@ -302,17 +287,15 @@ def cmd_compose(args) -> int:
             "hidden_j": run.hidden_j,
             "found_j": run.found_j,
             "queries_used": run.queries_used,
-            "per_level": [list(level) for level in run.per_level],
+            "per_level": run.per_level,  # tuples encode as JSON arrays
         }
         for run in compose.compose_all(args.m, args.k, args.h, schedule, hidden)
     ]
     ok = all(r["found_j"] == r["hidden_j"] for r in runs)
-    _emit_json(
-        _report(
-            "compose",
-            {"m": args.m, "k": args.k, "h": args.h},
-            {"n": n_total, "all_recovered": ok, "runs": runs},
-        )
+    _emit_report(
+        "compose",
+        {"m": args.m, "k": args.k, "h": args.h},
+        {"n": n_total, "all_recovered": ok, "runs": runs},
     )
     return EXIT_OK if ok else EXIT_INFEASIBLE
 

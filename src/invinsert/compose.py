@@ -7,6 +7,11 @@ oracle those probes induce.  The measured subanswer narrows the interval by
 a factor of M, so h rounds and h k queries pin the answer exactly.  The
 composed procedure is classical control around quantum subroutines and is
 not itself translationally invariant.
+
+The reduced oracle of answer j is f'(s) = f_j(base + (s + 1) scale - 1),
+s = 0..M-1, which is -1 exactly for s < j' = (j - base) // scale: it is the
+M-point oracle F_{j'} itself.  So only M distinct subroutine runs exist, and
+the simulation runs each at most once.
 """
 
 from __future__ import annotations
@@ -20,28 +25,6 @@ from .errors import CompositionError, ContractError
 from .hilbert import PhaseSchedule
 
 SUCCESS_FLOOR = 1 - 1e-6
-
-
-def reduced_oracle(j, base, scale: int, m: int) -> np.ndarray:
-    """Position signs of the doubled oracle of the reduced insertion function.
-
-    f'(s) = f_j(base + (s + 1) scale - 1) for s = 0..M-1, doubled to 2M
-    points the same way as the full problem.  Arrays of ``j`` and ``base``
-    give one row per hidden answer.
-    """
-    if scale < 1 or m < 2:
-        raise ValueError("need scale >= 1 and m >= 2")
-    js, bases = np.broadcast_arrays(np.asarray(j), np.asarray(base))
-    outside = (js < bases) | (js >= bases + m * scale)
-    if np.any(outside):
-        i = int(np.argmax(outside))
-        lo = bases.flat[i]
-        raise ContractError(
-            f"hidden index {js.flat[i]} outside the interval [{lo}, {lo + m * scale})"
-        )
-    probes = bases[..., None] + (np.arange(m) + 1) * scale - 1
-    f = np.where(probes < js[..., None], -1.0, 1.0)
-    return np.concatenate([f, -f], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -65,9 +48,11 @@ def compose_all(
     Measurement is simulated deterministically: the exact subroutine leaves
     essentially unit overlap with exactly one target, and that subanswer is
     selected.  An overlap below 1 - 1e-6 at any level aborts, since the
-    schedule is then not exact enough to compose.  Each level runs the k
-    stages of the schedule for a block of answers as one batch, and so
-    queries f_j k times per answer.
+    schedule is then not exact enough to compose.  The reduced oracle of
+    answer j at a level is F_{j'}, j' = (j - base) // scale, so subanswers
+    and overlaps are read from a table over j' = 0..M-1 whose rows are run
+    (through ``run_all_answers``) the first time a level needs them.  The
+    simulated algorithm still makes k queries per level and answer.
     """
     if schedule.n != m or schedule.k != k:
         raise ValueError(
@@ -81,24 +66,37 @@ def compose_all(
     if bad.size:
         raise ValueError(f"hidden index must lie in 0..{n_total - 1}, got {bad[0]}")
 
-    step = max(1, hilbert.ANSWER_BLOCK_AMPS // (2 * m))
+    found = np.full(m, -1)  # measured subanswer per j', -1 until run
+    overlap = np.zeros(m)  # its target probability
     base = np.zeros_like(hidden)
-    per_level = []  # (interval bases, level t, subanswers) over all answers
+    per_level = []  # per level, (interval base, level t, subanswer) per answer
     for t in range(h, 0, -1):
         scale = m ** (t - 1)
-        best = np.empty_like(hidden)
-        for lo in range(0, hidden.size, step):
-            block = slice(lo, lo + step)
-            signs = reduced_oracle(hidden[block], base[block], scale, m)
-            probs = hilbert.target_probs(hilbert.run_signs(schedule.stages, signs), k)
-            best[block] = np.argmax(probs, axis=-1)
-            worst = float(probs.max(axis=-1).min())
-            if worst < SUCCESS_FLOOR:
-                raise CompositionError(
-                    f"level {t}: best overlap {worst:.6f} below {SUCCESS_FLOOR}; "
-                    "the subroutine schedule is not exact"
-                )
-        per_level.append((base.tolist(), t, best.tolist()))
+        sub = (hidden - base) // scale
+        outside = (sub < 0) | (sub >= m)
+        if np.any(outside):  # an earlier level measured a wrong subanswer
+            i = int(np.argmax(outside))
+            raise ContractError(
+                f"hidden index {hidden[i]} outside the interval "
+                f"[{base[i]}, {base[i] + m * scale})"
+            )
+        used = np.unique(sub)
+        new = used[found[used] < 0]
+        lo = 0
+        for finals, _ in hilbert.run_all_answers(schedule, new):
+            probs = hilbert.target_probs(finals, k)
+            rows = new[lo : lo + len(finals)]
+            found[rows] = np.argmax(probs, axis=-1)
+            overlap[rows] = probs.max(axis=-1)
+            lo += len(finals)
+        worst = float(overlap[used].min())
+        if worst < SUCCESS_FLOOR:
+            raise CompositionError(
+                f"level {t}: best overlap {worst:.6f} below {SUCCESS_FLOOR}; "
+                "the subroutine schedule is not exact"
+            )
+        best = found[sub]
+        per_level.append(zip(base.tolist(), [t] * hidden.size, best.tolist()))
         base = base + best * scale
     return [
         CompositionRun(
@@ -107,11 +105,11 @@ def compose_all(
             h=h,
             n=n_total,
             hidden_j=j,
-            found_j=found,
+            found_j=found_j,
             queries_used=h * k,
-            per_level=[(bases[i], t, subs[i]) for bases, t, subs in per_level],
+            per_level=list(levels),
         )
-        for i, (j, found) in enumerate(zip(hidden.tolist(), base.tolist()))
+        for j, found_j, levels in zip(hidden.tolist(), base.tolist(), zip(*per_level))
     ]
 
 

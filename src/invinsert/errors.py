@@ -29,3 +29,15 @@ class SchemaError(ValueError):
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"{document} field {key!r} must be an integer, got {value!r}")
         return value
+
+    @staticmethod
+    def require_numbers(data: dict, key: str, document: str):
+        """``data[key]`` if it is a JSON number or nested lists of them;
+        strings, booleans and null raise SchemaError."""
+        items = [data[key]]
+        for item in items:  # grows as lists are opened: a breadth-first walk
+            if type(item) is list:
+                items.extend(item)
+            elif type(item) not in (int, float):
+                raise SchemaError(f"{document} field {key!r} must hold only numbers, got {item!r}")
+        return data[key]

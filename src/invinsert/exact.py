@@ -39,6 +39,7 @@ import numpy as np
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .errors import ContractError, SchemaError, SolverError
+from .hilbert import write_json
 
 KLASS_A = "A"  # symmetric: vanishes where exp(i N theta) = -1
 KLASS_B = "B"  # antisymmetric: vanishes where exp(i N theta) = +1
@@ -97,13 +98,9 @@ class CosineSeries:
         if missing:
             raise SchemaError(f"series document missing fields {sorted(missing)}")
         n = SchemaError.require_int(data, "n", "series")
+        coeffs = SchemaError.require_numbers(data, "coeffs", "series")
         try:
-            klass = str(data["klass"])
-            coeffs = np.asarray(data["coeffs"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed series document: {exc}") from exc
-        try:
-            return cls(n=n, klass=klass, coeffs=coeffs)
+            return cls(n=n, klass=str(data["klass"]), coeffs=np.asarray(coeffs, dtype=float))
         except (ValueError, ContractError) as exc:
             raise SchemaError(str(exc)) from exc
 
@@ -537,8 +534,7 @@ def save_series(series_by_name: Mapping[str, CosineSeries], path) -> None:
     else:
         payload = {name: s.to_dict() for name, s in items.items()}
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        write_json(payload, fh)
 
 
 def load_series(path) -> dict[str, CosineSeries]:

@@ -14,7 +14,8 @@ diagonal phase stages alpha_l(p).
 
 A state is a plain complex array whose last axis holds the 2N amplitudes;
 leading axes are separate states.  Every schedule run goes through
-``run_signs``, and every function returns fresh arrays.
+``run_signs``, and every function returns fresh arrays.  Every JSON document
+the package writes goes through ``write_json``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class PhaseSchedule:
         object.__setattr__(self, "stages", stages)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "k": self.k, "stages": self.stages.tolist()}
+        """The schedule document, ``stages`` left an array for ``write_json``."""
+        return {"n": self.n, "k": self.k, "stages": self.stages}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhaseSchedule":
@@ -69,20 +71,49 @@ class PhaseSchedule:
             raise SchemaError(f"schedule document missing fields {sorted(missing)}")
         n = SchemaError.require_int(data, "n", "schedule")
         k = SchemaError.require_int(data, "k", "schedule")
+        stages = SchemaError.require_numbers(data, "stages", "schedule")
         try:
-            stages = np.asarray(data["stages"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed schedule document: {exc}") from exc
-        try:
-            return cls(n=n, k=k, stages=stages)
+            return cls(n=n, k=k, stages=np.asarray(stages, dtype=float))
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
 
 
+JSON_PIECE = 1 << 12  # values per json.dumps call: bounds the text in memory
+
+
+def write_json(doc, fh) -> None:
+    """Write ``doc`` and a newline to ``fh``: the bytes of ``json.dump``, from
+    the C encoder of ``json.dumps`` (``json.dump`` runs the Python one), in
+    pieces so the text in memory stays small.  Dicts go member by member
+    (keys must be strings), lists and arrays of rows in slices of about
+    JSON_PIECE values, a longer row alone."""
+    fh.writelines(_json_pieces(doc))
+    fh.write("\n")
+
+
+def _json_pieces(doc) -> Iterator[str]:
+    if isinstance(doc, dict) and doc:
+        for i, (key, value) in enumerate(doc.items()):
+            yield f"{', ' if i else '{'}{json.dumps(key)}: "
+            yield from _json_pieces(value)
+        yield "}"
+    elif isinstance(doc, (list, np.ndarray)) and len(doc) and isinstance(doc[0], (list, dict, np.ndarray)):
+        step = JSON_PIECE // (len(doc[0]) + 1)
+        for lo in range(0, len(doc), step or 1):
+            yield ", " if lo else "["
+            if step:
+                piece = doc[lo : lo + step]
+                yield json.dumps(piece.tolist() if isinstance(piece, np.ndarray) else piece)[1:-1]
+            else:  # a row longer than a piece goes alone, its own rows sliced in turn
+                yield from _json_pieces(doc[lo])
+        yield "]"
+    else:
+        yield json.dumps(doc.tolist() if isinstance(doc, np.ndarray) else doc)
+
+
 def save_schedule(schedule: PhaseSchedule, path) -> None:
     with open(path, "w") as fh:
-        json.dump(schedule.to_dict(), fh)
-        fh.write("\n")
+        write_json(schedule.to_dict(), fh)
 
 
 def load_schedule(path) -> PhaseSchedule:
@@ -128,24 +159,31 @@ def target_probs(amps: np.ndarray, k: int) -> np.ndarray:
 def run_signs(stages: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Final position amplitudes of the phase stages run from the uniform
     start against the oracles whose position signs are the rows of ``signs``
-    (shape (..., 2N)): each stage is the oracle, then exp(i alpha(p))."""
+    (shape (..., 2N)): each stage is the oracle, then exp(i alpha(p)).
+    Complex ``stages`` are the factors exp(i alpha), computed once per run."""
+    factors = stages if np.iscomplexobj(stages) else np.exp(1j * np.asarray(stages, dtype=float))
     signs = np.asarray(signs, dtype=float)
     amps = np.full(signs.shape, 1.0 / np.sqrt(signs.shape[-1]), dtype=complex)
-    for stage in stages:  # in place where it can: blocks of answers are large
+    for factor in factors:  # in place where it can: blocks of answers are large
         amps = np.fft.fft(np.multiply(amps, signs, out=amps))
-        amps = np.fft.ifft(np.multiply(amps, np.exp(1j * stage), out=amps))
+        amps = np.fft.ifft(np.multiply(amps, factor, out=amps))
     return amps
 
 
 ANSWER_BLOCK_AMPS = 1 << 16  # bounds the memory of a batch of answers at any N
 
 
-def run_all_answers(schedule: PhaseSchedule) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Run the schedule against every oracle F_j, j = 0..N-1, yielding
-    (final position amplitudes, success probabilities) per block of answers."""
+def run_all_answers(schedule: PhaseSchedule, js=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Run the schedule against the oracles F_j for the answers ``js``
+    (default every j = 0..N-1), yielding (final position amplitudes, success
+    probabilities) per block of answers."""
     n = schedule.n
+    js = np.arange(n) if js is None else np.asarray(js, dtype=np.int64)
     step = max(1, ANSWER_BLOCK_AMPS // (2 * n))
-    for lo in range(0, n, step):
-        js = np.arange(lo, min(lo + step, n))
-        finals = run_signs(schedule.stages, oracle_signs(js, n))
-        yield finals, target_probs(finals, schedule.k)[js - lo, js]
+    factors = np.exp(1j * schedule.stages)
+    for lo in range(0, js.size, step):
+        block = js[lo : lo + step]
+        finals = run_signs(factors, oracle_signs(block, n))
+        # each row's own target: its amplitudes at j and j + N, a 2-point problem
+        own = np.take_along_axis(finals, np.stack([block, block + n], axis=-1), axis=-1)
+        yield finals, target_probs(own, schedule.k)[:, 0]

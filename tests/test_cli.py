@@ -317,6 +317,35 @@ class TestInputIntegers:
         assert code == 65 and out == "" and "'k' must be an integer" in err
 
 
+NON_NUMBER_DOCS = [
+    ("schedule", {"n": 2, "k": 1, "stages": [["0", True, "0.0", False]]}),
+    ("schedule", dict(SCHEDULE_DOC, stages=[[0.0] * 11 + [True], [0.0] * 12])),
+    ("schedule", dict(SCHEDULE_DOC, stages=[[0.0] * 12, [None] * 12])),
+    ("series", {"n": 3, "klass": "A", "coeffs": ["1.5", "1.5"]}),
+    ("series", dict(SERIES_DOC, coeffs=[0.0, False, 0.0, False, 0.0])),
+    ("series", dict(SERIES_DOC, coeffs=[0.0, 0.0, None, 0.0, 0.0])),
+]
+
+
+class TestInputNumbers:
+    @pytest.mark.parametrize("kind, doc", NON_NUMBER_DOCS)
+    def test_non_number_entries_rejected(self, capsys, tmp_path, kind, doc):
+        code, out, err = run_input_document(capsys, tmp_path, kind, doc)
+        assert code == 65 and out == "" and "must hold only numbers" in err
+        loader = hilbert.load_schedule if kind == "schedule" else exact.load_series
+        with pytest.raises(SchemaError, match="must hold only numbers"):
+            loader(tmp_path / f"{kind}.json")
+
+    @pytest.mark.parametrize("kind", ["schedule", "series"])
+    def test_integer_entries_load(self, capsys, tmp_path, kind):
+        if kind == "schedule":
+            doc = dict(SCHEDULE_DOC, stages=[[0] * 12, [1] * 12])
+        else:
+            doc = dict(SERIES_DOC, coeffs=[0, 0, 0, 0, 0])
+        code, _, _ = run_input_document(capsys, tmp_path, kind, doc)
+        assert code == 0
+
+
 class TestExitCodes:
     def test_unknown_command_is_64(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")

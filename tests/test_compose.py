@@ -7,12 +7,35 @@ import numpy as np
 import pytest
 
 from invinsert import cli, hilbert
-from invinsert.compose import compose_all, compose_solve, rate, reduced_oracle
+from invinsert.compose import compose_all, compose_solve, rate
 from invinsert.errors import CompositionError, ContractError
 from invinsert.exact import search_free_series
 from invinsert.greedy import greedy_run
 from invinsert.synth import synthesize_exact
 from hilbert_testing import run_schedule, target_state
+
+
+def reduced_oracle(j, base, scale: int, m: int) -> np.ndarray:
+    """Position signs of the doubled oracle of the reduced insertion function.
+
+    f'(s) = f_j(base + (s + 1) scale - 1) for s = 0..M-1, doubled to 2M
+    points the same way as the full problem.  Arrays of ``j`` and ``base``
+    give one row per hidden answer.  The reference for the identity
+    ``compose_all`` rests on: this is the M-point oracle F_{(j - base) // scale}.
+    """
+    if scale < 1 or m < 2:
+        raise ValueError("need scale >= 1 and m >= 2")
+    js, bases = np.broadcast_arrays(np.asarray(j), np.asarray(base))
+    outside = (js < bases) | (js >= bases + m * scale)
+    if np.any(outside):
+        i = int(np.argmax(outside))
+        lo = bases.flat[i]
+        raise ContractError(
+            f"hidden index {js.flat[i]} outside the interval [{lo}, {lo + m * scale})"
+        )
+    probes = bases[..., None] + (np.arange(m) + 1) * scale - 1
+    f = np.where(probes < js[..., None], -1.0, 1.0)
+    return np.concatenate([f, -f], axis=-1)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +77,17 @@ class TestReducedOracle:
             reduced_oracle(36, 0, 6, 6)
         with pytest.raises(ContractError):
             reduced_oracle(3, 6, 1, 6)
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    @pytest.mark.parametrize("scale", [1, 2, 6])
+    def test_is_the_m_point_oracle(self, m, scale):
+        # the identity compose_all's outcome table rests on
+        for base in (0, m * scale, 5 * m * scale):
+            for j in range(base, base + m * scale):
+                np.testing.assert_array_equal(
+                    reduced_oracle(j, base, scale, m),
+                    hilbert.oracle_signs((j - base) // scale, m),
+                )
 
 
 class TestComposeSolve:
@@ -172,6 +206,54 @@ class TestComposeAll:
         # 4 MiB with 2^16-amplitude blocks; 2^18 blocks take 15 MiB and one
         # unblocked batch 16.4 MiB
         assert peak < 8 * 2**20
+
+
+def shifted_schedule(schedule):
+    """The schedule with 2 pi p / 2N added to its last stage: a cyclic shift
+    of the final state, so each run still ends on one target with unit
+    overlap, but on j' - 1 mod N instead of j'."""
+    stages = schedule.stages.copy()
+    stages[-1] += 2 * np.pi * np.arange(2 * schedule.n) / (2 * schedule.n)
+    return hilbert.PhaseSchedule(n=schedule.n, k=schedule.k, stages=stages)
+
+
+def count_rows(monkeypatch):
+    """Count the oracle rows every ``run_signs`` call runs."""
+    rows = []
+    run_signs = hilbert.run_signs
+
+    def counted(stages, signs):
+        rows.append(int(np.prod(np.shape(signs)[:-1])))
+        return run_signs(stages, signs)
+
+    monkeypatch.setattr(hilbert, "run_signs", counted)
+    return rows
+
+
+class TestOutcomeTable:
+    def test_all_runs_at_most_m_rows(self, schedule_6_2, monkeypatch):
+        rows = count_rows(monkeypatch)
+        runs = compose_all(6, 2, 4, schedule_6_2, range(6**4))
+        assert [run.found_j for run in runs] == list(range(6**4))
+        assert 0 < sum(rows) <= 6
+
+    def test_one_answer_runs_at_most_h_rows(self, schedule_6_2, monkeypatch):
+        rows = count_rows(monkeypatch)
+        run = compose_solve(6, 2, 3, schedule_6_2, 157)
+        assert run.found_j == 157 and run.queries_used == 6
+        assert 0 < sum(rows) <= 3
+
+    def test_wrong_subanswer_is_reported_at_one_level(self, schedule_6_2):
+        shifted = shifted_schedule(schedule_6_2)
+        runs = compose_all(6, 2, 1, shifted, range(6))
+        assert [run.found_j for run in runs] == [5, 0, 1, 2, 3, 4]
+
+    def test_wrong_subanswer_leaves_the_interval(self, schedule_6_2):
+        # level 2 measures j' - 1, so the level-1 interval misses the answer;
+        # a table indexed without the range check would raise IndexError
+        shifted = shifted_schedule(schedule_6_2)
+        with pytest.raises(ContractError, match=r"hidden index 0 outside the interval \[30, 36\)"):
+            compose_all(6, 2, 2, shifted, range(36))
 
 
 class TestRate:

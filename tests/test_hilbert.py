@@ -1,11 +1,13 @@
 """Oracle, transforms, translation, and the schedule runner."""
 
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from invinsert import hilbert
+from invinsert import cli, exact, hilbert
 from invinsert.errors import SchemaError
 from invinsert.exact import search_free_series
 from invinsert.greedy import greedy_run
@@ -376,3 +378,82 @@ class TestScheduleSerialization:
         stages = np.array([[7.0, -1.0, 0.0, 2 * np.pi]])
         schedule = PhaseSchedule(n=2, k=1, stages=stages)
         assert np.all(schedule.stages >= 0) and np.all(schedule.stages < 2 * np.pi)
+
+
+def dumped(doc) -> str:
+    """The reference text: ``json.dump`` of ``doc`` and a newline."""
+    buf = io.StringIO()
+    json.dump(doc, buf)
+    return buf.getvalue() + "\n"
+
+
+@pytest.fixture(scope="module")
+def greedy_4096():
+    return greedy_run(4096, 6, keep_states=False).phase_schedule
+
+
+class TestWriteJson:
+    # every slice size must give the same text; 1 and 7 split rows and lists
+    @pytest.mark.parametrize("piece", [None, 1, 7])
+    def test_schedule_file_matches_json_dump(self, greedy_4096, tmp_path, monkeypatch, piece):
+        if piece:
+            monkeypatch.setattr(hilbert, "JSON_PIECE", piece)
+        path = tmp_path / "schedule.json"
+        hilbert.save_schedule(greedy_4096, path)
+        doc = {"n": 4096, "k": 6, "stages": greedy_4096.stages.tolist()}
+        assert path.read_text() == dumped(doc)
+
+    @pytest.mark.parametrize("n, k", [(16, 3), (24, 4)])  # a bare series; a keyed map
+    def test_series_file_matches_json_dump(self, tmp_path, n, k):
+        free = search_free_series(n, k)[0]
+        path = tmp_path / "series.json"
+        exact.save_series(free, path)
+        docs = {name: s.to_dict() for name, s in free.items()}
+        assert path.read_text() == dumped(docs if len(docs) > 1 else next(iter(docs.values())))
+
+    @pytest.mark.parametrize("piece", [None, 3])
+    def test_compose_report_matches_json_dump(self, tmp_path, capsys, monkeypatch, piece):
+        schedule = synthesize_exact(52, 3, search_free_series(52, 3)[0])[0]
+        path = tmp_path / "s52.json"
+        hilbert.save_schedule(schedule, path)
+        if piece:
+            monkeypatch.setattr(hilbert, "JSON_PIECE", piece)
+        docs = []
+        write_json = hilbert.write_json
+
+        def recorded(doc, fh):
+            docs.append(doc)
+            write_json(doc, fh)
+
+        monkeypatch.setattr(hilbert, "write_json", recorded)
+        argv = ["compose", "--m", "52", "--k", "3", "--h", "2", "--all", "--schedule", str(path)]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(docs) == 1 and len(docs[0]["results"]["runs"]) == 52**2
+        assert out == dumped(docs[0])
+
+    def test_schedule_file_memory(self, greedy_4096, tmp_path):
+        tracemalloc.start()
+        try:
+            hilbert.save_schedule(greedy_4096, tmp_path / "schedule.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 0.95 MiB row by row; one json.dumps of the listed stages takes 5.6
+        assert peak < 2 * 2**20
+
+    def test_long_rows_of_rows_are_sliced(self, tmp_path):
+        # verify's V columns at N = 4096: rows of 8192 [re, im] pairs, each
+        # longer than a piece; one json.dumps per column peaks at 1.8 MiB
+        rng = np.random.default_rng(3)
+        doc = {"v_columns": [rng.random((8192, 2)).tolist() for _ in range(2)]}
+        path = tmp_path / "report.json"
+        with open(path, "w") as fh:
+            tracemalloc.start()
+            try:
+                hilbert.write_json(doc, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert path.read_text() == dumped(doc)
+        assert peak < 2**20
