@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import math
 import os
 import sys
@@ -265,6 +266,8 @@ def cmd_compose(args) -> int:
     if args.h < 1:
         raise _UsageError(f"--h must be at least 1, got {args.h}")
     n_total = args.m**args.h
+    if n_total >= 2**63:  # hidden indices are int64
+        raise _UsageError(f"--h {args.h}: M^h = {args.m}^{args.h} must be below 2^63")
     if args.j is not None and not 0 <= args.j < n_total:
         raise _UsageError(f"--j must lie in 0..{n_total - 1}, got {args.j}")
     if args.schedule:
@@ -301,9 +304,11 @@ def cmd_compose(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    if args.sort_items is not None and args.sort_items < 1:
+        raise _UsageError(f"--sort-items must be at least 1, got {args.sort_items}")
     value = compose.rate(args.k, args.m)
     sys.stdout.write(f"{value:.4f}\n")
-    if args.sort_items:
+    if args.sort_items is not None:
         # sorting n items by repeated insertion costs n log2(n) comparisons
         # classically; the iterated subroutine scales that by the rate
         queries = args.sort_items * value * math.log2(args.sort_items)
@@ -312,6 +317,8 @@ def cmd_rate(args) -> int:
 
 
 def build_parser() -> _Parser:
+    """The argument parser.  Each subcommand names its ``cmd_*`` handler,
+    which ``main`` looks up when it runs, so one parser serves every call."""
     parser = _Parser(prog="invinsert")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -320,13 +327,13 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--emit-schedule", metavar="FILE")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_greedy)
+    p.set_defaults(handler="cmd_greedy")
 
     p = sub.add_parser("bound", help="invariant overlap bound and query count")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(handler="cmd_bound")
 
     p = sub.add_parser("exact", help="exact-algorithm feasibility and synthesis")
     esub = p.add_subparsers(dest="exact_command", required=True)
@@ -337,14 +344,14 @@ def build_parser() -> _Parser:
     pf.add_argument("--grid", type=int)
     pf.add_argument("--jobs", type=int, default=1)
     pf.add_argument("--format", choices=["csv", "json"], default="csv")
-    pf.set_defaults(func=cmd_exact_feasible)
+    pf.set_defaults(handler="cmd_exact_feasible")
 
     ps = esub.add_parser("search", help="search the free series for one n")
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--grid", type=int)
     ps.add_argument("--out", metavar="FILE")
-    ps.set_defaults(func=cmd_exact_search)
+    ps.set_defaults(handler="cmd_exact_search")
 
     py = esub.add_parser("synth", help="synthesize a verified schedule")
     py.add_argument("--n", type=int, required=True)
@@ -352,12 +359,12 @@ def build_parser() -> _Parser:
     py.add_argument("--series", action="append", metavar="FILE")
     py.add_argument("--grid", type=int)
     py.add_argument("--out", required=True, metavar="FILE")
-    py.set_defaults(func=cmd_exact_synth)
+    py.set_defaults(handler="cmd_exact_synth")
 
     p = sub.add_parser("verify", help="re-simulate a schedule file")
     p.add_argument("--schedule", required=True, metavar="FILE")
     p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(handler="cmd_verify")
 
     p = sub.add_parser("compose", help="iterate an exact subroutine")
     p.add_argument("--m", type=int, required=True)
@@ -367,22 +374,27 @@ def build_parser() -> _Parser:
     group.add_argument("--j", type=int)
     group.add_argument("--all", action="store_true")
     p.add_argument("--schedule", metavar="FILE")
-    p.set_defaults(func=cmd_compose)
+    p.set_defaults(handler="cmd_compose")
 
     p = sub.add_parser("rate", help="queries per log2(N) of the iterated subroutine")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sort-items", type=int, metavar="N",
                    help="also print the implied query count for sorting N items")
-    p.set_defaults(func=cmd_rate)
+    p.set_defaults(handler="cmd_rate")
 
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        return globals()[args.handler](args)
     except _UsageError as exc:
         sys.stderr.write(f"invinsert: {exc}\n")
         return EXIT_USAGE

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .errors import ContractError, SchemaError, SolverError
 from .hilbert import write_json
@@ -362,6 +361,14 @@ def _series_from_params(n: int, klass: str, x: np.ndarray) -> CosineSeries:
     return CosineSeries(n=n, klass=klass, coeffs=coeffs)
 
 
+def _Highs():
+    """A model of scipy's private HiGHS binding.  It is imported here, on
+    first use, because importing it runs all of ``scipy.optimize``."""
+    from scipy.optimize._highspy._core import _Highs
+
+    return _Highs()
+
+
 def _maximize_last(n_vars: int, rows: list, more_rows) -> np.ndarray:
     """Maximize the last of n_vars free variables subject to rows, then add
     more_rows(x) and re-solve warm from the last basis until it adds none.
@@ -371,6 +378,8 @@ def _maximize_last(n_vars: int, rows: list, more_rows) -> np.ndarray:
     HiGHS binding is made here, so a change to that binding fails here.
     Raises SolverError unless every solve ends optimal.
     """
+    from scipy.optimize._highspy._core import HighsModelStatus
+
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
     highs.addVars(n_vars, np.full(n_vars, -np.inf), np.full(n_vars, np.inf))
@@ -509,6 +518,8 @@ def search_free_series(
     if k < 2:
         raise ValueError(f"search needs k >= 2, got {k}")
     grid = default_grid(n) if grid_points is None else grid_points
+    if grid < 1:
+        raise ValueError(f"need a positive number of grid intervals, got {grid}")
     delta, free = _max_min_slack(n, k, grid)
     if delta < 0:
         return None

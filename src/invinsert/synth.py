@@ -15,11 +15,14 @@ States are plain arrays of 2N amplitudes; ``np.fft.fft(..., norm="ortho")``
 takes position to momentum and ``np.fft.ifft(..., norm="ortho")`` back.
 
 Numerical notes: Q positive on the circle is factored by Kolmogorov's
-minimum-phase construction, H = exp(causal part of log Q), with FFTs on a
-grid that doubles until H's coefficients past degree N-1 vanish (Sayed &
-Kailath, "A survey of spectral factorization methods", Numer. Linear Algebra
-Appl. 8, 2001).  Q with zeros on the circle, such as the start polynomial's
-squared magnitude, makes log Q singular and does not converge; it is
+minimum-phase construction, H = exp(causal part of log Q) (Sayed & Kailath,
+"A survey of spectral factorization methods", Numer. Linear Algebra Appl. 8,
+2001).  H's first N coefficients need only the first N cepstral
+coefficients, which a real FFT of log Q on a grid gives, and a power-series
+exponential turns them into h_0..h_{N-1} exactly.  The grid doubles until
+two successive grids agree within FACTOR_GRID_TOL.  Q with zeros on the
+circle, such as the start polynomial's squared magnitude, makes log Q
+singular and does not converge; it is
 factored from the companion-matrix roots of z^M Q(z) instead.  Circle zeros
 come in clusters of even multiplicity whose symmetric eigenvalue splits are
 halved by sqrt(z1 z2), and P's coefficients are recovered by evaluating the
@@ -51,8 +54,8 @@ from .hilbert import PhaseSchedule
 CIRCLE_TOL = 1e-7       # |abs(root) - 1| below this joins a circle cluster
 CLUSTER_ANGLE_TOL = 1e-5
 FACTOR_GRID_TOL = 1e-8
-FFT_MIN_SIZE = 1 << 10  # the cepstral grid starts at max(this, 16N) points
-FFT_MAX_SIZE = 1 << 18  # and doubles up to this cap
+FFT_MIN_SIZE = 1 << 10  # the first grid the factor may stop on is max(this, 16N)
+FFT_MAX_SIZE = 1 << 18  # points; it doubles up to this cap
 ZERO_AMP_TOL = 1e-12    # arbitrary-phase threshold in phase extraction
 MAGNITUDE_TOL = 1e-8    # stage state vs oracle image, momentum by momentum
 
@@ -87,12 +90,14 @@ class LaurentPoly:
     def coeff(self, r: int) -> complex:
         return complex(self.q[r + self.n - 1])
 
-    def circle_values(self, grid: int) -> np.ndarray:
-        """Q(e^{i theta}) on grid uniform angles over [0, 2 pi): by Hermitian
-        symmetry, the inverse real FFT of q_0..q_{N-1}."""
+    def circle_values(self, grid: int, offset: float = 0.0) -> np.ndarray:
+        """Q(e^{i theta}) at theta = 2 pi (m + offset) / grid, m = 0..grid-1: by
+        Hermitian symmetry, the inverse real FFT of q_r e^{2 pi i r offset / grid},
+        r = 0..N-1."""
         if grid < 2 * self.n - 1:
             raise ValueError(f"{grid} angles fold {self.n - 1} harmonics")
-        return np.fft.irfft(self.q[self.n - 1:], grid) * grid
+        q = self.q[self.n - 1:] * np.exp(2j * np.pi * offset * np.arange(self.n) / grid)
+        return np.fft.irfft(q, grid) * grid
 
 
 @dataclass(frozen=True)
@@ -179,35 +184,54 @@ def _coeffs_from_roots(
     return np.fft.fft(values) / n_coeffs
 
 
+def _series_exp(c: np.ndarray) -> np.ndarray:
+    """The first len(c) coefficients of H = exp(sum_j c_j z^j).
+
+    H' = C' H gives m h_m = sum_{j=1..m} j c_j h_{m-j}, so h_m needs only
+    c_0..c_m.
+    """
+    jc = np.arange(len(c)) * c
+    h = np.empty_like(c)
+    h[0] = np.exp(c[0])
+    for m in range(1, len(c)):
+        h[m] = jc[1:m + 1] @ h[m - 1::-1] / m
+    return h
+
+
 def _cepstral_factor(q_poly: LaurentPoly) -> Optional[np.ndarray]:
     """Kolmogorov's minimum-phase factor: H = exp(causal part of log Q).
 
     H(z) = sum_n h_n z^n has no zeros in the disk, so the returned
-    coefficients conj(h[:N][::-1]) put P's zeros inside it.  The FFT grid
-    doubles until h is a polynomial of degree < N to within
-    FACTOR_GRID_TOL.  Returns None when Q is not positive on the grid or
-    the cap is reached first, as for zeros on the circle.
+    coefficients conj(h[:N][::-1]) put P's zeros inside it.  On a grid of S
+    points, c = rfft(log Q)[:N] / S with c_0 halved are the cepstral
+    coefficients up to aliasing, and ``_series_exp`` gives h[:N] from them.
+    The grid doubles from half of max(FFT_MIN_SIZE, 16N) and stops on the
+    first S whose h[:N] is within FACTOR_GRID_TOL of the S/2 grid's, the
+    coefficient error of the S/2 grid.  A grid's even points are the last
+    grid, so each rung evaluates log Q only at its S/2 odd points.  Returns
+    None when Q is not positive on the grid or the cap is reached first, as
+    for zeros on the circle.
     """
     n = q_poly.n
-    size = max(FFT_MIN_SIZE, 1 << (16 * n - 1).bit_length())
+    size = max(FFT_MIN_SIZE, 1 << (16 * n - 1).bit_length()) // 2
+    grid, offset = size, 0.0  # the new points: all of the first grid
+    sums, coarse = 0.0, None  # rfft(log Q)[:N] on the current grid
     while size <= FFT_MAX_SIZE:
-        values = q_poly.circle_values(size)
+        values = q_poly.circle_values(grid, offset)
         if values.min() <= 0:
             return None
-        # one (size,) complex buffer at a time: at the cap each is 4 MiB
-        cepstrum = np.fft.rfft(np.log(values))
-        del values
-        cepstrum[0] /= 2
-        cepstrum[-1] /= 2
-        h = np.fft.ifft(cepstrum, size)
-        del cepstrum
-        np.exp(h, out=h)
-        h = np.fft.fft(h)
-        h /= size
+        # the new points' sums join the grid's turned by their offset
+        turn = np.exp(-2j * np.pi * offset * np.arange(n) / grid)
+        sums = sums + turn * np.fft.rfft(np.log(values, out=values))[:n]
+        c = sums / size
+        c[0] /= 2
+        h = _series_exp(c)
         # the |P|^2 - Q gate alone can pass while P's coefficients are
-        # still off; the degree overflow tracks the coefficient error
-        if np.max(np.abs(h[n:])) <= FACTOR_GRID_TOL:
-            return np.conj(h[:n][::-1])
+        # still off; the change from the coarser grid tracks their error
+        if coarse is not None and np.max(np.abs(h - coarse)) <= FACTOR_GRID_TOL:
+            return np.conj(h[::-1])
+        coarse = h
+        grid, offset = size, 0.5  # the odd points of the doubled grid
         size *= 2
     return None
 

@@ -173,11 +173,16 @@ class TestExactCommands:
     @pytest.mark.parametrize("argv", [
         ("exact", "search", "--k", "3", "--n", "16", "--grid", "0"),
         ("exact", "feasible", "--k", "2", "--n-range", "6..7", "--grid", "0"),
+        ("exact", "search", "--k", "3", "--n", "16", "--grid", "-4"),
+        ("exact", "synth", "--k", "3", "--n", "16", "--grid", "-4", "--out", "{out}"),
     ])
-    def test_zero_grid_rejected(self, capsys, argv):
-        # a grid of 0 is too coarse, not a request for the default grid
-        code, out, err = run_cli(capsys, *argv)
+    def test_zero_grid_rejected(self, capsys, tmp_path, argv):
+        # a grid of 0 is too coarse, not a request for the default grid, and
+        # a negative one is no grid at all
+        out_file = tmp_path / "s.json"
+        code, out, err = run_cli(capsys, *(a.format(out=out_file) for a in argv))
         assert code == 1 and "grid intervals" in err and out == ""
+        assert not out_file.exists()
 
     def test_results_deterministic_across_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "exact", "search", "--k", "3", "--n", "8")
@@ -250,6 +255,8 @@ class TestComposeAndRate:
         ["--h", "2", "--j", "-1"],
         ["--h", "0", "--j", "0"],
         ["--h", "-1", "--all"],
+        ["--h", "40", "--j", "1"],  # M^h past int64
+        ["--h", "30", "--all"],
     ])
     def test_compose_usage_errors_exit_64(self, capsys, monkeypatch, argv):
         def no_synthesis(*args, **kwargs):
@@ -259,6 +266,21 @@ class TestComposeAndRate:
         code, out, err = run_cli(capsys, "compose", "--m", "6", "--k", "2", *argv)
         assert code == 64 and out == ""
         assert err.startswith("invinsert: --") and err.count("\n") == 1
+
+    def test_compose_size_checked_before_schedule_loads(self, capsys, tmp_path):
+        # 2^63 answers is the first size past int64; a missing schedule
+        # would exit 65 if it were read first
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(
+            capsys, "compose", "--m", "2", "--k", "1", "--h", "63", "--j", "0",
+            "--schedule", missing,
+        )
+        assert code == 64 and out == "" and "2^63" in err and err.count("\n") == 1
+        code, _, _ = run_cli(
+            capsys, "compose", "--m", "2", "--k", "1", "--h", "62", "--j", "0",
+            "--schedule", missing,
+        )
+        assert code == 65
 
     def test_rate_prints_4dp(self, capsys):
         code, out, _ = run_cli(capsys, "rate", "--k", "3", "--m", "52")
@@ -275,6 +297,19 @@ class TestComposeAndRate:
         lines = out.strip().splitlines()
         expected = 1000 * (3 / np.log2(52)) * np.log2(1000)
         assert lines[1] == f"sort_queries={expected:.1f}"
+
+    @pytest.mark.parametrize("items", ["0", "-5"])
+    def test_rate_sort_items_below_one_rejected(self, capsys, items):
+        code, out, err = run_cli(
+            capsys, "rate", "--k", "3", "--m", "52", "--sort-items", items
+        )
+        assert code == 64 and out == ""
+        assert err.startswith("invinsert: --sort-items") and err.count("\n") == 1
+
+    def test_rate_sort_one_item(self, capsys):
+        code, out, _ = run_cli(capsys, "rate", "--k", "3", "--m", "52", "--sort-items", "1")
+        assert code == 0
+        assert out.splitlines() == ["0.5263", "sort_queries=0.0"]
 
 
 SCHEDULE_DOC = {"n": 6, "k": 2, "stages": [[0.0] * 12] * 2}
@@ -407,3 +442,27 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1.0000"
+
+
+class TestOneParser:
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        run_cli(capsys, "rate", "--k", "1", "--m", "2")
+
+        def no_rebuild():
+            raise AssertionError("the parser was built again")
+
+        monkeypatch.setattr(cli, "build_parser", no_rebuild)
+        code, out, _ = run_cli(capsys, "rate", "--k", "1", "--m", "2")
+        assert code == 0 and out.strip() == "1.0000"
+
+    def test_calls_share_no_state(self, monkeypatch):
+        # --series appends, so a parser kept across calls must not carry
+        # one call's files into the next
+        seen = []
+        monkeypatch.setattr(cli, "cmd_exact_synth", lambda args: seen.append(args.series) or 0)
+        for files in (["a.json", "b.json"], ["c.json"], []):
+            argv = ["exact", "synth", "--n", "6", "--k", "3", "--out", "s.json"]
+            for name in files:
+                argv += ["--series", name]
+            assert cli.main(argv) == 0
+        assert seen == [["a.json", "b.json"], ["c.json"], None]

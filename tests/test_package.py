@@ -1,5 +1,8 @@
 """The package's public namespace, as callers and the benchmark tracer see it."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import invinsert
@@ -28,3 +31,15 @@ def test_benchmark_tracer_runs(monkeypatch, capsys):
         tracer.uninstall()
     assert code == 0
     assert metrics["synth.synthesize_s"] > 0 and metrics["synth.factor_calls"] == 1
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only the free-series LP needs scipy's HiGHS binding, and importing it
+    # runs all of scipy.optimize
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, invinsert.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,11 +1,13 @@
 """Laurent assembly, spectral factorization, state recovery, phase extraction."""
 
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from invinsert import hilbert, synth
+from invinsert import cli, hilbert, synth
 from invinsert.errors import ContractError, FactorizationError
 from invinsert.exact import a0, b0, build_chain, search_free_series, zero_series
 from invinsert.greedy import greedy_run
@@ -155,11 +157,70 @@ class TestSpectralFactor:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_zeros_near_circle_recovered(self, monkeypatch):
+        # P is known: monic, zeros at radius 1 - 1e-3, so log Q's
+        # coefficients decay only as 0.999^r and the grid climbs far
+        n = 8
+        angles = np.array([0.3, 1.1, 2.0, 2.9, -2.5, -1.4, -0.6])
+        roots = (1 - 1e-3) * np.exp(1j * angles)
+        p_coeffs = np.poly(roots)[::-1]
+        q = LaurentPoly(n=n, q=np.convolve(p_coeffs, np.conj(p_coeffs[::-1])))
+
+        def no_eigensolve(_):
+            raise AssertionError("a positive Q reached np.roots")
+
+        monkeypatch.setattr(synth.np, "roots", no_eigensolve)
+        np.testing.assert_allclose(spectral_factor(q).coeffs, p_coeffs, rtol=0, atol=1e-12)
+
     def test_sign_crossing_rejected(self):
         # 1 + B0(7) dips below zero, so its circle zeros have odd multiplicity
         q = q_from_chain(zero_series(7, "A"), b0(7))
         with pytest.raises((FactorizationError, ContractError)):
             spectral_factor(q)
+
+
+PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
+class TestCepstralFactor:
+    @pytest.mark.parametrize("n,k,name,rungs", [
+        (150, 4, "free-150-4.json", [131072, 65536, 65536, 4096]),
+        (52, 3, "free-52-3.json", [16384, 8192, 1024]),
+    ])
+    def test_accepted_grid_per_stage(self, monkeypatch, n, k, name, rungs):
+        # the finest grid Q is evaluated on is the grid the factor accepts;
+        # angles 2 pi (m + offset) / grid lie on grid * denominator(offset)
+        chain = build_chain(n, k, cli._load_free_series(n, k, [PERFBENCH_INPUTS / name]))
+        original = LaurentPoly.circle_values
+        grids = []
+
+        def recording(self, grid, offset=0.0):
+            grids.append(grid * Fraction(offset).denominator)
+            return original(self, grid, offset)
+
+        monkeypatch.setattr(LaurentPoly, "circle_values", recording)
+        accepted = []
+        for ell in range(1, k + 1):
+            grids.clear()
+            assert synth._cepstral_factor(q_from_chain(*chain.stages[ell])) is not None
+            accepted.append(max(grids))
+        assert accepted == rungs
+
+    def test_series_exp_matches_fft_exp(self):
+        # exp of a short polynomial is entire, so its coefficients on a
+        # large grid carry no visible aliasing
+        rng = np.random.default_rng(11)
+        c = np.zeros(40, dtype=complex)
+        c[:6] = 0.6 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        grid = 4096
+        values = np.exp(np.fft.ifft(c, grid) * grid)
+        reference = np.fft.fft(values)[:40] / grid
+        np.testing.assert_allclose(synth._series_exp(c), reference, rtol=0, atol=1e-13)
+
+    def test_circle_values_offset(self):
+        q = triangular_q(5)
+        fine = q.circle_values(64)
+        np.testing.assert_allclose(q.circle_values(32, offset=0.5), fine[1::2], atol=1e-13)
 
 
 def start_momentum(n):
