@@ -27,6 +27,9 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 EXIT_SCHEMA = 65
 
+# compose --all holds a report row per answer, about 190 MB at 2^16 answers
+ALL_ANSWERS_MAX = 2**16
+
 
 class _UsageError(Exception):
     pass
@@ -268,6 +271,10 @@ def cmd_compose(args) -> int:
     n_total = args.m**args.h
     if n_total >= 2**63:  # hidden indices are int64
         raise _UsageError(f"--h {args.h}: M^h = {args.m}^{args.h} must be below 2^63")
+    if args.all and n_total > ALL_ANSWERS_MAX:
+        raise _UsageError(
+            f"--all: M^h = {args.m}^{args.h} answers, more than {ALL_ANSWERS_MAX}; use --j"
+        )
     if args.j is not None and not 0 <= args.j < n_total:
         raise _UsageError(f"--j must lie in 0..{n_total - 1}, got {args.j}")
     if args.schedule:

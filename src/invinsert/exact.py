@@ -19,10 +19,13 @@ of a stage vanishes (N theta an odd multiple of pi for class A, an even one
 for class B) the row does not depend on the free coefficients, so those
 rows leave the LP and their least value caps the slack; the cap is the same
 for every choice of coefficients, so min(cap, optimum of the rest) is the
-full LP's optimum.  The rest is solved by exchange on HiGHS: start from
-N + 1 angles per stage, evaluate every stage on the full grid after each
-solve, add the violated local minima as rows and re-solve warm, and stop
-when no angle outside the LP is violated.
+full LP's optimum.  Stages with the same free series share one row per
+angle, at the least of their fixed values.  The rest is solved by exchange
+on HiGHS: start from N + 1 angles per stage, evaluate every stage on the
+full grid after each solve, add the violated local minima as rows and
+re-solve warm, and stop when no angle outside the LP is violated.  After a
+solve that lowers delta, rows far above it leave the LP; their angles may
+come back as rows if they are violated again.
 
 Sine-sector coefficients are identically zero throughout: the endpoints have
 none and dropping them loses no generality.
@@ -48,6 +51,8 @@ NUMERICALLY_NONNEGATIVE = "numerically_nonnegative"
 INFEASIBLE = "infeasible"
 
 INFEASIBILITY_TOL = -1e-9
+# after a solve that lowers delta, LP rows this far above it leave the LP
+DROP_SLACK = 0.1
 
 
 def default_grid(n: int) -> int:
@@ -353,12 +358,24 @@ def _pinned(n: int, klass: str, grid: int) -> np.ndarray:
     return (rest == 0) & (multiple % 2 == (1 if klass == KLASS_A else 0))
 
 
-def _series_from_params(n: int, klass: str, x: np.ndarray) -> CosineSeries:
+def _coefficient_map(n: int, klass: str, columns: np.ndarray) -> tuple:
+    """Where the LP variables x[columns] of a class-`klass` series land among
+    its N - 1 coefficients: c[index] = weight * x[source].  Orders r and
+    N - r share a variable; the middle order of class A is its own mirror,
+    so it lands once."""
     rs, sign = _basis_orders(n, klass)
-    coeffs = np.zeros(n - 1)
-    coeffs[n - rs - 1] = sign * x
-    coeffs[rs - 1] = x  # the middle order of class A keeps +x
-    return CosineSeries(n=n, klass=klass, coeffs=coeffs)
+    mirror = rs != n - rs
+    index = np.concatenate([rs - 1, n - rs[mirror] - 1])
+    source = np.concatenate([columns, columns[mirror]])
+    weight = np.concatenate([np.ones(len(rs)), np.full(mirror.sum(), sign)])
+    return index, source, weight
+
+
+def _scatter(n: int, maps: Sequence[tuple], x: np.ndarray) -> np.ndarray:
+    """Coefficients of the sum of the series whose coefficient maps are
+    `maps`, at LP variables x: one ``np.bincount``."""
+    index, source, weight = (np.concatenate(parts) for parts in zip(*maps))
+    return np.bincount(index, weight * x[source], minlength=n - 1)
 
 
 def _Highs():
@@ -371,12 +388,20 @@ def _Highs():
 
 def _maximize_last(n_vars: int, rows: list, more_rows) -> np.ndarray:
     """Maximize the last of n_vars free variables subject to rows, then add
-    more_rows(x) and re-solve warm from the last basis until it adds none.
+    more_rows(x, dropped) and re-solve warm from the last basis until it
+    adds none.
 
-    A row batch (columns, block, upper) stands for
-    block[i] @ var[columns] <= upper[i].  Every call into scipy's private
-    HiGHS binding is made here, so a change to that binding fails here.
-    Raises SolverError unless every solve ends optimal.
+    A row batch (keys, columns, block, upper) stands for
+    block[i] @ var[columns] <= upper[i], and keys[i] names that row to the
+    caller.  After a solve in which the last variable fell strictly below
+    every earlier solve's, the rows whose slack exceeds DROP_SLACK are
+    deleted, and more_rows gets their keys as `dropped` (no keys after any
+    other solve).  Deleting rows that do not bind leaves x optimal, so the
+    optimum never rises and the LP stays bounded.  A warm solve after
+    deletions can still end in a false status ('Unbounded' at (300, 4));
+    the same rows are then solved once more in a fresh model.  Every call
+    into scipy's private HiGHS binding is made here, so a change to that
+    binding fails here.  Raises SolverError unless every solve ends optimal.
     """
     from scipy.optimize._highspy._core import HighsModelStatus
 
@@ -384,30 +409,55 @@ def _maximize_last(n_vars: int, rows: list, more_rows) -> np.ndarray:
     highs.setOptionValue("output_flag", False)
     highs.addVars(n_vars, np.full(n_vars, -np.inf), np.full(n_vars, np.inf))
     highs.changeColsCost(1, np.array([n_vars - 1], dtype=np.int32), np.array([-1.0]))
+    keys, upper = np.empty(0, dtype=np.int64), np.empty(0)
+    best, deleted = np.inf, False
     while rows:
-        for columns, block, upper in rows:
+        for batch_keys, columns, block, batch_upper in rows:
             m, w = block.shape
             highs.addRows(
-                m, np.full(m, -np.inf), upper, m * w,
+                m, np.full(m, -np.inf), batch_upper, m * w,
                 np.arange(0, m * w, w, dtype=np.int32),
                 np.tile(np.asarray(columns, dtype=np.int32), m),
                 np.ascontiguousarray(block).ravel(),
             )
+            keys = np.concatenate([keys, batch_keys])
+            upper = np.concatenate([upper, batch_upper])
+        basis = highs.getBasis() if deleted else None
         highs.run()
+        if deleted and highs.getModelStatus() != HighsModelStatus.kOptimal:
+            lp = highs.getLp()
+            highs = _Highs()
+            highs.setOptionValue("output_flag", False)
+            highs.passModel(lp)
+            highs.setBasis(basis)
+            highs.run()
+            deleted = False
         status = highs.getModelStatus()
         if status != HighsModelStatus.kOptimal:
             raise SolverError(
                 f"exact search: LP ended {highs.modelStatusToString(status)!r}, not optimal"
             )
-        x = np.array(highs.getSolution().col_value)
-        rows = more_rows(x)
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        dropped = np.zeros(len(keys), dtype=bool)
+        if x[-1] < best:
+            best = x[-1]
+            dropped = upper - np.array(solution.row_value) > DROP_SLACK
+            if dropped.any():
+                highs.deleteRows(int(dropped.sum()), np.flatnonzero(dropped).astype(np.int32))
+                deleted = True
+        rows = more_rows(x, keys[dropped])
+        keys, upper = keys[~dropped], upper[~dropped]
     return x
 
 
 def _stage_rows(n: int, k: int, grid: int) -> tuple[dict, dict, list]:
     """The grid LP's layout: each free series' class and indices among the LP
-    variables (delta comes last), and per stage l = 1..k-1 its fixed values
-    on the grid, its free series and its mask of x-independent rows."""
+    variables (delta comes last), and its row groups.  Stages l = 1..k-1
+    whose free series are the same share one row per angle, whose fixed
+    value is the least of theirs (for k = 3, stages 1 + B0 + A1 and 1 + A1).
+    A group is (its stages, its free series, its fixed values on the grid,
+    its mask of x-independent rows)."""
     resolved, free_names = _chain_structure(n, k)
     klass = {name: _resolve(resolved, name)[2] for name in free_names}
     params, width = {}, 0
@@ -415,7 +465,7 @@ def _stage_rows(n: int, k: int, grid: int) -> tuple[dict, dict, list]:
         size = len(_basis_orders(n, klass[name])[0])
         params[name] = np.arange(width, width + size)
         width += size
-    stages = []
+    groups: dict[tuple, tuple] = {}
     for ell in range(1, k):
         fixed = np.ones(grid + 1)
         names = []
@@ -425,10 +475,14 @@ def _stage_rows(n: int, k: int, grid: int) -> tuple[dict, dict, list]:
                 fixed += grid_values(payload.coeffs, grid)
             elif kind == "free":
                 names.append(root)
+        members, least = groups.get(tuple(names), ((), fixed))
+        groups[tuple(names)] = (members + (ell,), np.minimum(least, fixed))
+    stages = []
+    for names, (members, fixed) in groups.items():
         pinned = np.ones(grid + 1, dtype=bool)
         for name in names:
             pinned &= _pinned(n, klass[name], grid)
-        stages.append((fixed, names, pinned))
+        stages.append((members, list(names), fixed, pinned))
     return klass, params, stages
 
 
@@ -438,30 +492,30 @@ def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
     klass, params, stages = _stage_rows(n, k, grid)
     width = sum(len(p) for p in params.values())
     thetas = np.pi * np.arange(grid + 1) / grid
-    active = [np.zeros(grid + 1, dtype=bool) for _ in stages]
-
-    def free_series(x: np.ndarray) -> dict:
-        return {name: _series_from_params(n, klass[name], x[p]) for name, p in params.items()}
+    maps = {name: _coefficient_map(n, klass[name], p) for name, p in params.items()}
+    # the angles of each group that have a row in the LP; a row's key is
+    # its flat index here, group * (G + 1) + angle
+    active = np.zeros((len(stages), grid + 1), dtype=bool)
 
     def activate(indices: list) -> list:
-        """Mark the angles of each stage active and build their row batches."""
+        """Mark the angles of each group active and build their row batches."""
         batches = []
-        for (fixed, names, _), idx, used in zip(stages, indices, active):
+        for g, ((_, names, fixed, _), idx) in enumerate(zip(stages, indices)):
             if len(idx):
-                used[idx] = True
+                active[g, idx] = True
                 columns = np.concatenate([params[name] for name in names] + [[width]])
                 block = np.hstack(
                     [-_symmetric_basis(n, klass[name], thetas[idx]) for name in names]
                     + [np.ones((len(idx), 1))]
                 )
-                batches.append((columns, block, fixed[idx]))
+                batches.append((g * (grid + 1) + idx, columns, block, fixed[idx]))
         return batches
 
-    def violated_rows(x: np.ndarray) -> list:
-        free = free_series(x)
+    def violated_rows(x: np.ndarray, dropped: np.ndarray) -> list:
+        active.flat[dropped] = False
         indices = []
-        for (fixed, names, pinned), used in zip(stages, active):
-            coeffs = sum((free[name].coeffs for name in names), np.zeros(n - 1))
+        for (_, names, fixed, pinned), used in zip(stages, active):
+            coeffs = _scatter(n, [maps[name] for name in names], x)
             slack = fixed - x[-1] + grid_values(coeffs, grid)
             slack[pinned | used] = np.inf
             low = slack < -1e-9
@@ -470,14 +524,18 @@ def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
             indices.append(np.flatnonzero(minima if minima.any() else low))
         return activate(indices)
 
-    cap = min((f[p].min() for f, _, p in stages if p.any()), default=np.inf)
+    cap = min((f[p].min() for _, _, f, p in stages if p.any()), default=np.inf)
     # N + 1 angles spread evenly over [0, pi] (to the nearest grid angle): on
     # an even spread the trapezoid rule integrates every free series to 0, so
     # no choice of coefficients raises every row and delta is bounded
     start = grid * np.arange(n + 1) // n
-    first = activate([start[~pinned[start]] for _, _, pinned in stages])
+    first = activate([start[~pinned[start]] for _, _, _, pinned in stages])
     x = _maximize_last(width + 1, first, violated_rows) if first else np.r_[np.zeros(width), cap]
-    return float(min(cap, x[-1])), free_series(x)
+    free = {
+        name: CosineSeries(n=n, klass=klass[name], coeffs=_scatter(n, [maps[name]], x))
+        for name in params
+    }
+    return float(min(cap, x[-1])), free
 
 
 def search_free_series(
@@ -496,16 +554,27 @@ def search_free_series(
       where delta' is the optimum of the LP without them.  This is exact,
       since no choice of coefficients moves the cap.  These rows are also
       the ones that make the full LP degenerate.
-    * The LP without them is solved by exchange.  It starts from N + 1
-      evenly spread angles of each stage, enough to bound delta.  After
-      each solve every stage is evaluated on the full grid by
-      ``grid_values``.  The angles outside the LP that fall below delta by
-      more than 1e-9 and are local minima there (all of them, if none is)
-      become rows, and HiGHS re-solves warm from its last basis.  It stops
-      when no angle outside the LP falls below delta, so the solution holds
-      on the full grid.  Each round adds a row of a finite grid, so the
-      loop ends.  With no free series (k = 2) every row is fixed and no LP
-      is solved.
+    * Stages with the same free series (for k = 3, 1 + B0 + A1 and 1 + A1)
+      share one row per angle, at the least of their fixed values: the
+      same LP in fewer rows.
+    * The LP without the fixed rows is solved by exchange.  It starts from
+      N + 1 evenly spread angles of each stage, enough to bound delta.
+      After each solve every stage is evaluated on the full grid by one
+      coefficient scatter and one ``grid_values``.  The angles outside the
+      LP that fall below delta by more than 1e-9 and are local minima there
+      (all of them, if none is) become rows, and HiGHS re-solves warm from
+      its last basis.  After a solve in which delta fell strictly below
+      every earlier solve's, the rows more than DROP_SLACK above delta are
+      deleted and their angles leave the LP, to come back as rows if they
+      are violated again.  The loop stops when no angle outside the LP
+      falls below delta, so the solution holds on the full grid.
+    * The loop ends.  Deleting rows that do not bind leaves the solution
+      optimal, so delta never rises.  Between two strict falls rows are
+      only added, each time at least one angle of a finite grid.  Each
+      strict fall reaches a value below all earlier ones, and each value is
+      the optimum of one of finitely many row sets, so there are finitely
+      many falls and no row set recurs.  With no free series (k = 2) every
+      row is fixed and no LP is solved.
 
     delta* < 0 means no free choice works on this grid (strong evidence, not
     proof, of infeasibility) and None is returned.  Otherwise each stage of
@@ -513,7 +582,8 @@ def search_free_series(
     grid, and None is returned if one of them is infeasible.
 
     Returns (free series by name, certificate by stage) or None.  Raises
-    SolverError if a solve does not end optimal.
+    SolverError if a solve does not end optimal, after deletions even when
+    the same rows are solved again in a fresh model.
     """
     if k < 2:
         raise ValueError(f"search needs k >= 2, got {k}")

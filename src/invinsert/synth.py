@@ -208,9 +208,10 @@ def _cepstral_factor(q_poly: LaurentPoly) -> Optional[np.ndarray]:
     The grid doubles from half of max(FFT_MIN_SIZE, 16N) and stops on the
     first S whose h[:N] is within FACTOR_GRID_TOL of the S/2 grid's, the
     coefficient error of the S/2 grid.  A grid's even points are the last
-    grid, so each rung evaluates log Q only at its S/2 odd points.  Returns
-    None when Q is not positive on the grid or the cap is reached first, as
-    for zeros on the circle.
+    grid, so each rung evaluates log Q only at its S/2 odd points.  Q = 1,
+    the last stage of every chain, stops on the first rung.  Returns None
+    when Q is not positive on the grid or the cap is reached first, as for
+    zeros on the circle.
     """
     n = q_poly.n
     size = max(FFT_MIN_SIZE, 1 << (16 * n - 1).bit_length()) // 2
@@ -222,10 +223,15 @@ def _cepstral_factor(q_poly: LaurentPoly) -> Optional[np.ndarray]:
             return None
         # the new points' sums join the grid's turned by their offset
         turn = np.exp(-2j * np.pi * offset * np.arange(n) / grid)
-        sums = sums + turn * np.fft.rfft(np.log(values, out=values))[:n]
+        log_q = np.log(values, out=values)
+        sums = sums + turn * np.fft.rfft(log_q)[:n]
         c = sums / size
         c[0] /= 2
         h = _series_exp(c)
+        if coarse is None and not log_q.any():
+            # log Q = 0 at all of the first grid's >= 8N points, more than
+            # the 2N - 2 zeros Q - 1 can have, so Q = 1 and h = e_0 is exact
+            return np.conj(h[::-1])
         # the |P|^2 - Q gate alone can pass while P's coefficients are
         # still off; the change from the coarser grid tracks their error
         if coarse is not None and np.max(np.abs(h - coarse)) <= FACTOR_GRID_TOL:

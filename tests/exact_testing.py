@@ -9,9 +9,12 @@ for all stages l = 1..k-1 and all grid angles theta_i = pi i / G as one
 ``scipy.optimize.linprog``.  The library finds the same optimum by exchange
 without building this matrix; tests compare the two.
 
-``NonOptimalHighs`` stands in for the library's HiGHS binding and reports
-every solve as infeasible.  ``eval_series`` sums a cosine series directly,
-the reference for the library's FFT grid values.
+``NonOptimalHighs``, ``CountingHighs`` and ``FalseUnboundedHighs`` stand
+in for the library's HiGHS binding: the first reports every solve as
+infeasible, the second records the number of LP rows at every solve, and
+the third reports every solve of a model after a row deletion as unbounded.
+``eval_series`` sums a cosine series directly, the reference for the
+library's FFT grid values.
 """
 
 import numpy as np
@@ -42,9 +45,41 @@ class NonOptimalHighs:
         return HighsModelStatus.kInfeasible
 
 
-def dense_lp(n: int, k: int, grid: int) -> tuple[float, list]:
+class CountingHighs:
+    """The HiGHS binding, appending the model's row count at every solve to
+    the class list ``rows`` (all models share it; reset it before use)."""
+
+    rows: list = []
+
+    def __init__(self):
+        self._highs = _Highs()
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def run(self):
+        CountingHighs.rows.append(self._highs.getNumRow())
+        return self._highs.run()
+
+
+class FalseUnboundedHighs(CountingHighs):
+    """Counts rows like CountingHighs, and reports every solve after a row
+    deletion as unbounded, as HiGHS's warm start can after deleteRows."""
+
+    deleted = False
+
+    def deleteRows(self, *args):
+        self.deleted = True
+        return self._highs.deleteRows(*args)
+
+    def getModelStatus(self):
+        return HighsModelStatus.kUnbounded if self.deleted else self._highs.getModelStatus()
+
+
+def dense_lp(n: int, k: int, grid: int) -> tuple[float, list, list]:
     """delta* of the dense grid LP, and per stage its (G + 1) x width block
-    of free columns (the coefficients of the free series at each angle)."""
+    of free columns (the coefficients of the free series at each angle) and
+    its fixed values at those angles."""
     resolved, free_names = _chain_structure(n, k)
     thetas = np.linspace(0.0, np.pi, grid + 1)
     bases, offsets, width = {}, {}, 0
@@ -77,4 +112,4 @@ def dense_lp(n: int, k: int, grid: int) -> tuple[float, list]:
         method="highs",
     )
     assert result.success, result.message
-    return float(result.x[-1]), blocks
+    return float(result.x[-1]), blocks, rhs

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from exact_testing import NonOptimalHighs
 
-from invinsert import cli, exact, hilbert
+from invinsert import cli, exact, hilbert, synth
 from invinsert.errors import SchemaError
 
 TABLE_N64 = ["0.2036", "0.6495", "0.9615", "0.9997", "1.0000", "1.0000"]
@@ -257,6 +257,7 @@ class TestComposeAndRate:
         ["--h", "-1", "--all"],
         ["--h", "40", "--j", "1"],  # M^h past int64
         ["--h", "30", "--all"],
+        ["--h", "24", "--all"],  # 6^24 answers: below 2^63, past ALL_ANSWERS_MAX
     ])
     def test_compose_usage_errors_exit_64(self, capsys, monkeypatch, argv):
         def no_synthesis(*args, **kwargs):
@@ -281,6 +282,28 @@ class TestComposeAndRate:
             "--schedule", missing,
         )
         assert code == 65
+
+    def test_compose_all_cap(self, capsys, tmp_path):
+        # --all is refused past ALL_ANSWERS_MAX before the schedule file is
+        # read (a missing one would exit 65); one answer of the same size runs
+        assert cli.ALL_ANSWERS_MAX < 6**24 < 2**63
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(
+            capsys, "compose", "--m", "6", "--k", "2", "--h", "24", "--all",
+            "--schedule", missing,
+        )
+        assert code == 64 and out == "" and err.count("\n") == 1
+        assert err.startswith("invinsert: --all: M^h = 6^24 answers")
+        path = tmp_path / "s6.json"
+        hilbert.save_schedule(synth.synthesize_exact(6, 2, {})[0], path)
+        j = 6**24 - 12345
+        code, out, _ = run_cli(
+            capsys, "compose", "--m", "6", "--k", "2", "--h", "24", "--j", str(j),
+            "--schedule", str(path),
+        )
+        results = json.loads(out)["results"]
+        assert code == 0 and results["all_recovered"]
+        assert results["runs"][0]["found_j"] == j and results["runs"][0]["queries_used"] == 48
 
     def test_rate_prints_4dp(self, capsys):
         code, out, _ = run_cli(capsys, "rate", "--k", "3", "--m", "52")

@@ -5,7 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from exact_testing import NonOptimalHighs, dense_lp, eval_series
+from exact_testing import (
+    CountingHighs,
+    FalseUnboundedHighs,
+    NonOptimalHighs,
+    dense_lp,
+    eval_series,
+)
 
 from invinsert import exact
 from invinsert.errors import ContractError, SchemaError, SolverError
@@ -326,7 +332,7 @@ class TestSearchFreeSeries:
         assert search_free_series(6, 3) is None
 
 
-PARITY_CASES = [(6, 2), (7, 2), (6, 3), (16, 3), (52, 3), (57, 3), (24, 4)]
+PARITY_CASES = [(6, 2), (7, 2), (6, 3), (16, 3), (52, 3), (57, 3), (24, 4), (40, 5)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -338,19 +344,46 @@ class TestExchangeSearch:
     @pytest.mark.parametrize("n,k", PARITY_CASES)
     def test_delta_matches_dense_lp(self, n, k):
         delta, _ = exact._max_min_slack(n, k, default_grid(n))
-        dense_delta, _ = dense_reference(n, k)
+        dense_delta, _, _ = dense_reference(n, k)
         assert abs(delta - dense_delta) <= 1e-9
         assert (search_free_series(n, k) is not None) == (dense_delta >= 0)
 
     @pytest.mark.parametrize("n,k", PARITY_CASES)
     def test_fixed_rows_are_the_dense_zero_rows(self, n, k):
-        # rows found from the class structure are exactly the rows where
-        # every free column of the dense LP vanishes
-        _, _, stages = exact._stage_rows(n, k, default_grid(n))
-        _, blocks = dense_reference(n, k)
-        assert len(stages) == len(blocks) == k - 1
-        for (_, _, pinned), block in zip(stages, blocks):
-            np.testing.assert_array_equal(pinned, np.all(np.abs(block) < 1e-12, axis=1))
+        # a row group holds the stages with the same free series, so its
+        # members have the same dense free columns; its rows found from the
+        # class structure are exactly the rows where every free column of
+        # each member vanishes, and its fixed values are the least of theirs
+        _, _, groups = exact._stage_rows(n, k, default_grid(n))
+        _, blocks, fixed = dense_reference(n, k)
+        assert len(blocks) == k - 1
+        assert sorted(ell for members, _, _, _ in groups for ell in members) == list(range(1, k))
+        for members, _, least, pinned in groups:
+            for ell in members:
+                np.testing.assert_array_equal(blocks[ell - 1], blocks[members[0] - 1])
+                np.testing.assert_array_equal(
+                    pinned, np.all(np.abs(blocks[ell - 1]) < 1e-12, axis=1)
+                )
+            np.testing.assert_array_equal(least, np.min([fixed[ell - 1] for ell in members], axis=0))
+        firsts = [blocks[members[0] - 1] for members, _, _, _ in groups]
+        for i, a in enumerate(firsts):
+            assert not any(np.array_equal(a, b) for b in firsts[i + 1:])
+
+    def test_k3_stages_share_their_rows(self):
+        # 1 + B0 + A1 and 1 + A1 have the one free series A1
+        _, _, groups = exact._stage_rows(52, 3, default_grid(52))
+        assert [(members, names) for members, names, _, _ in groups] == [((1, 2), ["A1"])]
+        _, _, groups = exact._stage_rows(52, 4, default_grid(52))
+        assert [members for members, _, _, _ in groups] == [(1,), (2,), (3,)]
+
+    @pytest.mark.parametrize("n,k,parent_peak,peak", [(52, 3, 241, 160), (100, 4, 554, 420)])
+    def test_lp_holds_fewer_rows(self, monkeypatch, n, k, parent_peak, peak):
+        # without merged stages and dropped slack rows the LP peaks at 241
+        # and 554 rows here; with them at 125 and 330
+        monkeypatch.setattr(exact, "_Highs", CountingHighs)
+        monkeypatch.setattr(CountingHighs, "rows", [])
+        assert search_free_series(n, k) is not None
+        assert max(CountingHighs.rows) <= peak < parent_peak
 
     def test_verdicts_at_paper_sizes(self):
         found = {n: search_free_series(n, 3) is not None for n in (52, 56, 57)}
@@ -369,18 +402,72 @@ class TestExchangeSearch:
 
     def test_highs_binding_solves_a_known_lp(self):
         # max t s.t. t - x <= 1, t + x <= 3 has t = 2 at x = 1; the added row
-        # t <= 1.5 is solved warm and moves the optimum to t = 1.5
+        # t <= 1.5 is solved warm and moves the optimum to t = 1.5, which
+        # leaves one of the first two rows with slack 1, so it is dropped
         added = []
 
-        def more_rows(x):
-            added.append(x.copy())
-            return [] if len(added) > 1 else [([1], np.array([[1.0]]), np.array([1.5]))]
+        def more_rows(x, dropped):
+            added.append((x.copy(), dropped.tolist()))
+            return [] if len(added) > 1 else [([12], [1], np.array([[1.0]]), np.array([1.5]))]
 
-        rows = [([0, 1], np.array([[-1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 3.0]))]
+        rows = [([10, 11], [0, 1], np.array([[-1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 3.0]))]
         x = exact._maximize_last(2, rows, more_rows)
-        np.testing.assert_allclose(added[0], [1.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(added[0][0], [1.0, 2.0], atol=1e-12)
+        assert added[0][1] == []  # both rows bind at the first optimum
         assert x[1] == pytest.approx(1.5, abs=1e-12)
         assert x[0] - x[1] >= -1 - 1e-12 and x[0] + x[1] <= 3 + 1e-12
+        slack = {10: 1 + x[0] - x[1], 11: 3 - x[0] - x[1], 12: 1.5 - x[1]}
+        assert added[1][1] == [key for key, value in slack.items() if value > exact.DROP_SLACK]
+        assert len(added[1][1]) == 1
+
+    def test_slack_row_leaves_only_when_delta_falls(self, monkeypatch):
+        # t <= 5 has slack 3 at the first optimum t = 2 and is deleted, with
+        # t = 2 unchanged; t <= 4 comes in with slack 2, but the re-solve
+        # does not lower t, so it stays
+        monkeypatch.setattr(exact, "_Highs", CountingHighs)
+        monkeypatch.setattr(CountingHighs, "rows", [])
+        calls = []
+
+        def more_rows(x, dropped):
+            calls.append((x.copy(), dropped.tolist()))
+            return [] if len(calls) > 1 else [([8], [1], np.array([[1.0]]), np.array([4.0]))]
+
+        rows = [
+            ([5, 6], [0, 1], np.array([[-1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 3.0])),
+            ([7], [1], np.array([[1.0]]), np.array([5.0])),
+        ]
+        x = exact._maximize_last(2, rows, more_rows)
+        assert [dropped for _, dropped in calls] == [[7], []]
+        for seen in (calls[0][0], calls[1][0], x):
+            np.testing.assert_allclose(seen, [1.0, 2.0], atol=1e-12)
+        assert CountingHighs.rows == [3, 3]  # one row deleted, one added
+
+    def test_false_status_after_deletion_is_solved_afresh(self, monkeypatch):
+        # the warm solve after t <= 5 is deleted reports unbounded; the same
+        # rows solved in a fresh model give the optimum t = 2
+        monkeypatch.setattr(exact, "_Highs", FalseUnboundedHighs)
+        monkeypatch.setattr(CountingHighs, "rows", [])
+        calls = []
+
+        def more_rows(x, dropped):
+            calls.append(dropped.tolist())
+            return [] if len(calls) > 1 else [([8], [1], np.array([[1.0]]), np.array([4.0]))]
+
+        rows = [
+            ([5, 6], [0, 1], np.array([[-1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 3.0])),
+            ([7], [1], np.array([[1.0]]), np.array([5.0])),
+        ]
+        x = exact._maximize_last(2, rows, more_rows)
+        np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-12)
+        assert calls == [[7], []]
+        assert CountingHighs.rows == [3, 3, 3]  # the third solve is the fresh model
+
+    def test_search_at_n300_k4(self):
+        # with slack rows deleted, the warm solve of one round here ends
+        # 'Unbounded' (HiGHS as bundled with scipy 1.17) on rows that bound
+        # delta; the search still ends on delta* = 0.00333342472
+        delta, _ = exact._max_min_slack(300, 4, default_grid(300))
+        assert delta == pytest.approx(0.00333342472, abs=1e-11)
 
     def test_non_optimal_solve_raises(self, monkeypatch):
         monkeypatch.setattr(exact, "_Highs", NonOptimalHighs)

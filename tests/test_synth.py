@@ -184,8 +184,9 @@ PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 class TestCepstralFactor:
     @pytest.mark.parametrize("n,k,name,rungs", [
-        (150, 4, "free-150-4.json", [131072, 65536, 65536, 4096]),
-        (52, 3, "free-52-3.json", [16384, 8192, 1024]),
+        # the last stage, Q = 1, stops on the first rung
+        (150, 4, "free-150-4.json", [131072, 65536, 65536, 2048]),
+        (52, 3, "free-52-3.json", [16384, 8192, 512]),
     ])
     def test_accepted_grid_per_stage(self, monkeypatch, n, k, name, rungs):
         # the finest grid Q is evaluated on is the grid the factor accepts;
@@ -205,6 +206,25 @@ class TestCepstralFactor:
             assert synth._cepstral_factor(q_from_chain(*chain.stages[ell])) is not None
             accepted.append(max(grids))
         assert accepted == rungs
+
+    @pytest.mark.parametrize("n", [2, 6, 52, 150])
+    def test_q_one_evaluates_one_rung(self, monkeypatch, n):
+        # A_k = B_k = 0 ends every chain; Q = 1 has the factor z^(N-1), and
+        # log Q = 0 on the first rung's points already proves Q = 1
+        q = q_from_chain(zero_series(n, "A"), zero_series(n, "B"))
+        original = LaurentPoly.circle_values
+        grids = []
+
+        def recording(self, grid, offset=0.0):
+            grids.append(grid)
+            return original(self, grid, offset)
+
+        monkeypatch.setattr(LaurentPoly, "circle_values", recording)
+        coeffs = synth._cepstral_factor(q)
+        assert grids == [max(synth.FFT_MIN_SIZE, 1 << (16 * n - 1).bit_length()) // 2]
+        expected = np.zeros(n, dtype=complex)
+        expected[-1] = 1.0
+        np.testing.assert_array_equal(coeffs, expected)
 
     def test_series_exp_matches_fft_exp(self):
         # exp of a short polynomial is entire, so its coefficients on a
