@@ -7,7 +7,7 @@ class ContractError(RuntimeError):
 
 
 class FactorizationError(RuntimeError):
-    """Spectral factorization could not pair or select roots reliably."""
+    """Spectral factorization failed a Newton solve or its |P|^2 = Q check."""
 
 
 class CompositionError(RuntimeError):

@@ -24,8 +24,8 @@ angle, at the least of their fixed values.  The rest is solved by exchange
 on HiGHS: start from N + 1 angles per stage, evaluate every stage on the
 full grid after each solve, add the violated local minima as rows and
 re-solve warm, and stop when no angle outside the LP is violated.  After a
-solve that lowers delta, rows far above it leave the LP; their angles may
-come back as rows if they are violated again.
+solve that lowers delta by more than roundoff, rows far above it leave the
+LP; their angles may come back as rows if they are violated again.
 
 Sine-sector coefficients are identically zero throughout: the endpoints have
 none and dropping them loses no generality.
@@ -51,8 +51,9 @@ NUMERICALLY_NONNEGATIVE = "numerically_nonnegative"
 INFEASIBLE = "infeasible"
 
 INFEASIBILITY_TOL = -1e-9
-# after a solve that lowers delta, LP rows this far above it leave the LP
+# after delta falls by over FALL_TOL, LP rows over DROP_SLACK above it leave
 DROP_SLACK = 0.1
+FALL_TOL = 1e-12
 
 
 def default_grid(n: int) -> int:
@@ -393,13 +394,13 @@ def _maximize_last(n_vars: int, rows: list, more_rows) -> np.ndarray:
 
     A row batch (keys, columns, block, upper) stands for
     block[i] @ var[columns] <= upper[i], and keys[i] names that row to the
-    caller.  After a solve in which the last variable fell strictly below
-    every earlier solve's, the rows whose slack exceeds DROP_SLACK are
-    deleted, and more_rows gets their keys as `dropped` (no keys after any
-    other solve).  Deleting rows that do not bind leaves x optimal, so the
-    optimum never rises and the LP stays bounded.  A warm solve after
-    deletions can still end in a false status ('Unbounded' at (300, 4));
-    the same rows are then solved once more in a fresh model.  Every call
+    caller.  After a solve in which the last variable fell more than
+    FALL_TOL below every earlier solve's, the rows whose slack exceeds
+    DROP_SLACK are deleted, and more_rows gets their keys as `dropped` (no
+    keys after any other solve).  Deleting rows that do not bind leaves x
+    optimal, so the optimum never rises and the LP stays bounded.  A warm
+    solve after deletions can still end in a false status ('Unbounded' at
+    (300, 4)); the same rows are then solved once more in a fresh model.  Every call
     into scipy's private HiGHS binding is made here, so a change to that
     binding fails here.  Raises SolverError unless every solve ends optimal.
     """
@@ -440,12 +441,12 @@ def _maximize_last(n_vars: int, rows: list, more_rows) -> np.ndarray:
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         dropped = np.zeros(len(keys), dtype=bool)
-        if x[-1] < best:
-            best = x[-1]
+        if x[-1] < best - FALL_TOL:
             dropped = upper - np.array(solution.row_value) > DROP_SLACK
             if dropped.any():
                 highs.deleteRows(int(dropped.sum()), np.flatnonzero(dropped).astype(np.int32))
                 deleted = True
+        best = min(best, x[-1])
         rows = more_rows(x, keys[dropped])
         keys, upper = keys[~dropped], upper[~dropped]
     return x
@@ -563,18 +564,20 @@ def search_free_series(
       coefficient scatter and one ``grid_values``.  The angles outside the
       LP that fall below delta by more than 1e-9 and are local minima there
       (all of them, if none is) become rows, and HiGHS re-solves warm from
-      its last basis.  After a solve in which delta fell strictly below
-      every earlier solve's, the rows more than DROP_SLACK above delta are
-      deleted and their angles leave the LP, to come back as rows if they
-      are violated again.  The loop stops when no angle outside the LP
-      falls below delta, so the solution holds on the full grid.
+      its last basis.  After a solve in which delta fell more than
+      FALL_TOL below every earlier solve's, the rows more than DROP_SLACK
+      above delta are deleted and their angles leave the LP, to come back
+      as rows if they are violated again.  The loop stops when no angle
+      outside the LP falls below delta, so the solution holds on the full
+      grid.
     * The loop ends.  Deleting rows that do not bind leaves the solution
-      optimal, so delta never rises.  Between two strict falls rows are
-      only added, each time at least one angle of a finite grid.  Each
-      strict fall reaches a value below all earlier ones, and each value is
-      the optimum of one of finitely many row sets, so there are finitely
-      many falls and no row set recurs.  With no free series (k = 2) every
-      row is fixed and no LP is solved.
+      optimal, so delta never rises.  Between two falls of more than
+      FALL_TOL rows are only added, each time at least one angle of a
+      finite grid.  Each such fall lowers the least delta so far by more
+      than FALL_TOL, and no delta is below the optimum of the LP with every
+      grid row, so there are finitely many of them.  A smaller fall is
+      roundoff (4e-14 at (24, 5)) and deletes nothing.  With no free series
+      (k = 2) every row is fixed and no LP is solved.
 
     delta* < 0 means no free choice works on this grid (strong evidence, not
     proof, of infeasibility) and None is returned.  Otherwise each stage of

@@ -20,15 +20,12 @@ minimum-phase construction, H = exp(causal part of log Q) (Sayed & Kailath,
 2001).  H's first N coefficients need only the first N cepstral
 coefficients, which a real FFT of log Q on a grid gives, and a power-series
 exponential turns them into h_0..h_{N-1} exactly.  The grid doubles until
-two successive grids agree within FACTOR_GRID_TOL.  Q with zeros on the
-circle, such as the start polynomial's squared magnitude, makes log Q
-singular and does not converge; it is
-factored from the companion-matrix roots of z^M Q(z) instead.  Circle zeros
-come in clusters of even multiplicity whose symmetric eigenvalue splits are
-halved by sqrt(z1 z2), and P's coefficients are recovered by evaluating the
-root product on roots of unity and inverse transforming, which avoids the
-instability of coefficient-by-coefficient expansion.  Either way |P|^2 - Q
-is checked on the circle against FACTOR_GRID_TOL.
+two successive grids agree within FACTOR_GRID_TOL.  Zeros on the circle,
+as in the start polynomial's squared magnitude, make log Q singular, and
+zeros near it keep the grids apart past FFT_MAX_SIZE; such Q are factored
+by Wilson's Newton iteration on the equations sum_j conj(h_j) h_{j+r} = q_r
+instead, started from a constant.  Either way |P|^2 - Q is checked on the
+circle against FACTOR_GRID_TOL.
 """
 
 from __future__ import annotations
@@ -51,11 +48,10 @@ from .exact import (
 )
 from .hilbert import PhaseSchedule
 
-CIRCLE_TOL = 1e-7       # |abs(root) - 1| below this joins a circle cluster
-CLUSTER_ANGLE_TOL = 1e-5
 FACTOR_GRID_TOL = 1e-8
 FFT_MIN_SIZE = 1 << 10  # the first grid the factor may stop on is max(this, 16N)
 FFT_MAX_SIZE = 1 << 18  # points; it doubles up to this cap
+NEWTON_STEPS = 100      # cap on Newton factor steps
 ZERO_AMP_TOL = 1e-12    # arbitrary-phase threshold in phase extraction
 MAGNITUDE_TOL = 1e-8    # stage state vs oracle image, momentum by momentum
 
@@ -81,8 +77,8 @@ class LaurentPoly:
             )
         herm = np.conj(q[::-1])
         scale = max(float(np.abs(q).max()), 1.0)
-        if np.max(np.abs(q - herm)) > 1e-10 * scale:
-            raise ContractError("coefficients violate Hermitian symmetry")
+        if not np.max(np.abs(q - herm)) <= 1e-10 * scale:  # also on NaN
+            raise ContractError("coefficients are not finite or violate Hermitian symmetry")
         q = q.copy()
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -137,51 +133,6 @@ def q_from_chain(a: CosineSeries, b: CosineSeries) -> LaurentPoly:
         q[n - 1 + r] = half[r - 1]
         q[n - 1 - r] = half[r - 1]
     return LaurentPoly(n=n, q=q)
-
-
-def _collapse_circle_clusters(circ: np.ndarray) -> list:
-    """Halve each even-multiplicity circle cluster.
-
-    Adjacent split pairs are reduced with sqrt(z1 z2), which cancels the
-    first-order eigenvalue perturbation of a double zero.
-    """
-    circ = circ[np.argsort(np.angle(circ))]
-    clusters = [[circ[0]]]
-    for z in circ[1:]:
-        if abs(np.angle(z / clusters[-1][-1])) < CLUSTER_ANGLE_TOL:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    if len(clusters) > 1 and abs(np.angle(clusters[0][0] / clusters[-1][-1])) < CLUSTER_ANGLE_TOL:
-        clusters[0] = clusters.pop() + clusters[0]
-    reps = []
-    for cluster in clusters:
-        if len(cluster) % 2 != 0:
-            raise FactorizationError(
-                f"unit-circle zero cluster of odd size {len(cluster)} near angle "
-                f"{np.angle(cluster[0]):.6f}; nonnegativity on the circle is suspect"
-            )
-        for i in range(0, len(cluster), 2):
-            rep = np.sqrt(cluster[i] * cluster[i + 1])
-            if abs(rep - cluster[i]) > abs(rep + cluster[i]):
-                rep = -rep
-            reps.append(rep)
-    return reps
-
-
-def _coeffs_from_roots(
-    roots: list, scale: float, n_coeffs: int, shift: int
-) -> np.ndarray:
-    """Ascending coefficients of scale * z^shift * prod(z - root).
-
-    Evaluates the product on the n_coeffs-th roots of unity and inverse
-    transforms; exact interpolation for a degree < n_coeffs polynomial.
-    """
-    w = np.exp(2j * np.pi * np.arange(n_coeffs) / n_coeffs)
-    values = scale * w**shift
-    for root in roots:
-        values = values * (w - root)
-    return np.fft.fft(values) / n_coeffs
 
 
 def _series_exp(c: np.ndarray) -> np.ndarray:
@@ -242,58 +193,64 @@ def _cepstral_factor(q_poly: LaurentPoly) -> Optional[np.ndarray]:
     return None
 
 
-def _root_factor(q_poly: LaurentPoly) -> np.ndarray:
-    """Factor coefficients from the zeros of z^M Q(z), for Q that the FFT
-    factor cannot take, as with zeros on the circle.  Vanishing leading coefficients are deflated and the lost
-    degree restored as a z^d prefactor; the zeros inside the disk and one
-    of each pair of circle zeros build P.
+def _newton_factor(q_poly: LaurentPoly) -> np.ndarray:
+    """Wilson's Newton iteration for sum_j conj(h_j) h_{j+r} = q_r, r < N,
+    for Q that the cepstral factor cannot take (G. T. Wilson, SIAM J.
+    Numer. Anal. 6, 1969).  Each step solves T h' + K conj(h') = q + T h,
+    with T[r, m] = conj(h_{m-r}) and K[r, j] = h_{j+r}, as a real system in
+    (Re h', Im h'), 32 N^2 bytes; its row for Im at r = 0 vanishes and is
+    replaced by the gauge Im h'_0 = 0.  From h = sqrt(q_0) e_0, which has no
+    zeros, the iterates converge to the minimum-phase factor, quadratically
+    for Q positive on the circle and linearly for Q with zeros on it, whose
+    coefficient error levels off near 1e-8.  So the iteration stops on the
+    first step no shorter than the one before and keeps the iterate it had.
+    Raises ContractError when q_0, the mean of Q on the circle, is not
+    positive, and FactorizationError on a singular solve or when the steps
+    still shrink after NEWTON_STEPS.
     """
     n = q_poly.n
-    mid = n - 1
-    mags = np.abs(q_poly.q)
-    defl_tol = 1e-12 * max(float(mags.max()), 1.0)
-    top = 0
-    for r in range(n - 1, 0, -1):
-        if mags[mid + r] > defl_tol:
-            top = r
-            break
-
-    roots = np.roots(q_poly.q[mid - top: mid + top + 1][::-1])
-    on_circle = np.abs(np.abs(roots) - 1) < CIRCLE_TOL
-    selected = list(roots[~on_circle & (np.abs(roots) < 1)])
-    if on_circle.any():
-        selected.extend(_collapse_circle_clusters(roots[on_circle]))
-    if len(selected) != top:
-        raise FactorizationError(
-            f"selected {len(selected)} roots for a degree-{top} factor"
-        )
-
-    d_scale = q_poly.coeff(top) * (-1) ** top / np.prod(np.conj(selected))
-    if abs(d_scale.imag) > 1e-8 * abs(d_scale) or d_scale.real <= 0:
-        raise ContractError(
-            f"factor scale {d_scale} is not real positive; Q is not "
-            "nonnegative on the circle"
-        )
-    return _coeffs_from_roots(selected, np.sqrt(d_scale.real), n, n - 1 - top)
+    q = q_poly.q[n - 1:]
+    if not q[0].real > 0:
+        raise ContractError(f"q_0 = {q[0].real:.3e}, the mean of Q on the circle, is not positive")
+    lag = np.arange(n) - np.arange(n)[:, None]  # < 0 indexes the zero padding
+    sums = np.arange(n) + np.arange(n)[:, None]
+    h = np.zeros(n, dtype=complex)
+    h[0] = np.sqrt(q[0].real)
+    last = np.inf
+    for _ in range(NEWTON_STEPS):
+        re, im = np.r_[h.real, np.zeros(n)], np.r_[h.imag, np.zeros(n)]
+        system = np.block([[re[lag] + re[sums], im[lag] + im[sums]],
+                           [im[sums] - im[lag], re[lag] - re[sums]]])
+        system[n] = np.arange(2 * n) == n  # the gauge row
+        rhs = q + np.correlate(h, h, "full")[n - 1:]  # q_r + sum_j conj(h_j) h_{j+r}
+        try:
+            new = np.linalg.solve(system, np.r_[rhs.real, 0.0, rhs.imag[1:]])
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(f"Newton step: {exc}") from exc
+        new = new[:n] + 1j * new[n:]
+        step = np.max(np.abs(new - h))
+        if not step < last:  # also on NaN
+            return np.conj(h[::-1])
+        h, last = new, step
+    raise FactorizationError(f"Newton steps still shrink after {NEWTON_STEPS}")
 
 
 def spectral_factor(q_poly: LaurentPoly) -> Poly:
     """Factor Q(z) = P(z) conj(P(1/conj(z))) with |P|^2 = Q on the circle.
 
-    P has its zeros in the closed unit disk.  Q positive on the circle
-    takes the FFT (cepstral) factor, so Q = 1 factors as z^(N-1); only Q
-    that is not positive on the FFT grid, or does not converge by its cap,
-    reaches the roots of z^M Q(z).
+    P has its zeros in the closed unit disk and a real positive leading
+    coefficient.  Q positive on the circle takes the FFT (cepstral) factor,
+    so Q = 1 factors as z^(N-1); only Q that is not positive on the FFT
+    grid, or does not converge by its cap, takes the Newton factor.
 
-    Raises FactorizationError when the zeros cannot be split (a circle
-    cluster of odd size, or the wrong number inside the disk) or |P|^2
-    misses Q on the circle, and ContractError when the overall scale D
-    fails to be real and positive.
+    Raises FactorizationError when the Newton iteration fails or |P|^2 misses Q
+    on the 64N-point grid by more than FACTOR_GRID_TOL, as for Q that
+    changes sign, and ContractError when q_0 is not positive.
     """
     n = q_poly.n
     coeffs = _cepstral_factor(q_poly)
     if coeffs is None:
-        coeffs = _root_factor(q_poly)
+        coeffs = _newton_factor(q_poly)
     poly = Poly(degree=n - 1, coeffs=coeffs)
 
     grid = 64 * n

@@ -9,10 +9,12 @@ for all stages l = 1..k-1 and all grid angles theta_i = pi i / G as one
 ``scipy.optimize.linprog``.  The library finds the same optimum by exchange
 without building this matrix; tests compare the two.
 
-``NonOptimalHighs``, ``CountingHighs`` and ``FalseUnboundedHighs`` stand
-in for the library's HiGHS binding: the first reports every solve as
-infeasible, the second records the number of LP rows at every solve, and
-the third reports every solve of a model after a row deletion as unbounded.
+``NonOptimalHighs``, ``CountingHighs``, ``FalseUnboundedHighs`` and
+``RoundoffHighs`` stand in for the library's HiGHS binding: the first
+reports every solve as infeasible, the second records the number of LP rows
+at every solve, the third reports every solve of a model after a row
+deletion as unbounded, and the fourth reports the last variable a roundoff
+lower at every solve after the first.
 ``eval_series`` sums a cosine series directly, the reference for the
 library's FFT grid values.
 """
@@ -74,6 +76,25 @@ class FalseUnboundedHighs(CountingHighs):
 
     def getModelStatus(self):
         return HighsModelStatus.kUnbounded if self.deleted else self._highs.getModelStatus()
+
+
+class RoundoffHighs(CountingHighs):
+    """Counts rows like CountingHighs, and reports the last variable 4e-14
+    below HiGHS's value at every solve after the first, a fall of the size
+    that roundoff gives."""
+
+    solves = 0
+
+    def run(self):
+        self.solves += 1
+        return super().run()
+
+    def getSolution(self):
+        solution = self._highs.getSolution()
+        if self.solves > 1:
+            values = solution.col_value
+            solution.col_value = values[:-1] + [values[-1] - 4e-14]
+        return solution
 
 
 def dense_lp(n: int, k: int, grid: int) -> tuple[float, list, list]:

@@ -9,6 +9,7 @@ from exact_testing import (
     CountingHighs,
     FalseUnboundedHighs,
     NonOptimalHighs,
+    RoundoffHighs,
     dense_lp,
     eval_series,
 )
@@ -441,6 +442,23 @@ class TestExchangeSearch:
         for seen in (calls[0][0], calls[1][0], x):
             np.testing.assert_allclose(seen, [1.0, 2.0], atol=1e-12)
         assert CountingHighs.rows == [3, 3]  # one row deleted, one added
+
+    def test_roundoff_fall_deletes_no_rows(self, monkeypatch):
+        # t <= 5 comes in after the first optimum t = 2 with slack 3; the
+        # re-solve reports t 4e-14 lower, below FALL_TOL, so no row leaves
+        monkeypatch.setattr(exact, "_Highs", RoundoffHighs)
+        monkeypatch.setattr(CountingHighs, "rows", [])
+        calls = []
+
+        def more_rows(x, dropped):
+            calls.append((x.copy(), dropped.tolist()))
+            return [] if len(calls) > 1 else [([7], [1], np.array([[1.0]]), np.array([5.0]))]
+
+        rows = [([5, 6], [0, 1], np.array([[-1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 3.0]))]
+        x = exact._maximize_last(2, rows, more_rows)
+        assert 0 < 2 - x[1] < exact.FALL_TOL
+        assert [dropped for _, dropped in calls] == [[], []]
+        assert CountingHighs.rows == [2, 3]
 
     def test_false_status_after_deletion_is_solved_afresh(self, monkeypatch):
         # the warm solve after t <= 5 is deleted reports unbounded; the same

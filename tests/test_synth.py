@@ -148,7 +148,7 @@ class TestSpectralFactor:
     @pytest.mark.parametrize("n", [3, 52])
     def test_memory_bounded_by_fft_cap(self, n):
         # N = 3's circle zeros miss every FFT grid, so its Q walks the grid
-        # to the cap before taking the root path; N = 52's lie on the first grid
+        # to the cap before taking the Newton path; N = 52's lie on the first grid
         tracemalloc.start()
         try:
             spectral_factor(triangular_q(n))
@@ -177,6 +177,67 @@ class TestSpectralFactor:
         q = q_from_chain(zero_series(7, "A"), b0(7))
         with pytest.raises((FactorizationError, ContractError)):
             spectral_factor(q)
+
+    @pytest.mark.parametrize("q", [
+        [0, 0, 0, 0, 0], [0, 0, -1, 0, 0], [np.nan, 0, 1, 0, np.nan],
+    ], ids=["zero", "minus-one", "nan"])
+    def test_q_without_factor_raises_typed_errors(self, q):
+        # Q = 0 and Q = -1 are not positive on any grid, so they reach the
+        # Newton factor, which has no start sqrt(q_0) e_0 for them; a Q with
+        # NaN coefficients would pass the NaN-blind |P|^2 - Q gate
+        with pytest.raises((FactorizationError, ContractError)):
+            spectral_factor(LaurentPoly(n=3, q=np.array(q, dtype=complex)))
+
+    def test_newton_step_cap_raises(self, monkeypatch):
+        # the triangular Q converges linearly, about 27 steps at N = 6
+        monkeypatch.setattr(synth, "NEWTON_STEPS", 5)
+        with pytest.raises(FactorizationError, match="after 5"):
+            spectral_factor(triangular_q(6))
+
+    @pytest.mark.parametrize("n,k", [(16, 3), (52, 3)])
+    def test_newton_factor_is_minimum_phase(self, n, k, monkeypatch):
+        # a factor with a zero reflected outside the disk passes the |P|^2 - Q
+        # gate as well; the reference selects the zeros inside it
+        free, _ = search_free_series(n, k)
+        chain = build_chain(n, k, free)
+        monkeypatch.setattr(synth, "_cepstral_factor", lambda q: None)
+        for ell in range(1, k + 1):
+            q = q_from_chain(*chain.stages[ell])
+            ref = root_reference(q)
+            coeffs = spectral_factor(q).coeffs
+            i = np.argmax(np.abs(ref))
+            phase = coeffs[i] / ref[i] / abs(coeffs[i] / ref[i])
+            np.testing.assert_allclose(coeffs, ref * phase, rtol=0, atol=1e-10)
+
+    def test_complex_q_with_circle_zeros(self):
+        # P is known, with two zeros on the circle and one inside it, and
+        # complex coefficients; its circle zeros keep Q off the cepstral factor
+        roots = np.exp(1j * np.array([0.3, 1.1, 2.0])) * np.array([1.0, 1.0, 0.5])
+        p_coeffs = np.poly(roots)[::-1]
+        q = LaurentPoly(n=4, q=np.convolve(p_coeffs, np.conj(p_coeffs[::-1])))
+        assert synth._cepstral_factor(q) is None
+        coeffs = spectral_factor(q).coeffs
+        phase = coeffs[-1] / abs(coeffs[-1])
+        np.testing.assert_allclose(coeffs, p_coeffs * phase, rtol=0, atol=1e-6)
+
+    def test_n300_k4_stage_one_takes_newton(self, monkeypatch):
+        # free series from `invinsert exact search --k 4 --n 300 --out`; stage
+        # 1's cepstral factor still moves by 1.8e-7 at FFT_MAX_SIZE
+        n, k = 300, 4
+        free = cli._load_free_series(n, k, [Path(__file__).parent / "data" / "free-300-4.json"])
+        chain = build_chain(n, k, free)
+        newton = synth._newton_factor
+        factored = []
+
+        def recording(q):
+            factored.append(q)
+            return newton(q)
+
+        monkeypatch.setattr(synth, "_newton_factor", recording)
+        _, report = synthesize_exact(n, k, free)
+        assert report["exact"]
+        assert len(factored) == 1
+        np.testing.assert_array_equal(factored[0].q, q_from_chain(*chain.stages[1]).q)
 
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
