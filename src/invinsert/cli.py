@@ -237,8 +237,8 @@ def cmd_exact_synth(args) -> int:
 def cmd_verify(args) -> int:
     schedule = hilbert.load_schedule(args.schedule)
     n = schedule.n
-    success = np.concatenate([p for _, p in hilbert.run_all_answers(schedule)]).tolist()
-    columns = [synth.v_column(stage, n) for stage in schedule.stages]
+    success = np.concatenate([p for _, p in hilbert.run_all_answers(schedule)])
+    columns = synth.v_column(schedule.stages, n)
     if args.format == "json":
         _emit_report(
             "verify",
@@ -247,10 +247,8 @@ def cmd_verify(args) -> int:
                 "n": n,
                 "k": schedule.k,
                 "success_probs": success,
-                "min_success_prob": min(success),
-                "v_columns": [
-                    [[float(c.real), float(c.imag)] for c in col] for col in columns
-                ],
+                "min_success_prob": float(success.min()),
+                "v_columns": np.stack([columns.real, columns.imag], -1),
             },
         )
     else:

@@ -34,14 +34,13 @@ none and dropping them loses no generality.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractError, SchemaError, SolverError
-from .hilbert import write_json
+from .hilbert import read_json, write_json
 
 KLASS_A = "A"  # symmetric: vanishes where exp(i N theta) = -1
 KLASS_B = "B"  # antisymmetric: vanishes where exp(i N theta) = +1
@@ -81,9 +80,9 @@ class CosineSeries:
             )
         mirror = coeffs[::-1]
         expected = mirror if self.klass == KLASS_A else -mirror
-        if np.max(np.abs(coeffs - expected)) > 1e-12:
+        if not np.all(np.isfinite(coeffs)) or np.max(np.abs(coeffs - expected)) > 1e-12:
             raise ContractError(
-                f"coefficients violate class-{self.klass} symmetry"
+                f"coefficients are not finite or violate class-{self.klass} symmetry"
             )
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
@@ -624,11 +623,7 @@ def save_series(series_by_name: Mapping[str, CosineSeries], path) -> None:
 def load_series(path) -> dict[str, CosineSeries]:
     """Read a series file; bare objects come back under their class letter
     (resolved against the chain by the caller), keyed maps verbatim."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: series document must be a JSON object")
     if "coeffs" in data:

@@ -15,16 +15,16 @@ diagonal phase stages alpha_l(p).
 A state is a plain complex array whose last axis holds the 2N amplitudes;
 leading axes are separate states.  Every schedule run goes through
 ``run_signs``, and every function returns fresh arrays.  Every JSON document
-the package writes goes through ``write_json``.
+the package writes or reads goes through ``write_json`` or ``read_json``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+import orjson
 
 from .errors import SchemaError
 
@@ -78,15 +78,14 @@ class PhaseSchedule:
             raise SchemaError(str(exc)) from exc
 
 
-JSON_PIECE = 1 << 12  # values per json.dumps call: bounds the text in memory
+JSON_PIECE = 1 << 12  # values per orjson.dumps call: bounds the text in memory
 
 
 def write_json(doc, fh) -> None:
-    """Write ``doc`` and a newline to ``fh``: the bytes of ``json.dump``, from
-    the C encoder of ``json.dumps`` (``json.dump`` runs the Python one), in
-    pieces so the text in memory stays small.  Dicts go member by member
-    (keys must be strings), lists and arrays of rows in slices of about
-    JSON_PIECE values, a longer row alone."""
+    """Write ``doc`` and a newline to ``fh``: the text of ``orjson.dumps`` with
+    OPT_SERIALIZE_NUMPY, in pieces so the text in memory stays small.  Dicts
+    go member by member (keys must be strings), lists and arrays of rows in
+    slices of about JSON_PIECE values, a longer row alone."""
     fh.writelines(_json_pieces(doc))
     fh.write("\n")
 
@@ -94,21 +93,34 @@ def write_json(doc, fh) -> None:
 def _json_pieces(doc) -> Iterator[str]:
     if isinstance(doc, dict) and doc:
         for i, (key, value) in enumerate(doc.items()):
-            yield f"{', ' if i else '{'}{json.dumps(key)}: "
+            yield f"{',' if i else '{'}{_dumps(key)}:"
             yield from _json_pieces(value)
         yield "}"
     elif isinstance(doc, (list, np.ndarray)) and len(doc) and isinstance(doc[0], (list, dict, np.ndarray)):
         step = JSON_PIECE // (len(doc[0]) + 1)
         for lo in range(0, len(doc), step or 1):
-            yield ", " if lo else "["
+            yield "," if lo else "["
             if step:
-                piece = doc[lo : lo + step]
-                yield json.dumps(piece.tolist() if isinstance(piece, np.ndarray) else piece)[1:-1]
+                yield _dumps(doc[lo : lo + step])[1:-1]
             else:  # a row longer than a piece goes alone, its own rows sliced in turn
                 yield from _json_pieces(doc[lo])
         yield "]"
     else:
-        yield json.dumps(doc.tolist() if isinstance(doc, np.ndarray) else doc)
+        yield _dumps(doc)
+
+
+def _dumps(value) -> str:
+    # orjson hands arrays that are not C-contiguous to ``default``
+    return orjson.dumps(value, default=np.ndarray.tolist, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+
+
+def read_json(path):
+    """The document at ``path``; invalid JSON, NaN and 1e400 too, raises SchemaError."""
+    try:
+        with open(path, "rb") as fh:
+            return orjson.loads(fh.read())
+    except orjson.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def save_schedule(schedule: PhaseSchedule, path) -> None:
@@ -117,12 +129,7 @@ def save_schedule(schedule: PhaseSchedule, path) -> None:
 
 
 def load_schedule(path) -> PhaseSchedule:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return PhaseSchedule.from_dict(data)
+    return PhaseSchedule.from_dict(read_json(path))
 
 
 def reduce_phases(phases: np.ndarray) -> np.ndarray:

@@ -316,10 +316,10 @@ def phases_from_states(psi_prev: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def v_column(phases: np.ndarray, n: int) -> np.ndarray:
-    """<x|V|0> for x = 0..2N-1; the full matrix is the cyclic shift family
-    <x|V|y> = <x-y|V|0> with indices mod 2N."""
+    """<x|V|0> for x = 0..2N-1 on the last axis, a column per row of phases;
+    the full matrix is the cyclic shift family <x|V|y> = <x-y|V|0> mod 2N."""
     phases = np.asarray(phases, dtype=float)
-    if phases.shape != (2 * n,):
+    if phases.shape[-1:] != (2 * n,):
         raise ValueError(f"expected {2 * n} phases, got shape {phases.shape}")
     return np.fft.ifft(np.exp(1j * phases))
 
@@ -388,16 +388,16 @@ def synthesize_exact(
     success = np.concatenate([p for _, p in blocks])
     overlaps = np.abs(finals @ np.conj(finals).T)
     np.fill_diagonal(overlaps, 0.0)
-    columns = [v_column(stage, n) for stage in schedule.stages]
+    columns = v_column(schedule.stages, n)
     report = {
         "n": n,
         "k": k,
-        "success_probs": success.tolist(),
+        "success_probs": success,
         "min_success_prob": float(success.min()),
         "exact": bool(success.min() >= 1 - 1e-9),
         "max_pairwise_overlap": float(overlaps.max()),
-        "v_columns": [[[float(c.real), float(c.imag)] for c in col] for col in columns],
-        "max_v_imag": float(max(np.abs(col.imag).max() for col in columns)),
+        "v_columns": np.stack([columns.real, columns.imag], -1),
+        "max_v_imag": float(np.abs(columns.imag).max()),
         "magnitude_mismatch": magnitude_mismatch,
         "certificates": {str(ell): c.to_dict() for ell, c in certificates.items()},
     }

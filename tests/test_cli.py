@@ -340,9 +340,10 @@ SERIES_DOC = {"n": 6, "klass": "A", "coeffs": [0.0] * 5}
 
 
 def run_input_document(capsys, tmp_path, kind, doc):
-    """Load ``doc`` through the command that reads that kind of file."""
+    """Load ``doc`` (a document, or its text) through the command that reads
+    that kind of file."""
     path = tmp_path / f"{kind}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     if kind == "schedule":
         return run_cli(capsys, "verify", "--schedule", str(path))
     return run_cli(
@@ -386,6 +387,18 @@ NON_NUMBER_DOCS = [
 
 
 class TestInputNumbers:
+    # json.dumps writes NaN and Infinity; 1e400 overflows a float
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("kind", ["schedule", "series"])
+    def test_non_finite_numbers_rejected(self, capsys, tmp_path, kind, literal):
+        doc = SCHEDULE_DOC if kind == "schedule" else SERIES_DOC
+        text = json.dumps(doc).replace("0.0", literal, 1)
+        code, out, err = run_input_document(capsys, tmp_path, kind, text)
+        assert code == 65 and out == "" and "not valid JSON" in err
+        loader = hilbert.load_schedule if kind == "schedule" else exact.load_series
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            loader(tmp_path / f"{kind}.json")
+
     @pytest.mark.parametrize("kind, doc", NON_NUMBER_DOCS)
     def test_non_number_entries_rejected(self, capsys, tmp_path, kind, doc):
         code, out, err = run_input_document(capsys, tmp_path, kind, doc)

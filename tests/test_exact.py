@@ -100,6 +100,17 @@ class TestEvalSeries:
         with pytest.raises(ContractError):
             CosineSeries(n=4, klass="B", coeffs=[1.0, 0.5, -1.0])
 
+    @pytest.mark.parametrize("klass, coeffs", [
+        ("A", [np.nan, 0.0, 0.0, np.nan]),  # mirrored pairs, as symmetry asks
+        ("A", [np.inf, 0.0, 0.0, np.inf]),
+        ("A", [0.0, -np.inf, 0.0]),  # the middle entry is its own mirror
+        ("B", [np.nan, 0.0, 0.0, np.nan]),
+        ("B", [-np.inf, 0.0, 0.0, np.inf]),
+    ])
+    def test_non_finite_coefficients_rejected(self, klass, coeffs):
+        with pytest.raises(ContractError, match="not finite"):
+            CosineSeries(n=len(coeffs) + 1, klass=klass, coeffs=coeffs)
+
 
 def random_series(n, klass, rng):
     c = rng.standard_normal(n - 1)

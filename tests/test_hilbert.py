@@ -5,7 +5,11 @@ import json
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from invinsert import cli, exact, hilbert
 from invinsert.errors import SchemaError
@@ -381,10 +385,25 @@ class TestScheduleSerialization:
 
 
 def dumped(doc) -> str:
-    """The reference text: ``json.dump`` of ``doc`` and a newline."""
-    buf = io.StringIO()
-    json.dump(doc, buf)
-    return buf.getvalue() + "\n"
+    """The reference text: one ``orjson.dumps`` of ``doc`` and a newline."""
+    return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY).decode() + "\n"
+
+
+def hexed(value):
+    """``value`` as plain JSON values with every float as its ``float.hex``:
+    equal results mean equal values and bit-identical floats."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: hexed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(item) for item in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def assert_reads_back(text, doc):
+    """Stdlib ``json`` reads ``text`` back to the values of ``doc``, bit for bit."""
+    assert hexed(json.loads(text)) == hexed(doc)
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +421,7 @@ class TestWriteJson:
         hilbert.save_schedule(greedy_4096, path)
         doc = {"n": 4096, "k": 6, "stages": greedy_4096.stages.tolist()}
         assert path.read_text() == dumped(doc)
+        assert_reads_back(path.read_text(), doc)
 
     @pytest.mark.parametrize("n, k", [(16, 3), (24, 4)])  # a bare series; a keyed map
     def test_series_file_matches_json_dump(self, tmp_path, n, k):
@@ -409,7 +429,9 @@ class TestWriteJson:
         path = tmp_path / "series.json"
         exact.save_series(free, path)
         docs = {name: s.to_dict() for name, s in free.items()}
-        assert path.read_text() == dumped(docs if len(docs) > 1 else next(iter(docs.values())))
+        doc = docs if len(docs) > 1 else next(iter(docs.values()))
+        assert path.read_text() == dumped(doc)
+        assert_reads_back(path.read_text(), doc)
 
     @pytest.mark.parametrize("piece", [None, 3])
     def test_compose_report_matches_json_dump(self, tmp_path, capsys, monkeypatch, piece):
@@ -431,6 +453,7 @@ class TestWriteJson:
         out = capsys.readouterr().out
         assert len(docs) == 1 and len(docs[0]["results"]["runs"]) == 52**2
         assert out == dumped(docs[0])
+        assert_reads_back(out, docs[0])
 
     def test_schedule_file_memory(self, greedy_4096, tmp_path):
         tracemalloc.start()
@@ -439,12 +462,15 @@ class TestWriteJson:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 0.95 MiB row by row; one json.dumps of the listed stages takes 5.6
+        # 0.35 MiB in pieces; one orjson.dumps of the document takes 1.0, and
+        # one json.dumps of the listed stages 5.6
         assert peak < 2 * 2**20
+        assert_reads_back((tmp_path / "schedule.json").read_text(), greedy_4096.to_dict())
 
     def test_long_rows_of_rows_are_sliced(self, tmp_path):
         # verify's V columns at N = 4096: rows of 8192 [re, im] pairs, each
-        # longer than a piece; one json.dumps per column peaks at 1.8 MiB
+        # longer than a piece; one orjson.dumps of the document, or of each
+        # column, peaks at 1.0 MiB (one json.dumps per column at 1.8)
         rng = np.random.default_rng(3)
         doc = {"v_columns": [rng.random((8192, 2)).tolist() for _ in range(2)]}
         path = tmp_path / "report.json"
@@ -456,4 +482,63 @@ class TestWriteJson:
             finally:
                 tracemalloc.stop()
         assert path.read_text() == dumped(doc)
+        assert_reads_back(path.read_text(), doc)
         assert peak < 2**20
+
+
+# edges of the float text: the sign of zero, the least subnormal, the range
+# where repr and orjson spell exponents differently, the largest float
+FLOAT_EDGES = [-0.0, 5e-324, 1e-5, 6.784e-05, 9.999999999999999e-05, 1e16, 1.2345e22, 1.7976931348623157e308]
+FLOATS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(1e-5, 1e-4).flatmap(lambda x: st.sampled_from([x, -x]))
+    | st.floats(min_value=1e16, allow_infinity=False)
+    | st.sampled_from(FLOAT_EDGES)
+)
+
+
+def written(doc, piece=None) -> str:
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if piece:
+            mp.setattr(hilbert, "JSON_PIECE", piece)
+        hilbert.write_json(doc, buf)
+    return buf.getvalue()
+
+
+class TestWriteJsonValues:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        values=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=24), elements=FLOATS),
+        piece=st.sampled_from([None, 1, 5]),
+    )
+    @example(values=np.array(FLOAT_EDGES), piece=None)
+    @example(values=-np.array(FLOAT_EDGES).reshape(2, 4), piece=1)
+    def test_floats_read_back_bit_exact(self, values, piece):
+        doc = {"array": values, "list": values.tolist()}
+        text = written(doc, piece)
+        assert text == dumped(doc)
+        assert_reads_back(text, doc)
+
+    def test_non_finite_floats_are_null(self):
+        values = np.array([np.nan, np.inf, -np.inf, 1.5])
+        assert written({"a": values, "l": values.tolist()}) == (
+            '{"a":[null,null,null,1.5],"l":[null,null,null,1.5]}\n'
+        )
+
+    @pytest.mark.parametrize("piece", [None, 1, 7])
+    def test_scalars_tuples_and_views(self, piece):
+        stages = np.random.default_rng(8).random((6, 10))
+        doc = {
+            "transposed": stages.T,
+            "every_other": stages[:, ::2],
+            "column": stages[:, 3],
+            "scalar": stages[0, 0],
+            "count": np.int64(7),
+            "per_level": [(0, 1, 2), (3, 4, 5)],
+        }
+        text = written(doc, piece)
+        listed = {key: value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+                  for key, value in doc.items()}
+        assert text == dumped(listed)
+        assert_reads_back(text, doc)

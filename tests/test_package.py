@@ -1,9 +1,13 @@
 """The package's public namespace, as callers and the benchmark tracer see it."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import invinsert
 from invinsert import cli
@@ -43,3 +47,24 @@ def test_cli_import_leaves_out_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_third_party_imports_are_declared():
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+
+    repo = Path(__file__).resolve().parents[1]
+    with open(repo / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in requirements}
+    imported = set()
+    for path in (repo / "src" / "invinsert").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"invinsert"}
+    assert third_party and third_party <= declared, sorted(third_party - declared)

@@ -392,6 +392,15 @@ class TestVColumn:
             out = np.fft.ifft(np.exp(1j * phases) * np.fft.fft(basis))
             np.testing.assert_allclose(out, np.roll(col, y), atol=1e-12)
 
+    def test_rows_of_phases_give_one_column_each(self):
+        phases = np.random.default_rng(4).uniform(0, 2 * np.pi, (3, 10))
+        cols = v_column(phases, 5)
+        assert cols.shape == (3, 10)
+        for row, col in zip(phases, cols):
+            np.testing.assert_array_equal(col, v_column(row, 5))
+        with pytest.raises(ValueError, match="expected 10 phases"):
+            v_column(phases[:, :8], 5)
+
 
 @pytest.fixture(scope="module")
 def n6_k2_result():
