@@ -184,26 +184,32 @@ def cmd_exact_search(args) -> int:
 
 
 def _load_free_series(n: int, k: int, paths: list) -> dict:
-    """Resolve series files against the chain's free slots."""
+    """Resolve series files against the chain's free slots; a bare series
+    fills the one unfilled slot of its class.  Raises SchemaError naming the
+    file when a series has no slot or does not fit it, or a slot stays empty."""
     needed = exact.chain_free_names(n, k)
     loaded: dict[str, exact.CosineSeries] = {}
     for path in paths:
+        if not needed:
+            raise SchemaError(f"{path}: a {k}-query chain has no free series")
         for key, series in exact.load_series(path).items():
-            if key in needed:
-                loaded[key] = series
-            else:
-                # bare object: key is the class letter; match the unfilled slot
-                slots = [
-                    name
-                    for name in needed
-                    if name.startswith(key) and name not in loaded
-                ]
-                if len(slots) != 1:
-                    raise SchemaError(
-                        f"{path}: cannot place a bare class-{key} series; "
-                        f"name it explicitly (one of {sorted(needed)})"
-                    )
-                loaded[slots[0]] = series
+            slots = [key] if key in needed else [
+                name for name in needed if name[0] == key and name not in loaded
+            ]
+            if len(slots) != 1:
+                raise SchemaError(
+                    f"{path}: cannot place series {key!r}; "
+                    f"name it explicitly (one of {list(needed)})"
+                )
+            name = slots[0]
+            if (series.n, series.klass) != (n, name[0]):
+                raise SchemaError(
+                    f"{path}: {name} is a class-{series.klass} series for "
+                    f"N={series.n}, expected class {name[0]} for N={n}"
+                )
+            loaded[name] = series
+    if missing := [name for name in needed if name not in loaded]:
+        raise SchemaError(f"{', '.join(map(str, paths))}: no series for {missing}")
     return loaded
 
 

@@ -8,9 +8,12 @@ each B antisymmetric (b_r = -b_{N-r}), the endpoints are fixed
     A_k = B_k = 0,
 
 the interleaved matching conditions B_1 = B_0, A_2 = A_1, B_3 = B_2, ...
-hold, and 1 + A_l + B_l >= 0 on [0, pi] for every stage.  For k = 2 nothing
-is free and feasibility reduces to 1 + B_0 >= 0; for k >= 3 there are k - 2
-free series, searched here with a maximize-minimum-slack linear program on a
+hold, and 1 + A_l + B_l >= 0 on [0, pi] for every stage.  Unrolled, the
+chain is a list F_0..F_k with F_0 = B_0: stage l >= 1 keeps one series of
+stage l - 1 and brings F_l, of class A at odd l and B at even l, and
+F_{k-1} = F_k = 0.  For k = 2 nothing is free and feasibility reduces to
+1 + B_0 >= 0; for k >= 3 the k - 2 free series F_1..F_{k-2} (A1, B2, A3,
+...) are searched here with a maximize-minimum-slack linear program on a
 theta grid followed by a Lipschitz grid certificate.  Every series is
 evaluated on the grid by one real FFT (``grid_values``).
 
@@ -227,46 +230,12 @@ def k1_feasible(n: int) -> bool:
 # matching-condition chain
 # ---------------------------------------------------------------------------
 
-def _chain_structure(n: int, k: int) -> tuple[dict, list]:
-    """Resolve every A_l / B_l to 'fixed', 'zero', or a free name.
-
-    The matching conditions pair A_{2m} with A_{2m-1} and B_{2m+1} with
-    B_{2m}; combined with A_k = B_k = 0 this leaves exactly k - 2 free
-    series for k >= 2 (none for k <= 2).
-    """
+def chain_free_names(n: int, k: int) -> tuple[str, ...]:
+    """Names of the independently choosable series for a (n, k) chain:
+    F_1..F_{k-2}, named A1, B2, A3, ... by class (A at odd l, B at even l)."""
     if k < 1:
         raise ValueError(f"query count must be >= 1, got {k}")
-    resolved: dict[str, tuple] = {"A0": ("fixed", a0(n)), "B0": ("fixed", b0(n))}
-    free_names: list[str] = []
-    for ell in range(1, k + 1):
-        if ell % 2 == 0:
-            resolved[f"A{ell}"] = ("alias", f"A{ell - 1}")
-        elif ell == k or ell == k - 1:
-            resolved[f"A{ell}"] = ("zero", KLASS_A)
-        else:
-            resolved[f"A{ell}"] = ("free", KLASS_A)
-            free_names.append(f"A{ell}")
-        if ell % 2 == 1:
-            resolved[f"B{ell}"] = ("alias", f"B{ell - 1}")
-        elif ell == k or ell == k - 1:
-            resolved[f"B{ell}"] = ("zero", KLASS_B)
-        else:
-            resolved[f"B{ell}"] = ("free", KLASS_B)
-            free_names.append(f"B{ell}")
-    return resolved, free_names
-
-
-def _resolve(resolved: dict, name: str) -> tuple:
-    kind, payload = resolved[name]
-    while kind == "alias":
-        name = payload
-        kind, payload = resolved[name]
-    return name, kind, payload
-
-
-def chain_free_names(n: int, k: int) -> tuple[str, ...]:
-    """Names of the independently choosable series for a (n, k) chain."""
-    return tuple(_chain_structure(n, k)[1])
+    return tuple(f"A{ell}" if ell % 2 else f"B{ell}" for ell in range(1, k - 1))
 
 
 def build_chain(
@@ -274,41 +243,38 @@ def build_chain(
 ) -> MatchingChain:
     """Materialize the chain from the k - 2 free series.
 
-    The free map must supply exactly the names reported by
+    Stage 0 is (A_0, B_0) and stage l >= 1 is (F_l, F_{l-1}) at odd l and
+    (F_{l-1}, F_l) at even l, where F_0 = B_0, F_{k-1} = F_k = 0, and the
+    free map supplies F_1..F_{k-2}: exactly the names of
     :func:`chain_free_names`, each of the right class and size.  For k = 1
     the chain forces B_0 = 0, so it only exists for N = 2.
     """
     free = dict(free or {})
-    resolved, free_names = _chain_structure(n, k)
+    free_names = chain_free_names(n, k)
     if set(free) != set(free_names):
         raise ContractError(
             f"free series must be exactly {sorted(free_names)}, got {sorted(free)}"
         )
     for name, series in free.items():
-        _, _, klass = _resolve(resolved, name)
         if not isinstance(series, CosineSeries):
             raise ContractError(f"{name} must be a CosineSeries")
         if series.n != n:
             raise ContractError(f"{name} has problem size {series.n}, expected {n}")
-        if series.klass != klass:
-            raise ContractError(f"{name} must be class {klass}, got {series.klass}")
+        if series.klass != name[0]:
+            raise ContractError(f"{name} must be class {name[0]}, got {series.klass}")
     if k == 1 and not b0(n).is_zero():
         raise ContractError(
             "a single-query chain needs B_0 = 0, which only holds for N = 2"
         )
-
-    def materialize(name: str) -> CosineSeries:
-        root, kind, payload = _resolve(resolved, name)
-        if kind == "fixed":
-            return payload
-        if kind == "zero":
-            return zero_series(n, payload)
-        return free[root]
-
-    stages = tuple(
-        (materialize(f"A{ell}"), materialize(f"B{ell}")) for ell in range(k + 1)
+    new = [b0(n)]
+    for ell in range(1, k + 1):
+        klass = KLASS_A if ell % 2 else KLASS_B
+        new.append(free[f"{klass}{ell}"] if ell < k - 1 else zero_series(n, klass))
+    stages = ((a0(n), new[0]),) + tuple(
+        (new[ell], new[ell - 1]) if ell % 2 else (new[ell - 1], new[ell])
+        for ell in range(1, k + 1)
     )
-    return MatchingChain(n=n, k=k, stages=stages, free_names=tuple(free_names))
+    return MatchingChain(n=n, k=k, stages=stages, free_names=free_names)
 
 
 def chain_constraints(chain: MatchingChain) -> dict[int, list[CosineSeries]]:
@@ -451,48 +417,43 @@ def _maximize_last(n_vars: int, rows: list, more_rows) -> np.ndarray:
     return x
 
 
-def _stage_rows(n: int, k: int, grid: int) -> tuple[dict, dict, list]:
-    """The grid LP's layout: each free series' class and indices among the LP
-    variables (delta comes last), and its row groups.  Stages l = 1..k-1
-    whose free series are the same share one row per angle, whose fixed
-    value is the least of theirs (for k = 3, stages 1 + B0 + A1 and 1 + A1).
-    A group is (its stages, its free series, its fixed values on the grid,
-    its mask of x-independent rows)."""
-    resolved, free_names = _chain_structure(n, k)
-    klass = {name: _resolve(resolved, name)[2] for name in free_names}
+def _stage_rows(n: int, k: int, grid: int) -> tuple[dict, list]:
+    """The grid LP's layout: each free series' indices among the LP variables
+    (delta comes last), and its row groups.  Stage l = 1..k-1 holds the free
+    series among F_{l-1}, F_l (see :func:`build_chain`); its fixed part is
+    1 + B_0 at l = 1 and 1 elsewhere.  Stages whose free series are the same
+    share one row per angle, whose fixed value is the least of theirs (only
+    at k = 3: stages 1 + B0 + A1 and 1 + A1).  A group is (its stages, its
+    free series, its fixed values on the grid, its mask of x-independent
+    rows)."""
+    free_names = chain_free_names(n, k)
     params, width = {}, 0
     for name in free_names:
-        size = len(_basis_orders(n, klass[name])[0])
+        size = len(_basis_orders(n, name[0])[0])
         params[name] = np.arange(width, width + size)
         width += size
     groups: dict[tuple, tuple] = {}
     for ell in range(1, k):
-        fixed = np.ones(grid + 1)
-        names = []
-        for prefix in ("A", "B"):
-            root, kind, payload = _resolve(resolved, f"{prefix}{ell}")
-            if kind == "fixed":
-                fixed += grid_values(payload.coeffs, grid)
-            elif kind == "free":
-                names.append(root)
-        members, least = groups.get(tuple(names), ((), fixed))
-        groups[tuple(names)] = (members + (ell,), np.minimum(least, fixed))
+        fixed = 1 + grid_values(b0(n).coeffs, grid) if ell == 1 else np.ones(grid + 1)
+        names = tuple(free_names[i - 1] for i in (ell - 1, ell) if 1 <= i <= k - 2)
+        members, least = groups.get(names, ((), fixed))
+        groups[names] = (members + (ell,), np.minimum(least, fixed))
     stages = []
     for names, (members, fixed) in groups.items():
         pinned = np.ones(grid + 1, dtype=bool)
         for name in names:
-            pinned &= _pinned(n, klass[name], grid)
+            pinned &= _pinned(n, name[0], grid)
         stages.append((members, list(names), fixed, pinned))
-    return klass, params, stages
+    return params, stages
 
 
 def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
     """delta* of the grid LP and free series that reach it (see
     :func:`search_free_series`)."""
-    klass, params, stages = _stage_rows(n, k, grid)
+    params, stages = _stage_rows(n, k, grid)
     width = sum(len(p) for p in params.values())
     thetas = np.pi * np.arange(grid + 1) / grid
-    maps = {name: _coefficient_map(n, klass[name], p) for name, p in params.items()}
+    maps = {name: _coefficient_map(n, name[0], p) for name, p in params.items()}
     # the angles of each group that have a row in the LP; a row's key is
     # its flat index here, group * (G + 1) + angle
     active = np.zeros((len(stages), grid + 1), dtype=bool)
@@ -505,7 +466,7 @@ def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
                 active[g, idx] = True
                 columns = np.concatenate([params[name] for name in names] + [[width]])
                 block = np.hstack(
-                    [-_symmetric_basis(n, klass[name], thetas[idx]) for name in names]
+                    [-_symmetric_basis(n, name[0], thetas[idx]) for name in names]
                     + [np.ones((len(idx), 1))]
                 )
                 batches.append((g * (grid + 1) + idx, columns, block, fixed[idx]))
@@ -532,7 +493,7 @@ def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
     first = activate([start[~pinned[start]] for _, _, _, pinned in stages])
     x = _maximize_last(width + 1, first, violated_rows) if first else np.r_[np.zeros(width), cap]
     free = {
-        name: CosineSeries(n=n, klass=klass[name], coeffs=_scatter(n, [maps[name]], x))
+        name: CosineSeries(n=n, klass=name[0], coeffs=_scatter(n, [maps[name]], x))
         for name in params
     }
     return float(min(cap, x[-1])), free

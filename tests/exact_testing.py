@@ -16,14 +16,15 @@ at every solve, the third reports every solve of a model after a row
 deletion as unbounded, and the fourth reports the last variable a roundoff
 lower at every solve after the first.
 ``eval_series`` sums a cosine series directly, the reference for the
-library's FFT grid values.
+library's FFT grid values.  ``matching_stages`` writes the chain out from
+the matching conditions, independently of the library's ``build_chain``.
 """
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
-from invinsert.exact import _chain_structure, _resolve, _symmetric_basis, grid_values
+from invinsert.exact import _symmetric_basis, b0, grid_values
 
 
 def eval_series(series, theta) -> np.ndarray | float:
@@ -97,29 +98,49 @@ class RoundoffHighs(CountingHighs):
         return solution
 
 
+def matching_stages(n: int, k: int) -> list:
+    """(A_l, B_l) for l = 1..k-1, each a fixed coefficient array, None for
+    the zero series, or the name of a free series.  Walks B_l = B_{l-1} at
+    odd l and A_l = A_{l-1} at even l from (A_0, B_0), naming the other
+    series of each stage by its place, then sets both series that stage k
+    holds to zero (A_k = B_k = 0)."""
+    a, b = np.ones(n - 1), b0(n).coeffs
+    stages = []
+    for ell in range(1, k + 1):
+        if ell % 2:
+            a = f"A{ell}"
+        else:
+            b = f"B{ell}"
+        stages.append((a, b))
+    zero = set(stages.pop())
+    return [
+        tuple(None if isinstance(s, str) and s in zero else s for s in pair)
+        for pair in stages
+    ]
+
+
 def dense_lp(n: int, k: int, grid: int) -> tuple[float, list, list]:
     """delta* of the dense grid LP, and per stage its (G + 1) x width block
     of free columns (the coefficients of the free series at each angle) and
     its fixed values at those angles."""
-    resolved, free_names = _chain_structure(n, k)
+    stages = matching_stages(n, k)
+    free_names = dict.fromkeys(s for pair in stages for s in pair if isinstance(s, str))
     thetas = np.linspace(0.0, np.pi, grid + 1)
     bases, offsets, width = {}, {}, 0
     for name in free_names:
-        _, _, klass = _resolve(resolved, name)
-        bases[name] = _symmetric_basis(n, klass, thetas)
+        bases[name] = _symmetric_basis(n, name[0], thetas)
         offsets[name] = width
         width += bases[name].shape[1]
     blocks, rhs = [], []
-    for ell in range(1, k):
+    for pair in stages:
         fixed = np.ones(thetas.size)
         block = np.zeros((thetas.size, width))
-        for prefix in ("A", "B"):
-            root, kind, payload = _resolve(resolved, f"{prefix}{ell}")
-            if kind == "fixed":
-                fixed += grid_values(payload.coeffs, grid)
-            elif kind == "free":
-                cols = bases[root]
-                block[:, offsets[root]: offsets[root] + cols.shape[1]] = cols
+        for series in pair:
+            if isinstance(series, str):
+                cols = bases[series]
+                block[:, offsets[series]: offsets[series] + cols.shape[1]] = cols
+            elif series is not None:
+                fixed += grid_values(series, grid)
         blocks.append(block)
         rhs.append(fixed)
     a_ub = np.hstack([-np.vstack(blocks), np.ones((len(blocks) * thetas.size, 1))])

@@ -151,6 +151,28 @@ class TestExactCommands:
         assert code == 0
         assert json.loads(out)["results"]["exact"]
 
+    @pytest.mark.parametrize("n,k,docs,message", [
+        (8, 3, {"A1": {"n": 6, "klass": "A", "coeffs": [0.0] * 5}},
+         "A1 is a class-A series for N=6, expected class A for N=8"),
+        (6, 3, {"A1": {"n": 6, "klass": "B", "coeffs": [0.0] * 5}},
+         "A1 is a class-B series for N=6, expected class A for N=6"),
+        (6, 4, {"n": 6, "klass": "A", "coeffs": [0.0] * 5}, "no series for ['B2']"),
+        (6, 2, {"n": 6, "klass": "A", "coeffs": [0.0] * 5}, "a 2-query chain has no free series"),
+    ], ids=["wrong-n", "wrong-class", "empty-slot", "no-free-series"])
+    def test_series_file_that_does_not_fit_the_chain_is_65(
+        self, capsys, tmp_path, n, k, docs, message
+    ):
+        series_path = tmp_path / "free.json"
+        series_path.write_text(json.dumps(docs))
+        schedule_path = tmp_path / "s.json"
+        code, out, err = run_cli(
+            capsys,
+            "exact", "synth", "--n", str(n), "--k", str(k),
+            "--series", str(series_path), "--out", str(schedule_path),
+        )
+        assert code == 65 and out == "" and not schedule_path.exists()
+        assert err == f"invinsert: {series_path}: {message}\n"
+
     def test_search_infeasible_exits_2(self, capsys):
         code, out, _ = run_cli(capsys, "exact", "search", "--k", "2", "--n", "7")
         assert code == 2

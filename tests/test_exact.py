@@ -277,6 +277,37 @@ class TestBuildChain:
         for k in range(2, 9):
             assert len(chain_free_names(12, k)) == k - 2
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_stage_obeys_the_matching_conditions(self, k):
+        n = 2 if k == 1 else 10
+        names = ("A1", "B2", "A3", "B4", "A5", "B6")[: max(k - 2, 0)]
+        assert chain_free_names(n, k) == names
+        rng = np.random.default_rng(k)
+        free = {}
+        for name in names:
+            v = rng.standard_normal(n - 1)
+            coeffs = v + v[::-1] if name[0] == "A" else v - v[::-1]
+            free[name] = CosineSeries(n=n, klass=name[0], coeffs=coeffs)
+        chain = build_chain(n, k, free)
+        assert chain.free_names == names and len(chain.stages) == k + 1
+
+        def same(s, t):
+            return s.klass == t.klass and np.array_equal(s.coeffs, t.coeffs)
+
+        assert same(chain.stages[0][0], a0(n)) and same(chain.stages[0][1], b0(n))
+        for ell in range(1, k + 1):
+            (a, b), (a_prev, b_prev) = chain.stages[ell], chain.stages[ell - 1]
+            assert a.klass == "A" and b.klass == "B"
+            if ell % 2:  # B_l = B_{l-1}; A_l is the stage's own series
+                assert same(b, b_prev)
+                own = a
+            else:  # A_l = A_{l-1}; B_l is the stage's own series
+                assert same(a, a_prev)
+                own = b
+            if ell <= k - 2:
+                assert same(own, free[f"{own.klass}{ell}"])
+        assert chain.stages[k][0].is_zero() and chain.stages[k][1].is_zero()
+
     def test_wrong_free_set_rejected(self):
         with pytest.raises(ContractError):
             build_chain(8, 3, {})
@@ -344,7 +375,9 @@ class TestSearchFreeSeries:
         assert search_free_series(6, 3) is None
 
 
-PARITY_CASES = [(6, 2), (7, 2), (6, 3), (16, 3), (52, 3), (57, 3), (24, 4), (40, 5)]
+PARITY_CASES = [
+    (6, 2), (7, 2), (6, 3), (16, 3), (52, 3), (57, 3), (24, 4), (40, 5), (18, 6), (21, 7),
+]
 
 
 @functools.lru_cache(maxsize=None)
@@ -366,7 +399,7 @@ class TestExchangeSearch:
         # members have the same dense free columns; its rows found from the
         # class structure are exactly the rows where every free column of
         # each member vanishes, and its fixed values are the least of theirs
-        _, _, groups = exact._stage_rows(n, k, default_grid(n))
+        _, groups = exact._stage_rows(n, k, default_grid(n))
         _, blocks, fixed = dense_reference(n, k)
         assert len(blocks) == k - 1
         assert sorted(ell for members, _, _, _ in groups for ell in members) == list(range(1, k))
@@ -383,9 +416,9 @@ class TestExchangeSearch:
 
     def test_k3_stages_share_their_rows(self):
         # 1 + B0 + A1 and 1 + A1 have the one free series A1
-        _, _, groups = exact._stage_rows(52, 3, default_grid(52))
+        _, groups = exact._stage_rows(52, 3, default_grid(52))
         assert [(members, names) for members, names, _, _ in groups] == [((1, 2), ["A1"])]
-        _, _, groups = exact._stage_rows(52, 4, default_grid(52))
+        _, groups = exact._stage_rows(52, 4, default_grid(52))
         assert [members for members, _, _, _ in groups] == [(1,), (2,), (3,)]
 
     @pytest.mark.parametrize("n,k,parent_peak,peak", [(52, 3, 241, 160), (100, 4, 554, 420)])
