@@ -130,12 +130,7 @@ def cmd_bound(args) -> int:
 
 
 def _feasible_one(task) -> bool:
-    n, k, grid = task
-    if k == 1:
-        return exact.k1_feasible(n)
-    if k == 2:
-        return exact.k2_feasible(n, grid)[0]
-    return exact.search_free_series(n, k, grid) is not None
+    return exact.search_free_series(*task) is not None
 
 
 def cmd_exact_feasible(args) -> int:
@@ -186,22 +181,24 @@ def cmd_exact_search(args) -> int:
 def _load_free_series(n: int, k: int, paths: list) -> dict:
     """Resolve series files against the chain's free slots; a bare series
     fills the one unfilled slot of its class.  Raises SchemaError naming the
-    file when a series has no slot or does not fit it, or a slot stays empty."""
+    file when a series has no slot, fills a slot already filled or does not
+    fit its slot, or a slot stays empty."""
     needed = exact.chain_free_names(n, k)
     loaded: dict[str, exact.CosineSeries] = {}
     for path in paths:
         if not needed:
             raise SchemaError(f"{path}: a {k}-query chain has no free series")
         for key, series in exact.load_series(path).items():
-            slots = [key] if key in needed else [
-                name for name in needed if name[0] == key and name not in loaded
-            ]
-            if len(slots) != 1:
+            slots = [name for name in needed if key in (name, name[0])]
+            empty = [name for name in slots if name not in loaded]
+            if slots and not empty:
+                raise SchemaError(f"{path}: {', '.join(slots)} given more than once")
+            if len(empty) != 1:
                 raise SchemaError(
                     f"{path}: cannot place series {key!r}; "
                     f"name it explicitly (one of {list(needed)})"
                 )
-            name = slots[0]
+            name = empty[0]
             if (series.n, series.klass) != (n, name[0]):
                 raise SchemaError(
                     f"{path}: {name} is a class-{series.klass} series for "
@@ -218,8 +215,6 @@ def _free_series(n: int, k: int, grid, paths) -> dict | None:
     no file is given; None when the search finds none."""
     if paths:
         return _load_free_series(n, k, paths)
-    if not exact.chain_free_names(n, k):
-        return {}
     found = exact.search_free_series(n, k, grid)
     return None if found is None else found[0]
 

@@ -11,11 +11,11 @@ the interleaved matching conditions B_1 = B_0, A_2 = A_1, B_3 = B_2, ...
 hold, and 1 + A_l + B_l >= 0 on [0, pi] for every stage.  Unrolled, the
 chain is a list F_0..F_k with F_0 = B_0: stage l >= 1 keeps one series of
 stage l - 1 and brings F_l, of class A at odd l and B at even l, and
-F_{k-1} = F_k = 0.  For k = 2 nothing is free and feasibility reduces to
-1 + B_0 >= 0; for k >= 3 the k - 2 free series F_1..F_{k-2} (A1, B2, A3,
-...) are searched here with a maximize-minimum-slack linear program on a
-theta grid followed by a Lipschitz grid certificate.  Every series is
-evaluated on the grid by one real FFT (``grid_values``).
+F_{k-1} = F_k = 0.  One search answers every k: the k - 2 free series
+F_1..F_{k-2} (A1, B2, A3, ...) come from a maximize-minimum-slack linear
+program on a theta grid (none for k <= 2: k = 2 is 1 + B_0 >= 0, k = 1 is
+B_0 = 0), and one Lipschitz grid certificate per stage checks the chain.
+Every series is evaluated on the grid by one real FFT (``grid_values``).
 
 The LP is never written out over the whole grid.  Where every free series
 of a stage vanishes (N theta an odd multiple of pi for class A, an even one
@@ -215,9 +215,9 @@ def certify_nonneg(
 def k2_feasible(
     n: int, grid_points: Optional[int] = None
 ) -> tuple[bool, FeasibilityCertificate]:
-    """Two-query feasibility: is 1 + B_0 >= 0 on [0, pi]?"""
+    """Two-query feasibility: the certificate of the chain's one stage."""
     grid = default_grid(n) if grid_points is None else grid_points
-    cert = certify_nonneg([b0(n)], grid)
+    cert = certify_chain(build_chain(n, 2), grid)[1]
     return cert.verdict != INFEASIBLE, cert
 
 
@@ -288,6 +288,11 @@ def chain_constraints(chain: MatchingChain) -> dict[int, list[CosineSeries]]:
         a, b = chain.stages[ell]
         out[ell] = [s for s in (a, b) if not s.is_zero()]
     return out
+
+
+def certify_chain(chain: MatchingChain, grid_points: int) -> dict[int, FeasibilityCertificate]:
+    """:func:`certify_nonneg` of each stage of :func:`chain_constraints`, by stage."""
+    return {ell: certify_nonneg(s, grid_points) for ell, s in chain_constraints(chain).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -536,30 +541,30 @@ def search_free_series(
       finite grid.  Each such fall lowers the least delta so far by more
       than FALL_TOL, and no delta is below the optimum of the LP with every
       grid row, so there are finitely many of them.  A smaller fall is
-      roundoff (4e-14 at (24, 5)) and deletes nothing.  With no free series
-      (k = 2) every row is fixed and no LP is solved.
+      roundoff (4e-14 at (24, 5)) and deletes nothing.
 
     delta* < 0 means no free choice works on this grid (strong evidence, not
-    proof, of infeasibility) and None is returned.  Otherwise each stage of
-    the found chain gets a :func:`certify_nonneg` certificate on the same
-    grid, and None is returned if one of them is infeasible.
+    proof, of infeasibility) and None is returned.  Otherwise the found
+    chain is certified (:func:`certify_chain`) on the same grid, and None
+    is returned if a stage is infeasible.  With no free series (k <= 2) no
+    LP is solved; at k = 1 the chain needs B_0 = 0, so only N = 2 has one.
 
     Returns (free series by name, certificate by stage) or None.  Raises
+    ValueError for k < 1 or under 8N grid intervals before any LP, and
     SolverError if a solve does not end optimal, after deletions even when
     the same rows are solved again in a fresh model.
     """
-    if k < 2:
-        raise ValueError(f"search needs k >= 2, got {k}")
     grid = default_grid(n) if grid_points is None else grid_points
-    if grid < 1:
-        raise ValueError(f"need a positive number of grid intervals, got {grid}")
-    delta, free = _max_min_slack(n, k, grid)
-    if delta < 0:
+    if grid < 8 * n:
+        raise ValueError(f"need at least {8 * n} grid intervals, got {grid}")
+    free = {}
+    if chain_free_names(n, k):
+        delta, free = _max_min_slack(n, k, grid)
+        if delta < 0:
+            return None
+    elif k == 1 and not k1_feasible(n):
         return None
-    certificates = {
-        ell: certify_nonneg(series_list, grid)
-        for ell, series_list in chain_constraints(build_chain(n, k, free)).items()
-    }
+    certificates = certify_chain(build_chain(n, k, free), grid)
     if any(c.verdict == INFEASIBLE for c in certificates.values()):
         return None
     return free, certificates

@@ -42,8 +42,7 @@ from .exact import (
     INFEASIBLE,
     MatchingChain,
     build_chain,
-    chain_constraints,
-    certify_nonneg,
+    certify_chain,
     default_grid,
 )
 from .hilbert import PhaseSchedule
@@ -349,10 +348,8 @@ def synthesize_exact(
     """
     chain: MatchingChain = build_chain(n, k, free)
     grid = default_grid(n) if grid_points is None else grid_points
-    certificates = {}
-    for ell, series_list in chain_constraints(chain).items():
-        cert = certify_nonneg(series_list, grid)
-        certificates[ell] = cert
+    certificates = certify_chain(chain, grid)
+    for ell, cert in certificates.items():
         if cert.verdict == INFEASIBLE:
             raise ContractError(
                 f"stage {ell} positivity fails: grid minimum {cert.grid_min:.3e}"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,19 @@ class TestExactCommands:
         assert code == 65 and out == "" and not schedule_path.exists()
         assert err == f"invinsert: {series_path}: {message}\n"
 
+    @pytest.mark.parametrize("order", [("bare", "keyed"), ("keyed", "keyed"), ("keyed", "bare")])
+    def test_series_slot_given_twice_is_65(self, capsys, tmp_path, order):
+        series = {"n": 6, "klass": "A", "coeffs": [0.0] * 5}
+        docs = {"bare": series, "keyed": {"A1": series}}
+        argv = ["exact", "synth", "--n", "6", "--k", "3", "--out", str(tmp_path / "s.json")]
+        for i, kind in enumerate(order):
+            path = tmp_path / f"{i}-{kind}.json"
+            path.write_text(json.dumps(docs[kind]))
+            argv += ["--series", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 65 and out == "" and not (tmp_path / "s.json").exists()
+        assert err == f"invinsert: {path}: A1 given more than once\n"
+
     def test_search_infeasible_exits_2(self, capsys):
         code, out, _ = run_cli(capsys, "exact", "search", "--k", "2", "--n", "7")
         assert code == 2
@@ -210,6 +224,47 @@ class TestExactCommands:
         _, out1, _ = run_cli(capsys, "exact", "search", "--k", "3", "--n", "8")
         _, out2, _ = run_cli(capsys, "exact", "search", "--k", "3", "--n", "8")
         assert json.loads(out1)["results"] == json.loads(out2)["results"]
+
+
+VERDICT_COMMANDS = {
+    "search": ("exact search --k {k} --n {n}", "found"),
+    "feasible": ("exact feasible --k {k} --n-range {n}..{n} --format json", "feasible"),
+    "synth": ("exact synth --n {n} --k {k} --out {out}", "exact"),
+    "compose": ("compose --m {n} --k {k} --h 1 --j 0", "all_recovered"),
+}
+
+
+class TestOneVerdictPerChain:
+    # an exact (N, k) algorithm exists for k = 1 only at N = 2 and for
+    # k = 2 only up to N = 6; every command must say so the same way
+    @pytest.mark.parametrize("command", sorted(VERDICT_COMMANDS))
+    @pytest.mark.parametrize("k,n,feasible", [(1, 2, True), (1, 3, False), (2, 6, True), (2, 7, False)])
+    def test_same_verdict_and_exit_code(self, capsys, tmp_path, command, k, n, feasible):
+        line, key = VERDICT_COMMANDS[command]
+        out_file = tmp_path / "s.json"
+        code, out, _ = run_cli(capsys, *shlex.split(line.format(k=k, n=n, out=out_file)))
+        results = json.loads(out)["results"]
+        assert code == (0 if feasible else 2)
+        if command == "feasible":
+            assert results["feasible"] == [feasible]
+        elif feasible:
+            assert results[key] is True
+        else:
+            assert results == {"found": False}
+        assert out_file.exists() == (command == "synth" and feasible)
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    # the README's command-line block, line by line in one directory: its
+    # files chain from one command to the next
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()]
+    lines = [argv for argv in lines if argv]
+    assert len(lines) >= 10 and all(argv[0] == "invinsert" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert cli.main(argv[1:]) == 0, argv
 
 
 class TestSynthVerifyRoundTrip:

@@ -364,8 +364,27 @@ class TestSearchFreeSeries:
         assert slack_lp >= slack_zero - 1e-9
 
     def test_k_below_two_rejected(self):
+        # k = 0 has no chain; k = 1 is answered like any other k: its chain
+        # needs B_0 = 0, so it exists at N = 2 only, with nothing to certify
         with pytest.raises(ValueError):
-            search_free_series(6, 1)
+            search_free_series(6, 0)
+        assert search_free_series(2, 1) == ({}, {})
+        assert search_free_series(3, 1) is None
+
+    def test_k2_search_agrees_with_k2_feasible(self):
+        for n in range(2, 301):
+            assert (search_free_series(n, 2) is not None) == k2_feasible(n)[0]
+        for n in (6, 7):  # the chain's one stage is 1 + B_0
+            assert k2_feasible(n)[1] == certify_nonneg([b0(n)], default_grid(n))
+
+    @pytest.mark.parametrize("n,k,grid", [(300, 4, 2000), (16, 3, 0), (6, 2, 47)])
+    def test_coarse_grid_rejected_before_any_lp(self, monkeypatch, n, k, grid):
+        def no_lp(*args):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(exact, "_max_min_slack", no_lp)
+        with pytest.raises(ValueError, match=f"need at least {8 * n} grid intervals"):
+            search_free_series(n, k, grid)
 
     def test_infeasible_certificate_gives_none(self, monkeypatch):
         infeasible = FeasibilityCertificate(
