@@ -9,10 +9,11 @@ the recursion runs on real amplitude vectors:
     new_amp(p) = |sum_q amp(q) + i sum_q cot(pi (q - p) / 2N) amp(q)| / N
 
 with q ranging over the previous parity class.  The sum is the oracle image
-<p|F_0|psi_{l-1}>, which ``hilbert.oracle_image`` computes with two FFTs in
-O(N log N) time and O(N) memory.  The success probability after l queries
-is (sum_p new_amp(p))^2 / N.  States are plain arrays of 2N momentum
-amplitudes, starting from the unit vector at p = 0.
+<p|F_0|psi_{l-1}>, which ``hilbert.oracle_image`` computes from the N live
+amplitudes by two length-N FFTs, in O(N log N) time and O(N) memory.  The
+success probability after l queries is (sum_p new_amp(p))^2 / N.  States are
+plain arrays of 2N momentum amplitudes, starting from the unit vector at
+p = 0.
 """
 
 from __future__ import annotations

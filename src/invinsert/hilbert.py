@@ -12,6 +12,12 @@ are ``np.fft.fft(position, norm="ortho")``; the translation operator is
 diagonal there, and the inter-query unitaries of an invariant algorithm are
 diagonal phase stages alpha_l(p).
 
+Every F_j maps momentum parity p mod 2 to 1 - p mod 2, and the phase stages
+keep it, so from the start state (p = 0) a state after l queries lives on
+parity l mod 2 alone; in position, psi(x + N) = (-1)^l psi(x).  The oracle
+image and the schedule runner use this: each step transforms only the N
+amplitudes of the live parity, by length-N FFTs.
+
 A state is a plain complex array whose last axis holds the 2N amplitudes;
 leading axes are separate states.  Every schedule run goes through
 ``run_signs``, and every function returns fresh arrays.  Every JSON document
@@ -21,6 +27,7 @@ the package writes or reads goes through ``write_json`` or ``read_json``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -133,8 +140,14 @@ def load_schedule(path) -> PhaseSchedule:
 
 
 def reduce_phases(phases: np.ndarray) -> np.ndarray:
-    """Reduce to [0, 2pi); values within 1e-9 of the branch point become 0."""
-    out = np.mod(phases, 2 * np.pi)
+    """Reduce to [0, 2pi); values within 1e-9 of the branch point become 0.
+    The bits are those of ``np.mod``, which is fmod plus 2pi where negative,
+    with -0.0 made +0.0; phases already reduced are copied as they are."""
+    phases = np.asarray(phases, dtype=float)
+    if phases.size and phases.min() >= 0 and 2 * np.pi - phases.max() >= 1e-9:
+        return phases + 0.0
+    out = np.fmod(phases, 2 * np.pi)
+    out += np.where(out < 0, 2 * np.pi, 0.0)
     return np.where(2 * np.pi - out < 1e-9, 0.0, out)
 
 
@@ -148,10 +161,28 @@ def oracle_signs(j, n: int) -> np.ndarray:
     return np.concatenate([f, -f], axis=-1)
 
 
+@lru_cache(maxsize=8)
+def _twist(n: int) -> np.ndarray:
+    """exp(+i pi x / N), x = 0..N-1, read-only: parity 1's phase in position."""
+    twist = np.exp(1j * np.pi * np.arange(n) / n)
+    twist.setflags(write=False)
+    return twist
+
+
 def oracle_image(amps: np.ndarray, n: int) -> np.ndarray:
-    """Momentum amplitudes of F_0 |psi> from those of |psi> (last axis);
-    the 1/sqrt(2N) factors of the two transforms cancel."""
-    return np.fft.fft(oracle_signs(0, n) * np.fft.ifft(amps))
+    """Momentum amplitudes of F_0 |psi> from those of |psi> (last axis).
+
+    The amplitudes a = amps[s::2] of parity s go to parity 1 - s as
+    fft(t_s ifft(a)), length N, with t_0 = exp(-i pi x / N) and t_1 its
+    conjugate; a parity whose amplitudes are all zero is skipped."""
+    amps = np.asarray(amps)
+    out = np.zeros(amps.shape, dtype=complex)
+    twist = _twist(n)
+    for s, t in ((0, twist.conj()), (1, twist)):
+        half = amps[..., s::2]
+        if half.any():
+            out[..., 1 - s :: 2] = np.fft.fft(t * np.fft.ifft(half))
+    return out
 
 
 def target_probs(amps: np.ndarray, k: int) -> np.ndarray:
@@ -167,14 +198,30 @@ def run_signs(stages: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Final position amplitudes of the phase stages run from the uniform
     start against the oracles whose position signs are the rows of ``signs``
     (shape (..., 2N)): each stage is the oracle, then exp(i alpha(p)).
-    Complex ``stages`` are the factors exp(i alpha), computed once per run."""
+    Complex ``stages`` are the factors exp(i alpha), computed once per run.
+
+    After l stages psi(x + N) = (-1)^l psi(x), so only psi[:N] is carried and
+    stage l transforms it at length N on parity l mod 2.  Signs must be
+    doubled-oracle rows, sigma(x + N) = -sigma(x), or ValueError is raised."""
     factors = stages if np.iscomplexobj(stages) else np.exp(1j * np.asarray(stages, dtype=float))
     signs = np.asarray(signs, dtype=float)
-    amps = np.full(signs.shape, 1.0 / np.sqrt(signs.shape[-1]), dtype=complex)
-    for factor in factors:  # in place where it can: blocks of answers are large
-        amps = np.fft.fft(np.multiply(amps, signs, out=amps))
-        amps = np.fft.ifft(np.multiply(amps, factor, out=amps))
-    return amps
+    n = signs.shape[-1] // 2
+    half = signs[..., :n]
+    if not np.array_equal(signs[..., n:], -half):
+        raise ValueError("oracle signs must satisfy sigma(x + N) = -sigma(x)")
+    twist = _twist(n)
+    untwist = twist.conj()
+    amps = np.full(half.shape, 1.0 / np.sqrt(2 * n), dtype=complex)
+    for ell, factor in enumerate(factors, 1):  # in place where it can: blocks of answers are large
+        odd = ell % 2
+        np.multiply(amps, half, out=amps)
+        if odd:
+            np.multiply(amps, untwist, out=amps)
+        amps = np.fft.fft(amps)
+        amps = np.fft.ifft(np.multiply(amps, factor[odd::2], out=amps))
+        if odd:
+            np.multiply(amps, twist, out=amps)
+    return np.concatenate([amps, -amps if len(factors) % 2 else amps], axis=-1)
 
 
 ANSWER_BLOCK_AMPS = 1 << 16  # bounds the memory of a batch of answers at any N

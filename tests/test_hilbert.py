@@ -59,10 +59,10 @@ class TestUniformStart:
         np.testing.assert_allclose(start, 1 / np.sqrt(12), atol=1e-15)
 
     def test_n2_amplitudes(self):
-        np.testing.assert_allclose(run_signs(np.empty((0, 4)), np.ones(4)), 0.5, atol=1e-15)
+        np.testing.assert_allclose(run_signs(np.empty((0, 4)), oracle_signs(0, 2)), 0.5, atol=1e-15)
 
     def test_momentum_representation_is_p0(self):
-        mom = np.fft.fft(run_signs(np.empty((0, 12)), np.ones(12)), norm="ortho")
+        mom = np.fft.fft(run_signs(np.empty((0, 12)), oracle_signs(0, 6)), norm="ortho")
         expected = np.zeros(12, dtype=complex)
         expected[0] = 1.0
         np.testing.assert_allclose(mom, expected, atol=1e-14)
@@ -70,6 +70,17 @@ class TestUniformStart:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             PhaseSchedule(n=1, k=1, stages=np.zeros((1, 2)))
+
+    def test_rejects_signs_that_are_not_doubled_oracle_rows(self):
+        # the runner reads x < N only, so sigma(x + N) must be -sigma(x)
+        with pytest.raises(ValueError, match="sigma"):
+            run_signs(np.zeros((1, 12)), np.ones(12))
+        rows = oracle_signs(np.arange(6), 6)
+        rows[3, 8] *= -1
+        with pytest.raises(ValueError, match="sigma"):
+            run_signs(np.zeros((2, 12)), rows)
+        with pytest.raises(ValueError, match="sigma"):
+            run_signs(np.zeros((1, 11)), np.ones(11))
 
 
 class TestOracle:
@@ -123,6 +134,23 @@ class TestOracleImage:
         np.testing.assert_allclose(
             oracle_image(batch, n), batch @ oracle_momentum_matrix(n).T, atol=1e-12
         )
+
+    @pytest.mark.parametrize("n", PROP_SIZES)
+    def test_single_parity_batches(self, n):
+        # rows of one parity each, an all-zero row, and a batch whose odd
+        # half is all zero, so the kernel skips that parity
+        rng = np.random.default_rng(20 + n)
+        batch = rng.standard_normal((2, 4, 2 * n)) + 1j * rng.standard_normal((2, 4, 2 * n))
+        batch[0, :, 1::2] = 0
+        batch[1, 0, 1::2] = 0
+        batch[1, 1, 0::2] = 0
+        batch[1, 2] = 0
+        out = oracle_image(batch, n)
+        assert out.shape == batch.shape
+        np.testing.assert_allclose(out, batch @ oracle_momentum_matrix(n).T, atol=1e-12)
+        np.testing.assert_array_equal(out[0, :, 0::2], 0)
+        np.testing.assert_array_equal(out[1, 2], 0)
+        np.testing.assert_array_equal(oracle_image(np.zeros((3, 2 * n)), n), 0)
 
     def test_signs_of_an_index_array(self):
         n = 5
@@ -323,6 +351,66 @@ class TestRunSchedule:
             PhaseSchedule(n=4, k=2, stages=np.full((2, 8), np.nan))
 
 
+def dense_run(stages, j, n):
+    """Final position amplitudes for answer j from explicit 2N x 2N matrices:
+    diag(sigma_j), the unitary DFT and diag(exp(i alpha)) per stage."""
+    x = np.arange(2 * n)
+    fourier = np.exp(-1j * np.pi * np.outer(x, x) / n) / np.sqrt(2 * n)
+    oracle = np.diag(oracle_signs(j, n))
+    psi = np.full(2 * n, 1 / np.sqrt(2 * n), dtype=complex)
+    for stage in stages:
+        psi = fourier.conj().T @ np.diag(np.exp(1j * stage)) @ fourier @ oracle @ psi
+    return psi
+
+
+class TestHalfLengthRunner:
+    # k = 1..5 ends on both parities; complex stages are the factors
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", PROP_SIZES)
+    def test_every_answer_matches_dense_simulation(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        stages = rng.uniform(-7, 7, (k, 2 * n))
+        reference = np.array([dense_run(stages, j, n) for j in range(n)])
+        batched = run_signs(stages, oracle_signs(np.arange(n), n))
+        np.testing.assert_allclose(batched, reference, atol=1e-12)
+        factors = np.exp(1j * stages)
+        for j in range(n):
+            np.testing.assert_allclose(run_signs(factors, oracle_signs(j, n)), reference[j], atol=1e-12)
+        # a leading axis of blocks is a batch too
+        blocks = run_signs(stages, oracle_signs(np.arange(n)[None, :].repeat(2, axis=0), n))
+        np.testing.assert_allclose(blocks, reference[None].repeat(2, axis=0), atol=1e-12)
+
+
+class TestKernelLength:
+    """No transform of length 2N: each step works on the live parity's N
+    amplitudes."""
+
+    @staticmethod
+    def record_lengths(monkeypatch):
+        lengths = []
+        for name in ("fft", "ifft"):
+            transform = getattr(np.fft, name)
+
+            def recorded(a, n=None, axis=-1, norm=None, transform=transform):
+                lengths.append(np.shape(a)[axis] if n is None else n)
+                return transform(a, n, axis, norm)
+
+            monkeypatch.setattr(np.fft, name, recorded)
+        return lengths
+
+    def test_greedy_run(self, monkeypatch):
+        lengths = self.record_lengths(monkeypatch)
+        greedy_run(64, 6)
+        assert lengths and set(lengths) == {64}
+
+    def test_run_all_answers(self, monkeypatch):
+        schedule = synthesize_exact(6, 2)[0]
+        lengths = self.record_lengths(monkeypatch)
+        blocks = list(run_all_answers(schedule))
+        assert lengths and set(lengths) == {6}
+        assert blocks[0][0].shape == (6, 12)
+
+
 ANSWER_SCHEDULES = {
     "greedy-3-2": lambda: greedy_run(3, 2, keep_states=False).phase_schedule,
     "greedy-52-4": lambda: greedy_run(52, 4, keep_states=False).phase_schedule,
@@ -382,6 +470,52 @@ class TestScheduleSerialization:
         stages = np.array([[7.0, -1.0, 0.0, 2 * np.pi]])
         schedule = PhaseSchedule(n=2, k=1, stages=stages)
         assert np.all(schedule.stages >= 0) and np.all(schedule.stages < 2 * np.pi)
+
+
+def mod_rule(x):
+    """The reference reduction: np.mod, then the 1e-9 snap at 2pi."""
+    out = np.mod(x, 2 * np.pi)
+    return np.where(2 * np.pi - out < 1e-9, 0.0, out)
+
+
+TWO_PI = 2 * np.pi
+PHASES = (
+    st.floats(-1e6, 1e6)
+    | st.integers(-1000, 1000).map(lambda m: m * TWO_PI)
+    | st.floats(TWO_PI - 2e-9, TWO_PI + 2e-9).flatmap(lambda x: st.sampled_from([x, -x]))
+    | st.floats(0, TWO_PI, exclude_max=True)
+    | st.sampled_from([-0.0, 0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0), TWO_PI - 1e-9, 5e-324, -5e-324])
+)
+
+
+class TestReducePhases:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=16), elements=PHASES))
+    @example(values=np.array([-0.0, 0.0, TWO_PI, -TWO_PI, TWO_PI - 1e-9, 1e6, -1e6]))
+    @example(values=np.array([-0.0, 1.0, np.nextafter(TWO_PI - 1e-9, 0)]))
+    def test_bits_match_mod_rule(self, values):
+        expected = mod_rule(values)
+        got = hilbert.reduce_phases(values)
+        assert got.tobytes() == expected.tobytes()
+        # reduced input takes the copying path and keeps its bits, -0.0 aside
+        again = hilbert.reduce_phases(expected)
+        assert again.tobytes() == mod_rule(expected).tobytes() == expected.tobytes()
+
+    def test_reduced_input_gives_a_fresh_array(self):
+        phases = np.random.default_rng(4).uniform(0, 6, 32)
+        out = hilbert.reduce_phases(phases)
+        assert not np.shares_memory(out, phases)
+        np.testing.assert_array_equal(out, phases)
+        out[0] = -1.0
+        assert phases[0] >= 0
+
+    def test_schedule_keeps_reduced_bits(self):
+        stages = hilbert.reduce_phases(np.random.default_rng(6).uniform(-20, 20, (3, 8)))
+        schedule = PhaseSchedule(n=4, k=3, stages=stages)
+        assert schedule.stages.tobytes() == stages.tobytes()
+        trace = greedy_run(64, 6, keep_states=False)
+        stages = trace.phase_schedule.stages
+        assert PhaseSchedule(n=64, k=6, stages=stages).stages.tobytes() == stages.tobytes()
 
 
 def dumped(doc) -> str:
