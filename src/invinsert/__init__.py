@@ -1,7 +1,7 @@
 """Translationally invariant quantum query algorithms for ordered insertion."""
 
 from .bounds import bound_report, harmonic_sum, min_queries_invariant, overlap_bound
-from .compose import CompositionRun, compose_all, compose_solve, rate
+from .compose import CompositionRun, compose_all, rate
 from .errors import (
     CompositionError, ContractError, FactorizationError, SchemaError, SolverError,
 )
@@ -13,11 +13,9 @@ from .exact import (
     b0,
     build_chain,
     certify_nonneg,
-    k1_feasible,
-    k2_feasible,
     search_free_series,
 )
-from .greedy import GreedyTrace, greedy_run, one_query_asymptotic, one_query_prob
+from .greedy import GreedyTrace, greedy_run
 from .hilbert import PhaseSchedule, load_schedule, save_schedule
 from .synth import (
     LaurentPoly,
@@ -52,15 +50,10 @@ __all__ = [
     "build_chain",
     "certify_nonneg",
     "compose_all",
-    "compose_solve",
     "greedy_run",
     "harmonic_sum",
-    "k1_feasible",
-    "k2_feasible",
     "load_schedule",
     "min_queries_invariant",
-    "one_query_asymptotic",
-    "one_query_prob",
     "overlap_bound",
     "phases_from_states",
     "q_from_chain",

@@ -113,14 +113,6 @@ def compose_all(
     ]
 
 
-def compose_solve(
-    m: int, k: int, h: int, schedule: PhaseSchedule, hidden_j: int
-) -> CompositionRun:
-    """Locate hidden_j in 0..M^h - 1 with h runs of the (M, k) subroutine;
-    the single-answer case of :func:`compose_all`."""
-    return compose_all(m, k, h, schedule, [hidden_j])[0]
-
-
 def rate(k: int, m: int) -> float:
     """Asymptotic queries per log2(N) when the (M, k) subroutine is iterated."""
     if m < 2:

@@ -212,20 +212,6 @@ def certify_nonneg(
     )
 
 
-def k2_feasible(
-    n: int, grid_points: Optional[int] = None
-) -> tuple[bool, FeasibilityCertificate]:
-    """Two-query feasibility: the certificate of the chain's one stage."""
-    grid = default_grid(n) if grid_points is None else grid_points
-    cert = certify_chain(build_chain(n, 2), grid)[1]
-    return cert.verdict != INFEASIBLE, cert
-
-
-def k1_feasible(n: int) -> bool:
-    """Single-query feasibility: B_0 must vanish identically, which forces N = 2."""
-    return b0(n).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # matching-condition chain
 # ---------------------------------------------------------------------------
@@ -562,7 +548,7 @@ def search_free_series(
         delta, free = _max_min_slack(n, k, grid)
         if delta < 0:
             return None
-    elif k == 1 and not k1_feasible(n):
+    elif k == 1 and not b0(n).is_zero():
         return None
     certificates = certify_chain(build_chain(n, k, free), grid)
     if any(c.verdict == INFEASIBLE for c in certificates.values()):

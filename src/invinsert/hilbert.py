@@ -14,14 +14,14 @@ diagonal phase stages alpha_l(p).
 
 Every F_j maps momentum parity p mod 2 to 1 - p mod 2, and the phase stages
 keep it, so from the start state (p = 0) a state after l queries lives on
-parity l mod 2 alone; in position, psi(x + N) = (-1)^l psi(x).  The oracle
-image and the schedule runner use this: each step transforms only the N
-amplitudes of the live parity, by length-N FFTs.
-
-A state is a plain complex array whose last axis holds the 2N amplitudes;
-leading axes are separate states.  Every schedule run goes through
-``run_signs``, and every function returns fresh arrays.  Every JSON document
-the package writes or reads goes through ``write_json`` or ``read_json``.
+parity l mod 2 alone; in position, psi(x + N) = (-1)^l psi(x).  So a state
+in momentum is a plain complex array whose last axis holds the N amplitudes
+of parity l mod 2, p = l mod 2, l mod 2 + 2, ..., and the query count l
+carries the parity; leading axes are separate states.  A position state and
+a phase stage keep all 2N entries.  Every schedule run goes through
+``run_signs``, which transforms only psi[:N], and every function returns
+fresh arrays.  Every JSON document the package writes or reads goes through
+``write_json`` or ``read_json``.
 """
 
 from __future__ import annotations
@@ -169,20 +169,15 @@ def _twist(n: int) -> np.ndarray:
     return twist
 
 
-def oracle_image(amps: np.ndarray, n: int) -> np.ndarray:
+def oracle_image(amps: np.ndarray, parity: int) -> np.ndarray:
     """Momentum amplitudes of F_0 |psi> from those of |psi> (last axis).
 
-    The amplitudes a = amps[s::2] of parity s go to parity 1 - s as
-    fft(t_s ifft(a)), length N, with t_0 = exp(-i pi x / N) and t_1 its
-    conjugate; a parity whose amplitudes are all zero is skipped."""
+    The N amplitudes a of parity ``parity`` go to the N of parity
+    1 - parity as fft(t ifft(a)), with t = exp(-i pi x / N) from parity 0
+    and its conjugate from parity 1."""
     amps = np.asarray(amps)
-    out = np.zeros(amps.shape, dtype=complex)
-    twist = _twist(n)
-    for s, t in ((0, twist.conj()), (1, twist)):
-        half = amps[..., s::2]
-        if half.any():
-            out[..., 1 - s :: 2] = np.fft.fft(t * np.fft.ifft(half))
-    return out
+    twist = _twist(amps.shape[-1])
+    return np.fft.fft((twist if parity % 2 else twist.conj()) * np.fft.ifft(amps))
 
 
 def target_probs(amps: np.ndarray, k: int) -> np.ndarray:

@@ -9,10 +9,12 @@ Pipeline per stage l:
 3. ``states_from_poly`` - read the stage state's position amplitudes off
    P's coefficients.
 4. ``phases_from_states`` - the diagonal stage is the phase of
-   <p|psi_l> / <p|F_0|psi_{l-1}> on the live parity.
+   <p|psi_l> / <p|F_0|psi_{l-1}> on parity l mod 2.
 
-States are plain arrays of 2N amplitudes; ``np.fft.fft(..., norm="ortho")``
-takes position to momentum and ``np.fft.ifft(..., norm="ortho")`` back.
+A position state is a plain array of 2N amplitudes and
+``np.fft.fft(..., norm="ortho")`` takes it to momentum; between stages a
+state is carried as its N momentum amplitudes of parity l mod 2, as in
+``hilbert``.
 
 Numerical notes: Q positive on the circle is factored by Kolmogorov's
 minimum-phase construction, H = exp(causal part of log Q) (Sayed & Kailath,
@@ -279,33 +281,25 @@ def states_from_poly(p: Poly, ell: int) -> np.ndarray:
     return amps / norm
 
 
-def phases_from_states(psi_prev: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Diagonal phases turning F_0 |psi_prev> into |psi>.
+def phases_from_states(psi_prev: np.ndarray, psi: np.ndarray, ell: int) -> np.ndarray:
+    """Diagonal phases turning F_0 |psi_prev> into |psi> on parity l mod 2.
 
-    Both arguments are momentum amplitudes with adjacent parity supports and
-    matching magnitudes |<p|psi>| = |<p|F_0|psi_prev>| within 1e-8.  Where
-    the oracle image vanishes the phase is arbitrary and reported as 0, as
-    at the whole dead parity.
+    ``psi_prev`` holds the N momentum amplitudes of parity l - 1 mod 2 and
+    ``psi`` the N of parity l mod 2, with matching magnitudes
+    |<p|psi>| = |<p|F_0|psi_prev>| within MAGNITUDE_TOL.  Where the oracle
+    image vanishes the phase is arbitrary and reported as 0.
     """
     if psi_prev.shape != psi.shape:
         raise ValueError("states must share the same problem size")
-    n = psi.shape[-1] // 2
-    mags = np.abs(np.stack([psi_prev, psi])) ** 2
-    even, odd = mags[:, 0::2].sum(axis=1), mags[:, 1::2].sum(axis=1)
-    prev_parity, cur_parity = (odd > even).astype(int)
-    if cur_parity == prev_parity or np.minimum(even, odd).max() > 1e-12:
-        raise ContractError("states do not occupy adjacent parity classes")
-
-    phi = hilbert.oracle_image(psi_prev, n)
+    phi = hilbert.oracle_image(psi_prev, ell - 1)
     mismatch = float(np.max(np.abs(np.abs(psi) - np.abs(phi))))
     if mismatch > MAGNITUDE_TOL:
         raise ContractError(
             f"magnitude mismatch {mismatch:.3e} between the stage state and "
             "the oracle image; the Q sequence is invalid"
         )
-    phases = np.zeros(2 * n)
+    phases = np.zeros(psi.shape)
     live = np.abs(phi) > ZERO_AMP_TOL
-    live &= (np.arange(2 * n) % 2) == cur_parity
     phases[live] = hilbert.reduce_phases(np.angle(psi[live] / phi[live]))
     rebuilt = np.exp(1j * phases) * phi
     err = float(np.max(np.abs(rebuilt - psi)))
@@ -355,10 +349,10 @@ def synthesize_exact(
                 f"stage {ell} positivity fails: grid minimum {cert.grid_min:.3e}"
             )
 
-    psi_prev = np.zeros(2 * n, dtype=complex)
+    psi_prev = np.zeros(n, dtype=complex)
     psi_prev[0] = 1.0  # the uniform start state is momentum p = 0
     magnitude_mismatch = []
-    stages = np.empty((k, 2 * n))
+    stages = np.zeros((k, 2 * n))
     for ell in range(1, k + 1):
         a_series, b_series = chain.stages[ell]
         try:
@@ -366,18 +360,20 @@ def synthesize_exact(
             psi_pos = states_from_poly(poly, ell)
         except (FactorizationError, ContractError) as exc:
             raise type(exc)(f"stage {ell}: {exc}") from exc
-        phi = hilbert.oracle_image(psi_prev, n)
-        propagated = np.fft.ifft(phi, norm="ortho")
-        aligned = _align_global_phase(psi_pos, propagated)
+        live = slice(ell % 2, None, 2)
+        # all 2N momenta of the oracle image: the global phase is aligned in position
+        phi = np.zeros(2 * n, dtype=complex)
+        phi[live] = hilbert.oracle_image(psi_prev, ell - 1)
+        aligned = _align_global_phase(psi_pos, np.fft.ifft(phi, norm="ortho"))
         psi_mom = np.fft.fft(aligned, norm="ortho")
         magnitude_mismatch.append(
             float(np.max(np.abs(np.abs(psi_mom) - np.abs(phi))))
         )
         try:
-            stages[ell - 1] = phases_from_states(psi_prev, psi_mom)
+            stages[ell - 1, live] = phases_from_states(psi_prev, psi_mom[live], ell)
         except ContractError as exc:
             raise ContractError(f"stage {ell}: {exc}") from exc
-        psi_prev = psi_mom
+        psi_prev = psi_mom[live]
 
     schedule = PhaseSchedule(n=n, k=k, stages=stages)
     blocks = list(hilbert.run_all_answers(schedule))

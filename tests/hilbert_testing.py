@@ -134,6 +134,13 @@ def oracle_momentum_matrix(n: int) -> np.ndarray:
     return m
 
 
+def oracle_momentum_block(n: int, parity: int) -> np.ndarray:
+    """The N x N block of :func:`oracle_momentum_matrix` from parity
+    ``parity`` to parity 1 - parity: the dense reference for
+    ``oracle_image(amps, parity)``."""
+    return oracle_momentum_matrix(n)[1 - parity :: 2, parity::2]
+
+
 def inner(a: StateVector, b: StateVector) -> complex:
     """<a|b> for two states expressed in the same basis."""
     if a.basis != b.basis or a.n != b.n:

@@ -12,7 +12,7 @@ import pytest
 import hilbert_testing as hilbert
 from hilbert_testing import run_schedule, to_momentum, translate
 from invinsert.bounds import harmonic_sum, overlap_bound
-from invinsert.compose import compose_solve, rate
+from invinsert.compose import compose_all, rate
 from invinsert.exact import (
     CERTIFIED_POSITIVE,
     INFEASIBLE,
@@ -20,8 +20,8 @@ from invinsert.exact import (
     certify_nonneg,
     chain_constraints,
     build_chain,
-    k1_feasible,
-    k2_feasible,
+    certify_chain,
+    default_grid,
     search_free_series,
 )
 from invinsert.greedy import greedy_run
@@ -111,11 +111,12 @@ def test_criterion_2_harmonic_approximation_attained_accuracy():
 
 def test_criterion_3_k2_boundary():
     for n in range(2, 7):
-        ok, _ = k2_feasible(n)
+        ok = certify_chain(build_chain(n, 2), default_grid(n))[1].verdict != INFEASIBLE
         assert ok, f"N={n} should be feasible"
     violations = {}
     for n in range(7, 65):
-        ok, cert = k2_feasible(n)
+        cert = certify_chain(build_chain(n, 2), default_grid(n))[1]
+        ok = cert.verdict != INFEASIBLE
         assert not ok, f"N={n} should be infeasible"
         violations[n] = cert.grid_min
     report(
@@ -182,7 +183,7 @@ def test_criterion_5_n52_k3(n52_search, n52_synthesis):
 def test_criterion_6_composition():
     schedule, _ = synthesize_exact(6, 2)
     for hidden in range(36):
-        run = compose_solve(6, 2, 2, schedule, hidden)
+        run = compose_all(6, 2, 2, schedule, [hidden])[0]
         assert run.found_j == hidden
         assert run.queries_used == 4
     report(6, True, "all 36 answers recovered in exactly 4 queries (classical needs 6)")
@@ -274,7 +275,7 @@ class TestCriterion8Properties:
 
 
 def test_criterion_9_k1_exactness():
-    feasible = [n for n in range(2, 65) if k1_feasible(n)]
+    feasible = [n for n in range(2, 65) if search_free_series(n, 1) is not None]
     assert feasible == [2]
     schedule, rep = synthesize_exact(2, 1)
     ok = rep["min_success_prob"] >= 1 - 1e-9

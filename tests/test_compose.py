@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from invinsert import cli, hilbert
-from invinsert.compose import compose_all, compose_solve, rate
+from invinsert.compose import compose_all, rate
 from invinsert.errors import CompositionError, ContractError
 from invinsert.exact import search_free_series
 from invinsert.greedy import greedy_run
@@ -95,13 +95,13 @@ class TestComposeSolve:
         # all 36 hidden answers recovered in exactly 4 queries; classical
         # needs ceil(log2 36) = 6
         for hidden in range(36):
-            run = compose_solve(6, 2, 2, schedule_6_2, hidden)
+            run = compose_all(6, 2, 2, schedule_6_2, [hidden])[0]
             assert run.found_j == hidden
             assert run.queries_used == 4
 
     def test_exhaustive_m2_k1_h5(self, schedule_2_1):
         for hidden in range(32):
-            run = compose_solve(2, 1, 5, schedule_2_1, hidden)
+            run = compose_all(2, 1, 5, schedule_2_1, [hidden])[0]
             assert run.found_j == hidden
             assert run.queries_used == 5
 
@@ -109,7 +109,7 @@ class TestComposeSolve:
         # h = 1 degenerates to run_schedule plus an argmax measurement
         sign = 1  # the target sign after an even number of queries
         for hidden in range(6):
-            run = compose_solve(6, 2, 1, schedule_6_2, hidden)
+            run = compose_all(6, 2, 1, schedule_6_2, [hidden])[0]
             final, _ = run_schedule(schedule_6_2, hidden)
             overlaps = [
                 abs(np.vdot(target_state(j, sign, 6).amps, final.amps)) ** 2
@@ -119,7 +119,7 @@ class TestComposeSolve:
             assert run.queries_used == 2
 
     def test_interval_nesting(self, schedule_6_2):
-        run = compose_solve(6, 2, 3, schedule_6_2, 157)
+        run = compose_all(6, 2, 3, schedule_6_2, [157])[0]
         assert run.found_j == 157
         assert run.queries_used == 6
         bases = [level[0] for level in run.per_level]
@@ -133,15 +133,15 @@ class TestComposeSolve:
         # a greedy schedule is good but not exact; composition must refuse it
         trace = greedy_run(6, 2, keep_states=False)
         with pytest.raises(CompositionError):
-            compose_solve(6, 2, 2, trace.phase_schedule, 11)
+            compose_all(6, 2, 2, trace.phase_schedule, [11])[0]
 
     def test_wrong_schedule_shape_rejected(self, schedule_6_2):
         with pytest.raises(ValueError):
-            compose_solve(5, 2, 2, schedule_6_2, 0)
+            compose_all(5, 2, 2, schedule_6_2, [0])[0]
 
     def test_hidden_range_checked(self, schedule_6_2):
         with pytest.raises(ValueError):
-            compose_solve(6, 2, 2, schedule_6_2, 36)
+            compose_all(6, 2, 2, schedule_6_2, [36])[0]
 
 
 def reference_run(m, k, h, schedule, hidden):
@@ -169,7 +169,7 @@ class TestComposeAll:
         runs = compose_all(m, k, h, schedule, range(m**h))
         assert [run.hidden_j for run in runs] == list(range(m**h))
         for hidden, run in enumerate(runs):
-            single = compose_solve(m, k, h, schedule, hidden)
+            single = compose_all(m, k, h, schedule, [hidden])[0]
             found, per_level = reference_run(m, k, h, schedule, hidden)
             assert run.found_j == single.found_j == found == hidden
             assert run.queries_used == single.queries_used == h * k
@@ -239,7 +239,7 @@ class TestOutcomeTable:
 
     def test_one_answer_runs_at_most_h_rows(self, schedule_6_2, monkeypatch):
         rows = count_rows(monkeypatch)
-        run = compose_solve(6, 2, 3, schedule_6_2, 157)
+        run = compose_all(6, 2, 3, schedule_6_2, [157])[0]
         assert run.found_j == 157 and run.queries_used == 6
         assert 0 < sum(rows) <= 3
 

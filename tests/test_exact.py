@@ -24,13 +24,12 @@ from invinsert.exact import (
     a0,
     b0,
     build_chain,
+    certify_chain,
     certify_nonneg,
     chain_constraints,
     chain_free_names,
     default_grid,
     grid_values,
-    k1_feasible,
-    k2_feasible,
     load_series,
     save_series,
     search_free_series,
@@ -110,6 +109,11 @@ class TestEvalSeries:
     def test_non_finite_coefficients_rejected(self, klass, coeffs):
         with pytest.raises(ContractError, match="not finite"):
             CosineSeries(n=len(coeffs) + 1, klass=klass, coeffs=coeffs)
+
+
+def k2_cert(n):
+    """The certificate of the two-query chain's one stage, 1 + B_0."""
+    return certify_chain(build_chain(n, 2), default_grid(n))[1]
 
 
 def random_series(n, klass, rng):
@@ -194,7 +198,7 @@ class TestCertifyNonneg:
         # cosine matrix there would take about 0.5 GiB
         tracemalloc.start()
         try:
-            k2_feasible(1024)
+            k2_cert(1024)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -204,19 +208,19 @@ class TestCertifyNonneg:
 class TestFeasibilityBoundaries:
     def test_k2_boundary(self):
         for n in range(2, 7):
-            assert k2_feasible(n)[0]
+            assert k2_cert(n).verdict != INFEASIBLE
         for n in range(7, 65):
-            assert not k2_feasible(n)[0]
+            assert k2_cert(n).verdict == INFEASIBLE
 
     def test_k2_n2_is_trivially_one(self):
-        ok, cert = k2_feasible(2)
-        assert ok
+        cert = k2_cert(2)
+        assert cert.verdict != INFEASIBLE
         assert abs(cert.grid_min - 1.0) < 1e-12  # B0(2) is the zero series
 
     def test_k1_only_n2(self):
-        assert k1_feasible(2)
+        assert search_free_series(2, 1) is not None
         for n in range(3, 65):
-            assert not k1_feasible(n)
+            assert search_free_series(n, 1) is None
 
 
 class TestBuildChain:
@@ -371,11 +375,11 @@ class TestSearchFreeSeries:
         assert search_free_series(2, 1) == ({}, {})
         assert search_free_series(3, 1) is None
 
-    def test_k2_search_agrees_with_k2_feasible(self):
+    def test_k2_search_agrees_with_chain_certificate(self):
         for n in range(2, 301):
-            assert (search_free_series(n, 2) is not None) == k2_feasible(n)[0]
+            assert (search_free_series(n, 2) is not None) == (k2_cert(n).verdict != INFEASIBLE)
         for n in (6, 7):  # the chain's one stage is 1 + B_0
-            assert k2_feasible(n)[1] == certify_nonneg([b0(n)], default_grid(n))
+            assert k2_cert(n) == certify_nonneg([b0(n)], default_grid(n))
 
     @pytest.mark.parametrize("n,k,grid", [(300, 4, 2000), (16, 3, 0), (6, 2, 47)])
     def test_coarse_grid_rejected_before_any_lp(self, monkeypatch, n, k, grid):

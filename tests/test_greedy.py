@@ -1,19 +1,18 @@
 """Greedy phase choice, probability recursion, and published probabilities."""
 
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invinsert import bounds
-from invinsert.greedy import (
-    _advance,
-    greedy_run,
-    one_query_asymptotic,
-    one_query_prob,
-)
-from invinsert.hilbert import oracle_signs, run_all_answers, run_signs
-from hilbert_testing import oracle_momentum_matrix
+from invinsert.greedy import _advance, greedy_run
+from invinsert.hilbert import load_schedule, oracle_signs, run_all_answers, run_signs
+from hilbert_testing import oracle_momentum_block
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # published success probabilities (N, k) -> prob, 4 significant figures
 TABLE_SPOT_CELLS = {
@@ -23,59 +22,84 @@ TABLE_SPOT_CELLS = {
 }
 
 
-def oracle_image_amps(amps):
-    """<p|F_0|psi> from the dense closed-form matrix, independent of the FFTs."""
-    return oracle_momentum_matrix(amps.size // 2) @ amps
+def oracle_image_amps(amps, parity):
+    """<p|F_0|psi> on parity 1 - parity from the N amplitudes of parity
+    ``parity``, by the dense closed-form matrix, independent of the FFTs."""
+    return oracle_momentum_block(amps.size, parity) @ amps
+
+
+def one_query_prob(n: int) -> float:
+    """Success probability of the single-query greedy algorithm: S^2 / N
+    with S = (1/N) sum over odd p of 1/sin(pi p / 2N), the harmonic sum."""
+    return bounds.harmonic_sum(n).exact ** 2 / n
+
+
+def one_query_asymptotic(n: int) -> float:
+    """Large-N closed form (4 / pi^2 N) [ln N + gamma + ln(8/pi)]^2."""
+    if n < 3:
+        raise ValueError(f"asymptotic form needs n >= 3, got {n}")
+    return 4.0 / (math.pi**2 * n) * (math.log(n) + bounds.EULER_GAMMA + math.log(8 / math.pi)) ** 2
 
 
 class TestGreedyStep:
     def test_first_stage_amplitudes(self):
         n = 8
-        psi1 = greedy_run(n, 1).states[1]
+        psi1 = greedy_run(n, 1).states[1]  # parity 1: p = 1, 3, ..., 2N - 1
         p = np.arange(1, 2 * n, 2)
         expected = 1.0 / (n * np.sin(np.pi * p / (2 * n)))
-        np.testing.assert_allclose(psi1[1::2].real, expected, atol=1e-13)
-        np.testing.assert_allclose(psi1[0::2], 0, atol=1e-15)
+        np.testing.assert_allclose(psi1.real, expected, atol=1e-13)
+        np.testing.assert_allclose(psi1.imag, 0, atol=1e-15)
 
     def test_uniform_fixed_point(self):
         n = 6
-        amps = np.zeros(2 * n, dtype=complex)
-        amps[1::2] = 1 / np.sqrt(n)
-        psi, _ = _advance(amps, n, 2)
-        np.testing.assert_allclose(psi[0::2].real, 1 / np.sqrt(n), atol=1e-12)
+        amps = np.full(n, 1 / np.sqrt(n), dtype=complex)  # uniform on parity 1
+        psi, _ = _advance(amps, 2)
+        np.testing.assert_allclose(psi.real, 1 / np.sqrt(n), atol=1e-12)
 
     def test_matches_single_phase_grid_search(self):
         # aligning each term is optimal: no single-phase change on a fine grid
         # beats the greedy overlap
         n = 3
         trace = greedy_run(n, 1)
-        phases = trace.phase_schedule.stages[0]
-        phi = oracle_image_amps(trace.states[0])
-        live = np.arange(1, 2 * n, 2)
-        greedy_overlap = abs(np.sum(np.exp(1j * phases[live]) * phi[live])) / np.sqrt(n)
+        phases = trace.phase_schedule.stages[0][1::2]
+        phi = oracle_image_amps(trace.states[0], 0)
+        greedy_overlap = abs(np.sum(np.exp(1j * phases) * phi)) / np.sqrt(n)
         grid = np.linspace(0, 2 * np.pi, 720, endpoint=False)
-        for p in live:
+        for p in range(n):
             for alpha in grid:
-                trial = phases[live].copy()
-                trial[np.where(live == p)[0][0]] = alpha
-                overlap = abs(np.sum(np.exp(1j * trial) * phi[live])) / np.sqrt(n)
+                trial = phases.copy()
+                trial[p] = alpha
+                overlap = abs(np.sum(np.exp(1j * trial) * phi)) / np.sqrt(n)
                 assert overlap <= greedy_overlap + 1e-12
 
     def test_step_matches_oracle_image_magnitudes(self):
         rng = np.random.default_rng(1)
         n = 6
-        amps = np.zeros(2 * n, dtype=complex)
-        amps[1::2] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)  # on parity 1
         amps /= np.linalg.norm(amps)
-        psi, _ = _advance(amps, n, 2)
+        psi, _ = _advance(amps, 2)
         np.testing.assert_allclose(
-            psi[0::2].real, np.abs(oracle_image_amps(amps)[0::2]), atol=1e-12
+            psi.real, np.abs(oracle_image_amps(amps, 1)), atol=1e-12
         )
 
 
 class TestGreedyRun:
     def test_prob0_is_one_over_n(self):
         assert abs(greedy_run(17, 1).probs[0] - 1 / 17) < 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 52])
+    def test_states_are_the_n_live_amplitudes(self, n):
+        k = 4
+        trace = greedy_run(n, k)
+        assert len(trace.states) == k + 1
+        for state in trace.states:
+            assert state.shape == (n,)
+        np.testing.assert_array_equal(trace.states[0], np.eye(n)[0])
+
+    def test_schedule_bits_are_pinned(self):
+        # the saved bits of this schedule: a change to greedy's arithmetic shows here
+        pinned = load_schedule(DATA / "greedy-52-6.schedule.json")
+        assert np.array_equal(greedy_run(52, 6).phase_schedule.stages, pinned.stages)
 
     @pytest.mark.parametrize(("cell", "expected"), sorted(TABLE_SPOT_CELLS.items()))
     def test_published_cells(self, cell, expected):
@@ -125,10 +149,9 @@ class TestGreedyRun:
     def test_recorded_states_match_schedule_runner(self):
         n, k = 6, 3
         trace = greedy_run(n, k)
-        final = run_signs(trace.phase_schedule.stages, oracle_signs(0, n))
-        np.testing.assert_allclose(
-            np.fft.fft(final, norm="ortho"), trace.states[k], atol=1e-12
-        )
+        final = np.fft.fft(run_signs(trace.phase_schedule.stages, oracle_signs(0, n)), norm="ortho")
+        np.testing.assert_allclose(final[k % 2 :: 2], trace.states[k], atol=1e-12)
+        assert np.max(np.abs(final[1 - k % 2 :: 2])) < 1e-12
 
 
 class TestOneQueryProb:
@@ -162,11 +185,9 @@ class TestOneQueryAsymptotic:
 
     def test_closed_form_reads_off(self):
         # value * N * pi^2 / 4 is exactly the squared logarithm
-        from invinsert.greedy import EULER_GAMMA
-
         for n in (10, 1000, 10**6):
             lhs = one_query_asymptotic(n) * n * np.pi**2 / 4
-            rhs = (np.log(n) + EULER_GAMMA + np.log(8 / np.pi)) ** 2
+            rhs = (np.log(n) + bounds.EULER_GAMMA + np.log(8 / np.pi)) ** 2
             assert abs(lhs - rhs) < 1e-12 * rhs
 
     def test_requires_n_at_least_3(self):

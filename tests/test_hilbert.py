@@ -31,6 +31,7 @@ from hilbert_testing import (
     inner,
     momentum_basis_vector,
     oracle_momentum_element,
+    oracle_momentum_block,
     oracle_momentum_matrix,
     random_schedule,
     random_state,
@@ -97,17 +98,23 @@ class TestOracle:
         rng = np.random.default_rng(7)
         for n in (2, 5, 8):
             np.testing.assert_array_equal(oracle_signs(np.arange(n), n) ** 2, 1.0)
-            amps = random_state(n, rng, MOMENTUM).amps
-            twice = oracle_image(oracle_image(amps, n), n)
-            np.testing.assert_allclose(twice, amps, atol=1e-14)
+            amps = random_state(n, rng, MOMENTUM).amps[:n]
+            for parity in (0, 1):
+                twice = oracle_image(oracle_image(amps, parity), 1 - parity)
+                np.testing.assert_allclose(twice, amps, atol=1e-14)
 
     def test_momentum_input_round_trips(self):
         # the library's momentum oracle against the position oracle
         # conjugated by the reference transforms
         rng = np.random.default_rng(8)
-        state = to_momentum(random_state(6, rng))
-        expected = to_momentum(apply_oracle(0, to_position(state)))
-        np.testing.assert_allclose(oracle_image(state.amps, 6), expected.amps, atol=1e-13)
+        amps = to_momentum(random_state(6, rng)).amps
+        for parity in (0, 1):
+            state = StateVector(6, MOMENTUM, np.where(np.arange(12) % 2 == parity, amps, 0))
+            expected = to_momentum(apply_oracle(0, to_position(state))).amps
+            np.testing.assert_allclose(
+                oracle_image(amps[parity::2], parity), expected[1 - parity :: 2], atol=1e-13
+            )
+            np.testing.assert_allclose(expected[parity::2], 0, atol=1e-13)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -121,36 +128,32 @@ class TestOracleImage:
     @pytest.mark.parametrize("n", PROP_SIZES)
     def test_matches_dense_matrix(self, n, parity):
         rng = np.random.default_rng(10 * n + parity)
-        amps = random_state(n, rng, MOMENTUM).amps.copy()
-        amps[(np.arange(2 * n) + parity) % 2 == 1] = 0  # one parity class
+        amps = random_state(n, rng, MOMENTUM).amps[parity::2]
         np.testing.assert_allclose(
-            oracle_image(amps, n), oracle_momentum_matrix(n) @ amps, atol=1e-12
+            oracle_image(amps, parity), oracle_momentum_block(n, parity) @ amps, atol=1e-12
         )
 
     def test_rows_are_separate_states(self):
         n = 7
         rng = np.random.default_rng(11)
-        batch = rng.standard_normal((3, 2 * n)) + 1j * rng.standard_normal((3, 2 * n))
-        np.testing.assert_allclose(
-            oracle_image(batch, n), batch @ oracle_momentum_matrix(n).T, atol=1e-12
-        )
+        batch = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        for parity in (0, 1):
+            np.testing.assert_allclose(
+                oracle_image(batch, parity), batch @ oracle_momentum_block(n, parity).T, atol=1e-12
+            )
 
     @pytest.mark.parametrize("n", PROP_SIZES)
     def test_single_parity_batches(self, n):
-        # rows of one parity each, an all-zero row, and a batch whose odd
-        # half is all zero, so the kernel skips that parity
+        # batches with a leading block axis and an all-zero row, from each parity
         rng = np.random.default_rng(20 + n)
-        batch = rng.standard_normal((2, 4, 2 * n)) + 1j * rng.standard_normal((2, 4, 2 * n))
-        batch[0, :, 1::2] = 0
-        batch[1, 0, 1::2] = 0
-        batch[1, 1, 0::2] = 0
+        batch = rng.standard_normal((2, 4, n)) + 1j * rng.standard_normal((2, 4, n))
         batch[1, 2] = 0
-        out = oracle_image(batch, n)
-        assert out.shape == batch.shape
-        np.testing.assert_allclose(out, batch @ oracle_momentum_matrix(n).T, atol=1e-12)
-        np.testing.assert_array_equal(out[0, :, 0::2], 0)
-        np.testing.assert_array_equal(out[1, 2], 0)
-        np.testing.assert_array_equal(oracle_image(np.zeros((3, 2 * n)), n), 0)
+        for parity in (0, 1):
+            out = oracle_image(batch, parity)
+            assert out.shape == batch.shape
+            np.testing.assert_allclose(out, batch @ oracle_momentum_block(n, parity).T, atol=1e-12)
+            np.testing.assert_array_equal(out[1, 2], 0)
+            np.testing.assert_array_equal(oracle_image(np.zeros((3, n)), parity), 0)
 
     def test_signs_of_an_index_array(self):
         n = 5
