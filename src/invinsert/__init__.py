@@ -1,7 +1,7 @@
 """Translationally invariant quantum query algorithms for ordered insertion."""
 
 from .bounds import bound_report, harmonic_sum, min_queries_invariant, overlap_bound
-from .compose import CompositionRun, compose_all, rate
+from .compose import compose_all, rate
 from .errors import (
     CompositionError, ContractError, FactorizationError, SchemaError, SolverError,
 )
@@ -31,7 +31,6 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompositionRun",
     "CompositionError",
     "ContractError",
     "CosineSeries",

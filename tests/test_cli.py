@@ -319,6 +319,14 @@ class TestComposeAndRate:
         assert run["found_j"] == 17 and run["queries_used"] == 4
         assert [level[1] for level in run["per_level"]] == [2, 1]
 
+    def test_compose_without_a_free_series_reports_every_param(self, capsys):
+        # two queries are exact only up to N = 6, so (7, 2) has no free series
+        code, out, _ = run_cli(capsys, "compose", "--m", "7", "--k", "2", "--h", "2", "--all")
+        report = json.loads(out)
+        assert code == 2
+        assert report["params"] == {"m": 7, "k": 2, "h": 2}
+        assert report["results"] == {"found": False}
+
     def test_compose_synthesizes_when_no_schedule_given(self, capsys):
         code, out, _ = run_cli(
             capsys, "compose", "--m", "2", "--k", "1", "--h", "3", "--all"

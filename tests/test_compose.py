@@ -1,7 +1,9 @@
 """Recursive composition of exact subroutines and query accounting."""
 
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from invinsert.exact import search_free_series
 from invinsert.greedy import greedy_run
 from invinsert.synth import synthesize_exact
 from hilbert_testing import run_schedule, target_state
+
+DATA = Path(__file__).resolve().parent / "data"
+SCHEDULE_6_2 = DATA / "synth-6-2.schedule.json"
 
 
 def reduced_oracle(j, base, scale: int, m: int) -> np.ndarray:
@@ -95,53 +100,52 @@ class TestComposeSolve:
         # all 36 hidden answers recovered in exactly 4 queries; classical
         # needs ceil(log2 36) = 6
         for hidden in range(36):
-            run = compose_all(6, 2, 2, schedule_6_2, [hidden])[0]
-            assert run.found_j == hidden
-            assert run.queries_used == 4
+            comp = compose_all(6, 2, 2, schedule_6_2, [hidden])
+            assert comp.found[0] == hidden
+            assert comp.queries_used == 4
 
     def test_exhaustive_m2_k1_h5(self, schedule_2_1):
         for hidden in range(32):
-            run = compose_all(2, 1, 5, schedule_2_1, [hidden])[0]
-            assert run.found_j == hidden
-            assert run.queries_used == 5
+            comp = compose_all(2, 1, 5, schedule_2_1, [hidden])
+            assert comp.found[0] == hidden
+            assert comp.queries_used == 5
 
     def test_single_level_matches_direct_run(self, schedule_6_2):
         # h = 1 degenerates to run_schedule plus an argmax measurement
         sign = 1  # the target sign after an even number of queries
         for hidden in range(6):
-            run = compose_all(6, 2, 1, schedule_6_2, [hidden])[0]
+            comp = compose_all(6, 2, 1, schedule_6_2, [hidden])
             final, _ = run_schedule(schedule_6_2, hidden)
             overlaps = [
                 abs(np.vdot(target_state(j, sign, 6).amps, final.amps)) ** 2
                 for j in range(6)
             ]
-            assert run.found_j == int(np.argmax(overlaps)) == hidden
-            assert run.queries_used == 2
+            assert comp.found[0] == int(np.argmax(overlaps)) == hidden
+            assert comp.queries_used == 2
 
     def test_interval_nesting(self, schedule_6_2):
-        run = compose_all(6, 2, 3, schedule_6_2, [157])[0]
-        assert run.found_j == 157
-        assert run.queries_used == 6
-        bases = [level[0] for level in run.per_level]
-        levels = [level[1] for level in run.per_level]
-        assert levels == [3, 2, 1]
+        comp = compose_all(6, 2, 3, schedule_6_2, [157])
+        assert comp.found[0] == 157
+        assert comp.queries_used == 6
+        # one row per level, t = 3, 2, 1
+        assert comp.bases.shape == comp.subanswers.shape == (3, 1)
         # each interval contains the hidden answer and shrinks by a factor m
-        for base, t, _ in run.per_level:
+        for base, t in zip(comp.bases[:, 0], [3, 2, 1]):
             assert base <= 157 < base + 6**t
 
     def test_inexact_schedule_rejected(self):
         # a greedy schedule is good but not exact; composition must refuse it
         trace = greedy_run(6, 2, keep_states=False)
         with pytest.raises(CompositionError):
-            compose_all(6, 2, 2, trace.phase_schedule, [11])[0]
+            compose_all(6, 2, 2, trace.phase_schedule, [11])
 
     def test_wrong_schedule_shape_rejected(self, schedule_6_2):
         with pytest.raises(ValueError):
-            compose_all(5, 2, 2, schedule_6_2, [0])[0]
+            compose_all(5, 2, 2, schedule_6_2, [0])
 
     def test_hidden_range_checked(self, schedule_6_2):
         with pytest.raises(ValueError):
-            compose_all(6, 2, 2, schedule_6_2, [36])[0]
+            compose_all(6, 2, 2, schedule_6_2, [36])
 
 
 def reference_run(m, k, h, schedule, hidden):
@@ -158,6 +162,12 @@ def reference_run(m, k, h, schedule, hidden):
     return base, per_level
 
 
+def levels(comp, i):
+    """Answer i's (interval base, level t, subanswer j') per level."""
+    h = comp.bases.shape[0]
+    return list(zip(comp.bases[:, i].tolist(), range(h, 0, -1), comp.subanswers[:, i].tolist()))
+
+
 class TestComposeAll:
     @pytest.mark.parametrize("m, k, h", [(6, 2, 2), (2, 1, 5), (6, 2, 3)])
     @pytest.mark.parametrize("block_answers", [None, 5])
@@ -166,20 +176,40 @@ class TestComposeAll:
         if block_answers:
             # blocks of a few answers, so most levels end on a partial block
             monkeypatch.setattr(hilbert, "ANSWER_BLOCK_AMPS", block_answers * 2 * m)
-        runs = compose_all(m, k, h, schedule, range(m**h))
-        assert [run.hidden_j for run in runs] == list(range(m**h))
-        for hidden, run in enumerate(runs):
-            single = compose_all(m, k, h, schedule, [hidden])[0]
+        comp = compose_all(m, k, h, schedule, range(m**h))
+        assert comp.found.shape == (m**h,)  # one column per answer, in order
+        for hidden in range(m**h):
+            single = compose_all(m, k, h, schedule, [hidden])
             found, per_level = reference_run(m, k, h, schedule, hidden)
-            assert run.found_j == single.found_j == found == hidden
-            assert run.queries_used == single.queries_used == h * k
-            assert run.per_level == single.per_level == per_level
+            assert comp.found[hidden] == single.found[0] == found == hidden
+            assert comp.queries_used == single.queries_used == h * k
+            assert levels(comp, hidden) == levels(single, 0) == per_level
 
-    def test_plain_ints(self, schedule_6_2):
-        for run in compose_all(6, 2, 2, schedule_6_2, [0, 35]):
-            values = [run.hidden_j, run.found_j, run.queries_used]
-            values += [v for level in run.per_level for v in level]
-            assert all(type(v) is int for v in values)
+    def test_int64_columns(self, schedule_6_2):
+        comp = compose_all(6, 2, 2, schedule_6_2, [0, 35])
+        columns = [comp.found, comp.bases, comp.subanswers]
+        for column, shape in zip(columns, [(2,), (2, 2), (2, 2)]):
+            assert column.dtype == np.int64 and column.shape == shape
+        assert type(comp.queries_used) is int
+
+    def test_plain_ints(self, capsys):
+        # every value of the report's runs reads back as a JSON int
+        argv = ["compose", "--m", "6", "--k", "2", "--h", "2", "--all", "--schedule", str(SCHEDULE_6_2)]
+        assert cli.main(argv) == 0
+        runs = json.loads(capsys.readouterr().out)["results"]["runs"]
+        values = [v for run in runs for key, v in run.items() if key != "per_level"]
+        values += [v for run in runs for level in run["per_level"] for v in level]
+        assert len(values) == 36 * (3 + 2 * 3)
+        assert all(type(v) is int for v in values)
+
+    def test_report_matches_the_pinned_results(self, capsys):
+        # the results text of compose --m 6 --k 2 --h 3 --all, as written
+        # when each answer was its own run object
+        argv = ["compose", "--m", "6", "--k", "2", "--h", "3", "--all", "--schedule", str(SCHEDULE_6_2)]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        results = out.split(',"results":', 1)[1].split(',"tool_version":', 1)[0]
+        assert results + "\n" == (DATA / "compose-6-2-3.results.json").read_text()
 
     def test_greedy_schedule_names_the_level(self):
         trace = greedy_run(6, 2, keep_states=False)
@@ -207,6 +237,24 @@ class TestComposeAll:
         # unblocked batch 16.4 MiB
         assert peak < 8 * 2**20
 
+    def test_memory_of_the_2_1_14_report(self, schedule_2_1, tmp_path, monkeypatch):
+        # 2^14 answers: 15.5 MiB with one array row of levels per answer;
+        # a tuple per level and answer took 32.9 MiB
+        path = tmp_path / "s2.json"
+        hilbert.save_schedule(schedule_2_1, path)
+        argv = ["compose", "--m", "2", "--k", "1", "--h", "14", "--all", "--schedule", str(path)]
+        with open(tmp_path / "report.json", "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert json.loads((tmp_path / "report.json").read_text())["results"]["all_recovered"]
+        assert peak < 24 * 2**20
+
 
 def shifted_schedule(schedule):
     """The schedule with 2 pi p / 2N added to its last stage: a cyclic shift
@@ -233,20 +281,20 @@ def count_rows(monkeypatch):
 class TestOutcomeTable:
     def test_all_runs_at_most_m_rows(self, schedule_6_2, monkeypatch):
         rows = count_rows(monkeypatch)
-        runs = compose_all(6, 2, 4, schedule_6_2, range(6**4))
-        assert [run.found_j for run in runs] == list(range(6**4))
+        comp = compose_all(6, 2, 4, schedule_6_2, range(6**4))
+        assert comp.found.tolist() == list(range(6**4))
         assert 0 < sum(rows) <= 6
 
     def test_one_answer_runs_at_most_h_rows(self, schedule_6_2, monkeypatch):
         rows = count_rows(monkeypatch)
-        run = compose_all(6, 2, 3, schedule_6_2, [157])[0]
-        assert run.found_j == 157 and run.queries_used == 6
+        comp = compose_all(6, 2, 3, schedule_6_2, [157])
+        assert comp.found[0] == 157 and comp.queries_used == 6
         assert 0 < sum(rows) <= 3
 
     def test_wrong_subanswer_is_reported_at_one_level(self, schedule_6_2):
         shifted = shifted_schedule(schedule_6_2)
-        runs = compose_all(6, 2, 1, shifted, range(6))
-        assert [run.found_j for run in runs] == [5, 0, 1, 2, 3, 4]
+        comp = compose_all(6, 2, 1, shifted, range(6))
+        assert comp.found.tolist() == [5, 0, 1, 2, 3, 4]
 
     def test_wrong_subanswer_leaves_the_interval(self, schedule_6_2):
         # level 2 measures j' - 1, so the level-1 interval misses the answer;
