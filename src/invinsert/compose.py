@@ -87,7 +87,7 @@ def compose_all(
             found[rows] = np.argmax(probs, axis=-1)
             overlap[rows] = probs.max(axis=-1)
             lo += len(finals)
-        worst = float(overlap[used].min())
+        worst = float(overlap[used].min(initial=1.0))  # no answers: nothing falls short
         if worst < SUCCESS_FLOOR:
             raise CompositionError(
                 f"level {t}: best overlap {worst:.6f} below {SUCCESS_FLOOR}; "

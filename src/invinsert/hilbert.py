@@ -104,7 +104,7 @@ def _json_pieces(doc) -> Iterator[str]:
             yield from _json_pieces(value)
         yield "}"
     elif isinstance(doc, (list, np.ndarray)) and len(doc) and isinstance(doc[0], (list, dict, np.ndarray)):
-        step = JSON_PIECE // (len(doc[0]) + 1)
+        step = JSON_PIECE // (_values(doc[0], JSON_PIECE) + 1)
         for lo in range(0, len(doc), step or 1):
             yield "," if lo else "["
             if step:
@@ -114,6 +114,21 @@ def _json_pieces(doc) -> Iterator[str]:
         yield "]"
     else:
         yield _dumps(doc)
+
+
+def _values(doc, cap: int) -> int:
+    """The number of scalar values in ``doc``, keys left out, counted until
+    it passes ``cap``."""
+    if isinstance(doc, np.ndarray):
+        return doc.size
+    if not isinstance(doc, (dict, list, tuple)):
+        return 1
+    count = 0
+    for item in doc.values() if isinstance(doc, dict) else doc:
+        count += _values(item, cap - count)
+        if count > cap:
+            break
+    return count
 
 
 def _dumps(value) -> str:

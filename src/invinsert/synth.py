@@ -22,12 +22,17 @@ minimum-phase construction, H = exp(causal part of log Q) (Sayed & Kailath,
 2001).  H's first N coefficients need only the first N cepstral
 coefficients, which a real FFT of log Q on a grid gives, and a power-series
 exponential turns them into h_0..h_{N-1} exactly.  The grid doubles until
-two successive grids agree within FACTOR_GRID_TOL.  Zeros on the circle,
-as in the start polynomial's squared magnitude, make log Q singular, and
-zeros near it keep the grids apart past FFT_MAX_SIZE; such Q are factored
-by Wilson's Newton iteration on the equations sum_j conj(h_j) h_{j+r} = q_r
-instead, started from a constant.  Either way |P|^2 - Q is checked on the
-circle against FACTOR_GRID_TOL.
+two successive grids agree within FACTOR_GRID_TOL.  Every chain's Q has real
+coefficients, so Q is even on the circle: each doubling evaluates Q only at
+the new odd points that are distinct up to mirroring, with quarter-length
+real FFTs (Makhoul's fast cosine transforms, IEEE TASSP 28, 1980).  A few
+convolutions give the change in h between two grids, and only the accepted
+grid takes the series exponential again.  Zeros on the circle, as in the
+start polynomial's squared magnitude, make log Q singular, and zeros near it
+keep the grids apart past FFT_MAX_SIZE; such Q, and Q with complex
+coefficients, are factored by Wilson's Newton iteration on the equations
+sum_j conj(h_j) h_{j+r} = q_r instead, started from a constant.  Either way
+|P|^2 - Q is checked on the circle against FACTOR_GRID_TOL.
 """
 
 from __future__ import annotations
@@ -87,14 +92,12 @@ class LaurentPoly:
     def coeff(self, r: int) -> complex:
         return complex(self.q[r + self.n - 1])
 
-    def circle_values(self, grid: int, offset: float = 0.0) -> np.ndarray:
-        """Q(e^{i theta}) at theta = 2 pi (m + offset) / grid, m = 0..grid-1: by
-        Hermitian symmetry, the inverse real FFT of q_r e^{2 pi i r offset / grid},
-        r = 0..N-1."""
+    def circle_values(self, grid: int) -> np.ndarray:
+        """Q(e^{i theta}) at theta = 2 pi m / grid, m = 0..grid-1: by Hermitian
+        symmetry, the inverse real FFT of q_r, r = 0..N-1."""
         if grid < 2 * self.n - 1:
             raise ValueError(f"{grid} angles fold {self.n - 1} harmonics")
-        q = self.q[self.n - 1:] * np.exp(2j * np.pi * offset * np.arange(self.n) / grid)
-        return np.fft.irfft(q, grid) * grid
+        return np.fft.irfft(self.q[self.n - 1:], grid) * grid
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,8 @@ def q_from_chain(a: CosineSeries, b: CosineSeries) -> LaurentPoly:
     q = np.zeros(2 * n - 1, dtype=complex)
     q[n - 1] = 1.0
     half = (a.coeffs + b.coeffs) / 2.0
-    for r in range(1, n):
-        q[n - 1 + r] = half[r - 1]
-        q[n - 1 - r] = half[r - 1]
+    q[n:] = half
+    q[n - 2::-1] = half
     return LaurentPoly(n=n, q=q)
 
 
@@ -150,47 +152,91 @@ def _series_exp(c: np.ndarray) -> np.ndarray:
     return h
 
 
+def _exp_change(h: np.ndarray, c: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """exp(new) - h mod z^N for h = exp(c): the Taylor terms h dc^t / t! of
+    h (exp(dc) - 1), dc = new - c, by convolution.  With x = ||dc||_1 < 1 the
+    terms after the t-th sum to at most ||term_t||_1 r / (1 - r),
+    r = x / (t + 1), and the sum stops once that is below rounding; a larger
+    dc would make the terms cancel, so it takes the series exponential."""
+    dc = new - c
+    x = np.abs(dc).sum()
+    if not x < 1:
+        return _series_exp(new) - h
+    floor = np.finfo(float).eps * np.abs(h).sum()
+    term, change, t = h, 0.0, 1
+    while True:
+        term = np.convolve(term, dc)[:len(h)] / t
+        change = change + term
+        r = x / (t + 1)
+        if np.abs(term).sum() * r <= floor * (1 - r):
+            return change
+        t += 1
+
+
+def _odd_point_sums(q: np.ndarray, grid: int) -> Optional[np.ndarray]:
+    """sum log Q(theta) e^{-i j theta}, j < N, over the odd points
+    theta = 2 pi (2m + 1) / grid, for real q_0..q_{N-1}; None where Q <= 0.
+    Such Q is even, and point 4m + 1 mirrors to grid - 4m - 1, which is 3 mod
+    4: the points 4m + 1, a grid of grid/4 turned by 2 pi / grid, hold one of
+    each pair (Makhoul's DCT-III and DCT-II, their permutations cancelled)."""
+    quarter = grid // 4
+    turn = np.exp(2j * np.pi / grid * np.arange(len(q)))
+    values = np.fft.irfft(turn * q, quarter) * quarter
+    if values.min() <= 0:
+        return None
+    log_q = np.log(values, out=values)
+    return 2 * (np.conj(turn) * np.fft.rfft(log_q)[:len(q)]).real
+
+
 def _cepstral_factor(q_poly: LaurentPoly) -> Optional[np.ndarray]:
     """Kolmogorov's minimum-phase factor: H = exp(causal part of log Q).
 
     H(z) = sum_n h_n z^n has no zeros in the disk, so the returned
-    coefficients conj(h[:N][::-1]) put P's zeros inside it.  On a grid of S
+    coefficients h[:N][::-1] put P's zeros inside it.  On a grid of S
     points, c = rfft(log Q)[:N] / S with c_0 halved are the cepstral
     coefficients up to aliasing, and ``_series_exp`` gives h[:N] from them.
     The grid doubles from half of max(FFT_MIN_SIZE, 16N) and stops on the
     first S whose h[:N] is within FACTOR_GRID_TOL of the S/2 grid's, the
     coefficient error of the S/2 grid.  A grid's even points are the last
-    grid, so each rung evaluates log Q only at its S/2 odd points.  Q = 1,
-    the last stage of every chain, stops on the first rung.  Returns None
-    when Q is not positive on the grid or the cap is reached first, as for
-    zeros on the circle.
+    grid, so each later rung evaluates Q only at the S/4 of its odd points
+    that are distinct up to mirroring (``_odd_point_sums``), and
+    ``_exp_change`` carries h to it by convolutions; the accepted grid's h
+    is the series exponential of its c.  Q = 1, the last stage of every
+    chain, stops on the first rung.  Returns None for complex coefficients,
+    which no chain makes, for Q not positive on the grid, or at the cap, as
+    for zeros on the circle.
     """
     n = q_poly.n
     size = max(FFT_MIN_SIZE, 1 << (16 * n - 1).bit_length()) // 2
-    grid, offset = size, 0.0  # the new points: all of the first grid
-    sums, coarse = 0.0, None  # rfft(log Q)[:N] on the current grid
-    while size <= FFT_MAX_SIZE:
-        values = q_poly.circle_values(grid, offset)
-        if values.min() <= 0:
+    q = q_poly.q[n - 1:]
+    if size > FFT_MAX_SIZE or q.imag.any():
+        return None
+    values = q_poly.circle_values(size)
+    if values.min() <= 0:
+        return None
+    log_q = np.log(values, out=values)
+    if not log_q.any():
+        # log Q = 0 at all of the first grid's >= 8N points, more than the
+        # 2N - 2 zeros Q - 1 can have, so Q = 1 and P = z^(N-1) is exact
+        return np.eye(1, n, n - 1)[0]
+    sums = np.fft.rfft(log_q)[:n].real
+    c = sums / size
+    c[0] /= 2
+    h = _series_exp(c)
+    while size < FFT_MAX_SIZE:
+        size *= 2
+        odd = _odd_point_sums(q.real, size)
+        if odd is None:
             return None
-        # the new points' sums join the grid's turned by their offset
-        turn = np.exp(-2j * np.pi * offset * np.arange(n) / grid)
-        log_q = np.log(values, out=values)
-        sums = sums + turn * np.fft.rfft(log_q)[:n]
-        c = sums / size
-        c[0] /= 2
-        h = _series_exp(c)
-        if coarse is None and not log_q.any():
-            # log Q = 0 at all of the first grid's >= 8N points, more than
-            # the 2N - 2 zeros Q - 1 can have, so Q = 1 and h = e_0 is exact
-            return np.conj(h[::-1])
+        sums = sums + odd
+        new = sums / size
+        new[0] /= 2
+        change = _exp_change(h, c, new)
         # the |P|^2 - Q gate alone can pass while P's coefficients are
         # still off; the change from the coarser grid tracks their error
-        if coarse is not None and np.max(np.abs(h - coarse)) <= FACTOR_GRID_TOL:
-            return np.conj(h[::-1])
-        coarse = h
-        grid, offset = size, 0.5  # the odd points of the doubled grid
-        size *= 2
+        if np.max(np.abs(change)) <= FACTOR_GRID_TOL:
+            return _series_exp(new)[::-1]
+        h, c = h + change, new
     return None
 
 
@@ -241,8 +287,9 @@ def spectral_factor(q_poly: LaurentPoly) -> Poly:
 
     P has its zeros in the closed unit disk and a real positive leading
     coefficient.  Q positive on the circle takes the FFT (cepstral) factor,
-    so Q = 1 factors as z^(N-1); only Q that is not positive on the FFT
-    grid, or does not converge by its cap, takes the Newton factor.
+    so Q = 1 factors as z^(N-1); only Q with complex coefficients, Q that
+    is not positive on the FFT grid, or Q that does not converge by its
+    cap, takes the Newton factor.
 
     Raises FactorizationError when the Newton iteration fails or |P|^2 misses Q
     on the 64N-point grid by more than FACTOR_GRID_TOL, as for Q that

@@ -220,6 +220,12 @@ class TestComposeAll:
         with pytest.raises(ValueError, match="got -1"):
             compose_all(6, 2, 2, schedule_6_2, [3, -1])
 
+    def test_no_answers_give_empty_columns(self, schedule_6_2):
+        comp = compose_all(6, 2, 3, schedule_6_2, [])
+        for column, shape in zip([comp.found, comp.bases, comp.subanswers], [(0,), (3, 0), (3, 0)]):
+            assert column.dtype == np.int64 and column.shape == shape
+        assert comp.queries_used == 6
+
     def test_memory_of_compose_all_52_3_2(self, tmp_path, capsys):
         schedule = synthesize_exact(52, 3, search_free_series(52, 3)[0])[0]
         path = tmp_path / "s52.json"

@@ -623,6 +623,33 @@ class TestWriteJson:
         assert peak < 2**20
 
 
+    def test_dict_rows_are_sliced_by_their_values(self, monkeypatch):
+        # compose --all at h = 16: each run holds 3 ints and 16 levels of 3,
+        # 51 values under 4 keys; no orjson.dumps call may take more than a piece
+        rng = np.random.default_rng(6)
+        runs = [{"hidden_j": j, "found_j": j, "queries_used": 16, "per_level": rng.integers(0, 9, (16, 3))}
+                for j in range(300)]
+        doc = {"results": {"n": 2**16, "runs": runs}}
+        sizes = []
+        dumps = hilbert._dumps
+
+        def counted(value):
+            sizes.append(scalars(orjson.loads(dumps(value))))
+            return dumps(value)
+
+        monkeypatch.setattr(hilbert, "_dumps", counted)
+        assert written(doc) == dumped(doc)
+        assert max(sizes) <= hilbert.JSON_PIECE
+        assert sum(sizes) >= 300 * 51  # every value went through a dump
+
+
+def scalars(value) -> int:
+    """The number of scalar values in a JSON value, keys left out."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return sum(map(scalars, value)) if isinstance(value, list) else 1
+
+
 # edges of the float text: the sign of zero, the least subnormal, the range
 # where repr and orjson spell exponents differently, the largest float
 FLOAT_EDGES = [-0.0, 5e-324, 1e-5, 6.784e-05, 9.999999999999999e-05, 1e16, 1.2345e22, 1.7976931348623157e308]

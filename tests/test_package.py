@@ -37,13 +37,15 @@ def test_benchmark_tracer_runs(monkeypatch, capsys):
     assert metrics["synth.synthesize_s"] > 0 and metrics["synth.factor_calls"] == 1
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+@pytest.mark.parametrize("package", ["scipy.optimize", "scipy.fft", "scipy.linalg"])
+def test_cli_import_leaves_out(package):
     # only the free-series LP needs scipy's HiGHS binding, and importing it
-    # runs all of scipy.optimize
+    # runs all of scipy.optimize; the transforms stay in numpy (scipy.fft
+    # alone takes about 0.3 s to import)
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = "import sys, invinsert.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    code = f"import sys, invinsert.cli; print(sorted(m for m in sys.modules if m.startswith({package!r})))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,7 +1,6 @@
 """Laurent assembly, spectral factorization, state recovery, phase extraction."""
 
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +158,8 @@ class TestSpectralFactor:
 
     def test_zeros_near_circle_recovered(self, monkeypatch):
         # P is known: monic, zeros at radius 1 - 1e-3, so log Q's
-        # coefficients decay only as 0.999^r and the grid climbs far
+        # coefficients decay only as 0.999^r; P's coefficients are complex,
+        # so Q takes the Newton factor
         n = 8
         angles = np.array([0.3, 1.1, 2.0, 2.9, -2.5, -1.4, -0.6])
         roots = (1 - 1e-3) * np.exp(1j * angles)
@@ -170,6 +170,23 @@ class TestSpectralFactor:
             raise AssertionError("a positive Q reached np.roots")
 
         monkeypatch.setattr(synth.np, "roots", no_eigensolve)
+        np.testing.assert_allclose(spectral_factor(q).coeffs, p_coeffs, rtol=0, atol=1e-12)
+
+    def test_real_zeros_near_circle_take_the_ladder(self, monkeypatch):
+        # conjugate pairs of zeros at radius 1 - 1e-3 make P's coefficients
+        # real, so the ladder takes Q and its grid climbs to 2^15 points
+        angles = np.array([0.5, 1.5, 2.5])
+        roots = (1 - 1e-3) * np.exp(1j * np.r_[angles, -angles])
+        p_coeffs = np.poly(roots)[::-1].real
+        q = LaurentPoly(n=7, q=np.convolve(p_coeffs, p_coeffs[::-1]))
+
+        def no_eigensolve(_):
+            raise AssertionError("a positive Q reached np.roots")
+
+        monkeypatch.setattr(synth.np, "roots", no_eigensolve)
+        coeffs = synth._cepstral_factor(q)
+        assert coeffs is not None
+        np.testing.assert_allclose(coeffs, p_coeffs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(spectral_factor(q).coeffs, p_coeffs, rtol=0, atol=1e-12)
 
     def test_sign_crossing_rejected(self):
@@ -243,6 +260,29 @@ class TestSpectralFactor:
 PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
+def record_rungs(monkeypatch):
+    """The grid of every rung ``_cepstral_factor`` evaluates Q on, in order:
+    the first rung's circle values, then each later rung's odd points."""
+    grids = []
+    circle_values, odd_point_sums = LaurentPoly.circle_values, synth._odd_point_sums
+
+    def first(self, grid):
+        grids.append(grid)
+        return circle_values(self, grid)
+
+    def odd(q, grid):
+        grids.append(grid)
+        return odd_point_sums(q, grid)
+
+    monkeypatch.setattr(LaurentPoly, "circle_values", first)
+    monkeypatch.setattr(synth, "_odd_point_sums", odd)
+    return grids
+
+
+def first_rung(n):
+    return max(synth.FFT_MIN_SIZE, 1 << (16 * n - 1).bit_length()) // 2
+
+
 class TestCepstralFactor:
     @pytest.mark.parametrize("n,k,name,rungs", [
         # the last stage, Q = 1, stops on the first rung
@@ -250,17 +290,9 @@ class TestCepstralFactor:
         (52, 3, "free-52-3.json", [16384, 8192, 512]),
     ])
     def test_accepted_grid_per_stage(self, monkeypatch, n, k, name, rungs):
-        # the finest grid Q is evaluated on is the grid the factor accepts;
-        # angles 2 pi (m + offset) / grid lie on grid * denominator(offset)
+        # the finest grid Q is evaluated on is the grid the factor accepts
         chain = build_chain(n, k, cli._load_free_series(n, k, [PERFBENCH_INPUTS / name]))
-        original = LaurentPoly.circle_values
-        grids = []
-
-        def recording(self, grid, offset=0.0):
-            grids.append(grid * Fraction(offset).denominator)
-            return original(self, grid, offset)
-
-        monkeypatch.setattr(LaurentPoly, "circle_values", recording)
+        grids = record_rungs(monkeypatch)
         accepted = []
         for ell in range(1, k + 1):
             grids.clear()
@@ -268,21 +300,32 @@ class TestCepstralFactor:
             accepted.append(max(grids))
         assert accepted == rungs
 
+    def test_rungs_after_the_first_transform_a_quarter_grid(self, monkeypatch):
+        # a rung adds the S/2 odd points of an S-point grid, and Q's real
+        # coefficients pair them as mirrors: no transform takes more than S/4
+        chain = build_chain(150, 4, cli._load_free_series(150, 4, [PERFBENCH_INPUTS / "free-150-4.json"]))
+        lengths = []
+        for name in ("rfft", "irfft"):
+            def recording(a, n=None, *args, transform=getattr(np.fft, name), **kwargs):
+                lengths.append(np.shape(a)[-1] if n is None else n)
+                return transform(a, n, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recording)
+        assert synth._cepstral_factor(q_from_chain(*chain.stages[1])) is not None
+        first = first_rung(150)
+        assert lengths[:2] == [first, first] and len(lengths) == 14  # 7 rungs, 2 transforms each
+        # the r-th rung after the first grid has a grid of first * 2^r points
+        grids = first * 2 ** (1 + np.arange(len(lengths) - 2) // 2)
+        assert np.all(np.array(lengths[2:]) <= grids // 4)
+
     @pytest.mark.parametrize("n", [2, 6, 52, 150])
     def test_q_one_evaluates_one_rung(self, monkeypatch, n):
         # A_k = B_k = 0 ends every chain; Q = 1 has the factor z^(N-1), and
         # log Q = 0 on the first rung's points already proves Q = 1
         q = q_from_chain(zero_series(n, "A"), zero_series(n, "B"))
-        original = LaurentPoly.circle_values
-        grids = []
-
-        def recording(self, grid, offset=0.0):
-            grids.append(grid)
-            return original(self, grid, offset)
-
-        monkeypatch.setattr(LaurentPoly, "circle_values", recording)
+        grids = record_rungs(monkeypatch)
         coeffs = synth._cepstral_factor(q)
-        assert grids == [max(synth.FFT_MIN_SIZE, 1 << (16 * n - 1).bit_length()) // 2]
+        assert grids == [first_rung(n)]
         expected = np.zeros(n, dtype=complex)
         expected[-1] = 1.0
         np.testing.assert_array_equal(coeffs, expected)
@@ -298,10 +341,33 @@ class TestCepstralFactor:
         reference = np.fft.fft(values)[:40] / grid
         np.testing.assert_allclose(synth._series_exp(c), reference, rtol=0, atol=1e-13)
 
-    def test_circle_values_offset(self):
-        q = triangular_q(5)
-        fine = q.circle_values(64)
-        np.testing.assert_allclose(q.circle_values(32, offset=0.5), fine[1::2], atol=1e-13)
+    @pytest.mark.parametrize("norm", [0.05, 3.0])  # Taylor terms; series exponential
+    def test_exp_change_matches_series_exp(self, norm):
+        rng = np.random.default_rng(12)
+        c = rng.standard_normal(30) / np.arange(1, 31) ** 2
+        dc = rng.standard_normal(30)
+        new = c + dc * norm / np.abs(dc).sum()
+        h = synth._series_exp(c)
+        np.testing.assert_allclose(h + synth._exp_change(h, c, new), synth._series_exp(new),
+                                   rtol=0, atol=1e-14)
+
+    def test_odd_point_sums_match_the_full_circle(self):
+        # the sums over the odd points of a 64-point grid, against log Q on
+        # all 32 of them; P's real coefficients make Q's real
+        p = np.array([1.0, -0.3, 0.2, 0.1, -0.05])  # |P| >= 0.35 on the circle
+        q = LaurentPoly(n=5, q=np.convolve(p, p[::-1]))
+        theta = 2 * np.pi * np.arange(1, 64, 2) / 64
+        log_q = np.log(q.circle_values(64)[1::2])
+        reference = np.exp(-1j * np.outer(np.arange(5), theta)) @ log_q
+        sums = synth._odd_point_sums(q.q[4:].real, 64)
+        np.testing.assert_allclose(sums, reference, rtol=0, atol=1e-13)
+
+    def test_complex_q_takes_newton(self):
+        # no chain makes a Q with complex coefficients; the ladder leaves it
+        q = LaurentPoly(n=2, q=np.array([0.25j, 1.0, -0.25j]))
+        assert synth._cepstral_factor(q) is None
+        p = spectral_factor(q)
+        np.testing.assert_allclose(np.abs(p.circle_values(64)) ** 2, q.circle_values(64), atol=1e-12)
 
 
 def start_momentum(n):
