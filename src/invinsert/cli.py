@@ -1,8 +1,9 @@
 """Command-line front end: simulation, bounds, feasibility, synthesis, composition.
 
-Exit codes: 0 success, 1 failed stage, 2 infeasible or empty result,
-64 usage error, 65 malformed input file.  JSON reports carry full-precision
-values; CSV tables round probabilities to 4 decimal places.
+Exit codes: 0 success, 1 failed stage or unwritable output file,
+2 infeasible or empty result, 64 usage error, 65 malformed or unreadable
+input file.  JSON reports carry full-precision values; CSV tables round
+probabilities to 4 decimal places.
 """
 
 from __future__ import annotations
@@ -406,10 +407,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"invinsert: {exc}\n")
         return EXIT_USAGE
-    except (SchemaError, FileNotFoundError) as exc:
+    except SchemaError as exc:
         sys.stderr.write(f"invinsert: {exc}\n")
         return EXIT_SCHEMA
-    except (ContractError, FactorizationError, CompositionError, SolverError, ValueError) as exc:
+    except (ContractError, FactorizationError, CompositionError, SolverError, ValueError, OSError) as exc:
         sys.stderr.write(f"invinsert: {exc}\n")
         return 1
 

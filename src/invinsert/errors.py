@@ -19,7 +19,7 @@ class SolverError(RuntimeError):
 
 
 class SchemaError(ValueError):
-    """A JSON input file does not match its documented layout."""
+    """A JSON input file cannot be read or does not match its documented layout."""
 
     @staticmethod
     def require_int(data: dict, key: str, document: str) -> int:

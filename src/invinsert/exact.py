@@ -439,8 +439,8 @@ def _stage_rows(n: int, k: int, grid: int) -> tuple[dict, list]:
 
 
 def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
-    """delta* of the grid LP and free series that reach it (see
-    :func:`search_free_series`)."""
+    """delta* of the grid LP and free series that reach it, for a chain
+    with free series (k >= 3; see :func:`search_free_series`)."""
     params, stages = _stage_rows(n, k, grid)
     width = sum(len(p) for p in params.values())
     thetas = np.pi * np.arange(grid + 1) / grid
@@ -482,7 +482,7 @@ def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
     # no choice of coefficients raises every row and delta is bounded
     start = grid * np.arange(n + 1) // n
     first = activate([start[~pinned[start]] for _, _, _, pinned in stages])
-    x = _maximize_last(width + 1, first, violated_rows) if first else np.r_[np.zeros(width), cap]
+    x = _maximize_last(width + 1, first, violated_rows)
     free = {
         name: CosineSeries(n=n, klass=name[0], coeffs=_scatter(n, [maps[name]], x))
         for name in params

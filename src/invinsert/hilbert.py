@@ -15,13 +15,13 @@ diagonal phase stages alpha_l(p).
 Every F_j maps momentum parity p mod 2 to 1 - p mod 2, and the phase stages
 keep it, so from the start state (p = 0) a state after l queries lives on
 parity l mod 2 alone; in position, psi(x + N) = (-1)^l psi(x).  So a state
-in momentum is a plain complex array whose last axis holds the N amplitudes
-of parity l mod 2, p = l mod 2, l mod 2 + 2, ..., and the query count l
-carries the parity; leading axes are separate states.  A position state and
-a phase stage keep all 2N entries.  Every schedule run goes through
-``run_signs``, which transforms only psi[:N], and every function returns
-fresh arrays.  Every JSON document the package writes or reads goes through
-``write_json`` or ``read_json``.
+is a plain complex array of N amplitudes on its last axis, and the query
+count l carries the parity: in momentum those of parity l mod 2, p = l mod 2,
+l mod 2 + 2, ..., and in position psi(x), x = 0..N-1.  Leading axes are
+separate states.  The oracle signs are those of f_j, and a phase stage keeps
+all 2N entries.  Every schedule run goes through ``run_signs``, and every
+function returns fresh arrays.  Every JSON document the package writes or
+reads goes through ``write_json`` or ``read_json``.
 """
 
 from __future__ import annotations
@@ -137,10 +137,13 @@ def _dumps(value) -> str:
 
 
 def read_json(path):
-    """The document at ``path``; invalid JSON, NaN and 1e400 too, raises SchemaError."""
+    """The document at ``path``; a file that cannot be read, invalid JSON,
+    NaN and 1e400 too, raises SchemaError naming the path."""
     try:
         with open(path, "rb") as fh:
             return orjson.loads(fh.read())
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except orjson.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
@@ -167,13 +170,12 @@ def reduce_phases(phases: np.ndarray) -> np.ndarray:
 
 
 def oracle_signs(j, n: int) -> np.ndarray:
-    """Sign vector of the doubled oracle F_j on positions 0..2N-1; an array
-    of indices gives one row per index."""
+    """Sign vector f_j of the oracle on positions 0..N-1, which F_j repeats
+    negated on N..2N-1; an array of indices gives one row per index."""
     js = np.asarray(j)
     if np.any((js < 0) | (js > n - 1)):
         raise ValueError(f"oracle index must satisfy 0 <= j <= {n - 1}, got {j}")
-    f = np.where(np.arange(n) < js[..., None], -1.0, 1.0)
-    return np.concatenate([f, -f], axis=-1)
+    return np.where(np.arange(n) < js[..., None], -1.0, 1.0)
 
 
 @lru_cache(maxsize=8)
@@ -195,43 +197,32 @@ def oracle_image(amps: np.ndarray, parity: int) -> np.ndarray:
     return np.fft.fft((twist if parity % 2 else twist.conj()) * np.fft.ifft(amps))
 
 
-def target_probs(amps: np.ndarray, k: int) -> np.ndarray:
-    """|<target(j)|psi>|^2 = |<j|psi> + s <j+N|psi>|^2 / 2, for every answer
-    j = 0..N-1 in place of the last (position) axis; the target sign s after
-    k queries is + for even k and - for odd."""
-    n = amps.shape[-1] // 2
-    sign = 1 if k % 2 == 0 else -1
-    return np.abs(amps[..., :n] + sign * amps[..., n:]) ** 2 / 2
-
-
 def run_signs(stages: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Final position amplitudes of the phase stages run from the uniform
-    start against the oracles whose position signs are the rows of ``signs``
-    (shape (..., 2N)): each stage is the oracle, then exp(i alpha(p)).
-    Complex ``stages`` are the factors exp(i alpha), computed once per run.
-
-    After l stages psi(x + N) = (-1)^l psi(x), so only psi[:N] is carried and
-    stage l transforms it at length N on parity l mod 2.  Signs must be
-    doubled-oracle rows, sigma(x + N) = -sigma(x), or ValueError is raised."""
+    """Final position amplitudes psi(x), x < N, of the phase stages (shape
+    (k, 2N)) run from the uniform start against the oracles whose signs f_j
+    are the rows of ``signs`` (shape (..., N)): each stage is the oracle, then
+    exp(i alpha(p)).  Complex ``stages`` are the factors exp(i alpha),
+    computed once per run.  Stage l transforms psi at length N on parity
+    l mod 2.  Raises ValueError unless the stages are twice as wide as the
+    signs."""
     factors = stages if np.iscomplexobj(stages) else np.exp(1j * np.asarray(stages, dtype=float))
     signs = np.asarray(signs, dtype=float)
-    n = signs.shape[-1] // 2
-    half = signs[..., :n]
-    if not np.array_equal(signs[..., n:], -half):
-        raise ValueError("oracle signs must satisfy sigma(x + N) = -sigma(x)")
+    n = signs.shape[-1]
+    if factors.shape[-1] != 2 * n:
+        raise ValueError(f"stages of width {factors.shape[-1]} do not fit signs of width {n}")
     twist = _twist(n)
     untwist = twist.conj()
-    amps = np.full(half.shape, 1.0 / np.sqrt(2 * n), dtype=complex)
+    amps = np.full(signs.shape, 1.0 / np.sqrt(2 * n), dtype=complex)
     for ell, factor in enumerate(factors, 1):  # in place where it can: blocks of answers are large
         odd = ell % 2
-        np.multiply(amps, half, out=amps)
+        np.multiply(amps, signs, out=amps)
         if odd:
             np.multiply(amps, untwist, out=amps)
         amps = np.fft.fft(amps)
         amps = np.fft.ifft(np.multiply(amps, factor[odd::2], out=amps))
         if odd:
             np.multiply(amps, twist, out=amps)
-    return np.concatenate([amps, -amps if len(factors) % 2 else amps], axis=-1)
+    return amps
 
 
 ANSWER_BLOCK_AMPS = 1 << 16  # bounds the memory of a batch of answers at any N
@@ -239,8 +230,9 @@ ANSWER_BLOCK_AMPS = 1 << 16  # bounds the memory of a batch of answers at any N
 
 def run_all_answers(schedule: PhaseSchedule, js=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Run the schedule against the oracles F_j for the answers ``js``
-    (default every j = 0..N-1), yielding (final position amplitudes, success
-    probabilities) per block of answers."""
+    (default every j = 0..N-1), yielding (final position amplitudes psi(x),
+    x < N, success probabilities) per block of answers.  Answer j's target
+    is (|j> + (-1)^k |j+N>) / sqrt(2), so its success is 2 |psi(j)|^2."""
     n = schedule.n
     js = np.arange(n) if js is None else np.asarray(js, dtype=np.int64)
     step = max(1, ANSWER_BLOCK_AMPS // (2 * n))
@@ -248,6 +240,4 @@ def run_all_answers(schedule: PhaseSchedule, js=None) -> Iterator[tuple[np.ndarr
     for lo in range(0, js.size, step):
         block = js[lo : lo + step]
         finals = run_signs(factors, oracle_signs(block, n))
-        # each row's own target: its amplitudes at j and j + N, a 2-point problem
-        own = np.take_along_axis(finals, np.stack([block, block + n], axis=-1), axis=-1)
-        yield finals, target_probs(own, schedule.k)[:, 0]
+        yield finals, 2 * np.abs(finals[np.arange(block.size), block]) ** 2

@@ -6,15 +6,15 @@ Pipeline per stage l:
    Q_l(z) = 1 + A_l + B_l with cos(r theta) split as (z^r + z^-r) / 2.
 2. ``spectral_factor`` - write Q_l = P_l(z) conj(P_l(1/conj(z))) on |z| = 1,
    with P's zeros in the closed unit disk.
-3. ``states_from_poly`` - read the stage state's position amplitudes off
-   P's coefficients.
+3. ``states_from_poly`` - read the stage state's position amplitudes
+   psi(x), x < N, off P's coefficients.
 4. ``phases_from_states`` - the diagonal stage is the phase of
    <p|psi_l> / <p|F_0|psi_{l-1}> on parity l mod 2.
 
-A position state is a plain array of 2N amplitudes and
-``np.fft.fft(..., norm="ortho")`` takes it to momentum; between stages a
-state is carried as its N momentum amplitudes of parity l mod 2, as in
-``hilbert``.
+As in ``hilbert``, a state after l queries is a plain array of N amplitudes
+and l carries the parity: psi(x), x < N, in position, since
+psi(x + N) = (-1)^l psi(x), and the N momenta of parity l mod 2, one
+length-N FFT away.
 
 Numerical notes: Q positive on the circle is factored by Kolmogorov's
 minimum-phase construction, H = exp(causal part of log Q) (Sayed & Kailath,
@@ -88,9 +88,6 @@ class LaurentPoly:
         q = q.copy()
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-
-    def coeff(self, r: int) -> complex:
-        return complex(self.q[r + self.n - 1])
 
     def circle_values(self, grid: int) -> np.ndarray:
         """Q(e^{i theta}) at theta = 2 pi m / grid, m = 0..grid-1: by Hermitian
@@ -312,15 +309,11 @@ def spectral_factor(q_poly: LaurentPoly) -> Poly:
     return poly
 
 
-def states_from_poly(p: Poly, ell: int) -> np.ndarray:
-    """Position amplitudes with <x|psi> = coeff(z^{N-1-x}) / sqrt(2).
-
-    The upper half is the parity image <x+N|psi> = (-1)^ell <x|psi>.
-    """
-    lower = p.coeffs[::-1] / np.sqrt(2)
-    sign = 1.0 if ell % 2 == 0 else -1.0
-    amps = np.concatenate([lower, sign * lower])
-    norm = float(np.linalg.norm(amps))
+def states_from_poly(p: Poly) -> np.ndarray:
+    """Position amplitudes psi(x) = coeff(z^{N-1-x}) / sqrt(2), x < N, of a
+    unit state whose upper half psi(x + N) = (-1)^l psi(x) is left implicit."""
+    amps = p.coeffs[::-1] / np.sqrt(2)
+    norm = float(np.sqrt(2) * np.linalg.norm(amps))
     if abs(norm - 1) > 1e-6:
         raise ContractError(
             f"state norm {norm} deviates from 1; the factorization is bad"
@@ -328,30 +321,25 @@ def states_from_poly(p: Poly, ell: int) -> np.ndarray:
     return amps / norm
 
 
-def phases_from_states(psi_prev: np.ndarray, psi: np.ndarray, ell: int) -> np.ndarray:
-    """Diagonal phases turning F_0 |psi_prev> into |psi> on parity l mod 2.
+def phases_from_states(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Diagonal phases turning the oracle image phi = F_0 |psi_{l-1}> into
+    |psi_l>, both given as their N momentum amplitudes of parity l mod 2.
 
-    ``psi_prev`` holds the N momentum amplitudes of parity l - 1 mod 2 and
-    ``psi`` the N of parity l mod 2, with matching magnitudes
-    |<p|psi>| = |<p|F_0|psi_prev>| within MAGNITUDE_TOL.  Where the oracle
-    image vanishes the phase is arbitrary and reported as 0.
+    Where the oracle image vanishes the phase is arbitrary and reported as
+    0.  Raises ContractError unless exp(i alpha) phi rebuilds psi within
+    MAGNITUDE_TOL, which also bounds |<p|psi>| - |<p|phi>|.
     """
-    if psi_prev.shape != psi.shape:
+    if phi.shape != psi.shape:
         raise ValueError("states must share the same problem size")
-    phi = hilbert.oracle_image(psi_prev, ell - 1)
-    mismatch = float(np.max(np.abs(np.abs(psi) - np.abs(phi))))
-    if mismatch > MAGNITUDE_TOL:
-        raise ContractError(
-            f"magnitude mismatch {mismatch:.3e} between the stage state and "
-            "the oracle image; the Q sequence is invalid"
-        )
     phases = np.zeros(psi.shape)
     live = np.abs(phi) > ZERO_AMP_TOL
     phases[live] = hilbert.reduce_phases(np.angle(psi[live] / phi[live]))
-    rebuilt = np.exp(1j * phases) * phi
-    err = float(np.max(np.abs(rebuilt - psi)))
+    err = float(np.max(np.abs(np.exp(1j * phases) * phi - psi)))
     if err > MAGNITUDE_TOL:
-        raise ContractError(f"extracted phases reproduce the state only to {err:.3e}")
+        raise ContractError(
+            f"the stage state differs from the phased oracle image by {err:.3e}; "
+            "the Q sequence is invalid"
+        )
     return phases
 
 
@@ -362,16 +350,6 @@ def v_column(phases: np.ndarray, n: int) -> np.ndarray:
     if phases.shape[-1:] != (2 * n,):
         raise ValueError(f"expected {2 * n} phases, got shape {phases.shape}")
     return np.fft.ifft(np.exp(1j * phases))
-
-
-def _align_global_phase(psi: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rotate psi so its largest amplitude agrees in phase with reference."""
-    idx = int(np.argmax(np.abs(psi)))
-    if abs(reference[idx]) > 1e-9:
-        gamma = np.angle(reference[idx]) - np.angle(psi[idx])
-    else:
-        gamma = -np.angle(psi[idx])
-    return psi * np.exp(1j * gamma)
 
 
 def synthesize_exact(
@@ -400,33 +378,38 @@ def synthesize_exact(
     psi_prev[0] = 1.0  # the uniform start state is momentum p = 0
     magnitude_mismatch = []
     stages = np.zeros((k, 2 * n))
+    untwist = hilbert._twist(n).conj()
     for ell in range(1, k + 1):
+        odd = ell % 2
         a_series, b_series = chain.stages[ell]
         try:
-            poly = spectral_factor(q_from_chain(a_series, b_series))
-            psi_pos = states_from_poly(poly, ell)
+            psi = states_from_poly(spectral_factor(q_from_chain(a_series, b_series)))
         except (FactorizationError, ContractError) as exc:
             raise type(exc)(f"stage {ell}: {exc}") from exc
-        live = slice(ell % 2, None, 2)
-        # all 2N momenta of the oracle image: the global phase is aligned in position
-        phi = np.zeros(2 * n, dtype=complex)
-        phi[live] = hilbert.oracle_image(psi_prev, ell - 1)
-        aligned = _align_global_phase(psi_pos, np.fft.ifft(phi, norm="ortho"))
-        psi_mom = np.fft.fft(aligned, norm="ortho")
-        magnitude_mismatch.append(
-            float(np.max(np.abs(np.abs(psi_mom) - np.abs(phi))))
+        phi = hilbert.oracle_image(psi_prev, ell - 1)
+        # the global phase: psi's largest position amplitude, psi(x), takes
+        # the phase of phi's, the sum over p = 2m + odd of
+        # exp(i pi p x / N) phi(p) / sqrt(2N)
+        x = int(np.argmax(np.abs(psi)))
+        p = 2 * np.arange(n) + odd
+        ref = np.exp(1j * np.pi * (p * x % (2 * n)) / n) @ phi / np.sqrt(2 * n)
+        gamma = (np.angle(ref) if abs(ref) > 1e-9 else 0.0) - np.angle(psi[x])
+        # <p|psi> = sqrt(2/N) sum_{x<N} exp(-i pi p x / N) psi(x): one length-N FFT
+        psi_mom = np.fft.fft(
+            np.sqrt(2) * np.exp(1j * gamma) * (untwist * psi if odd else psi), norm="ortho"
         )
+        magnitude_mismatch.append(float(np.max(np.abs(np.abs(psi_mom) - np.abs(phi)))))
         try:
-            stages[ell - 1, live] = phases_from_states(psi_prev, psi_mom[live], ell)
+            stages[ell - 1, odd::2] = phases_from_states(phi, psi_mom)
         except ContractError as exc:
             raise ContractError(f"stage {ell}: {exc}") from exc
-        psi_prev = psi_mom[live]
+        psi_prev = psi_mom
 
     schedule = PhaseSchedule(n=n, k=k, stages=stages)
     blocks = list(hilbert.run_all_answers(schedule))
     finals = np.concatenate([f for f, _ in blocks])
     success = np.concatenate([p for _, p in blocks])
-    overlaps = np.abs(finals @ np.conj(finals).T)
+    overlaps = 2 * np.abs(finals @ np.conj(finals).T)  # psi(x + N) = +-psi(x) doubles each
     np.fill_diagonal(overlaps, 0.0)
     columns = v_column(schedule.stages, n)
     report = {

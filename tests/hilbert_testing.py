@@ -2,10 +2,11 @@
 
 ``import hilbert_testing as hilbert`` gives every public name of
 ``invinsert.hilbert`` plus the references the tests compare against: a
-basis-tagged state, the unitary transforms, the translation operator, the
-closed-form momentum matrix element, the measurement targets, a
-single-answer schedule run, random states and schedules, and the inner
-product.  The library itself computes on plain arrays.
+basis-tagged state of all 2N amplitudes, the doubled oracle signs, the
+unitary transforms, the translation operator, the closed-form momentum
+matrix element, the measurement targets, a single-answer schedule run,
+random states and schedules, and the inner product.  The library itself
+computes on plain arrays of the N live amplitudes.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from invinsert.hilbert import *  # noqa: F401,F403 - the library namespace
-from invinsert.hilbert import PhaseSchedule, oracle_signs, run_signs, target_probs
+from invinsert.hilbert import PhaseSchedule, oracle_signs, run_signs
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -49,11 +50,23 @@ def momentum_basis_vector(n: int, p: int) -> StateVector:
     return StateVector(n, MOMENTUM, amps)
 
 
+def doubled_signs(j, n: int) -> np.ndarray:
+    """F_j(x) on positions 0..2N-1: f_j, then -f_j; one row per index."""
+    f = oracle_signs(j, n)
+    return np.concatenate([f, -f], axis=-1)
+
+
+def doubled_state(half: np.ndarray, ell: int) -> np.ndarray:
+    """All 2N position amplitudes of a state after ell queries from its
+    psi(x), x < N: psi(x + N) = (-1)^ell psi(x)."""
+    return np.concatenate([half, -half if ell % 2 else half], axis=-1)
+
+
 def apply_oracle(j: int, state: StateVector) -> StateVector:
     """Multiply position amplitudes by F_j(x); one quantum query."""
     if state.basis != POSITION:
         raise ValueError("apply_oracle expects a position-basis state")
-    return StateVector(state.n, POSITION, oracle_signs(j, state.n) * state.amps)
+    return StateVector(state.n, POSITION, doubled_signs(j, state.n) * state.amps)
 
 
 def to_momentum(state: StateVector) -> StateVector:
@@ -103,11 +116,12 @@ def target_state(j: int, sign: int, n: int) -> StateVector:
 
 
 def run_schedule(schedule: PhaseSchedule, j: int) -> tuple[StateVector, float]:
-    """One answer through the library runner: the final position state and
-    its success probability."""
-    final = run_signs(schedule.stages, oracle_signs(j, schedule.n))
-    prob = float(target_probs(final, schedule.k)[j])
-    return StateVector(schedule.n, POSITION, final), prob
+    """One answer through the library runner: the final position state,
+    rebuilt to all 2N amplitudes, and its success probability, the overlap
+    with the target of sign (-1)^k."""
+    n, k = schedule.n, schedule.k
+    final = StateVector(n, POSITION, doubled_state(run_signs(schedule.stages, oracle_signs(j, n)), k))
+    return final, abs(inner(target_state(j, (-1) ** k, n), final)) ** 2
 
 
 def random_state(n: int, rng: np.random.Generator, basis: str = POSITION) -> StateVector:

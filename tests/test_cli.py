@@ -527,6 +527,28 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "verify", "--schedule", str(tmp_path / "nope.json"))
         assert code == 65
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--schedule", "{dir}"],
+        ["verify", "--schedule", "{dir}/nope.json"],
+        ["exact", "synth", "--n", "52", "--k", "3", "--series", "{dir}", "--out", "{dir}/s.json"],
+    ])
+    def test_unreadable_input_is_one_line_and_65(self, capsys, tmp_path, argv):
+        # a directory or a missing file where an input file belongs
+        code, out, err = run_cli(capsys, *[a.format(dir=tmp_path) for a in argv])
+        assert code == 65 and out == ""
+        assert err.startswith(f"invinsert: {tmp_path}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["greedy", "--n", "4", "--k", "1", "--emit-schedule", "{dir}"],
+        ["exact", "synth", "--n", "6", "--k", "2", "--out", "{dir}/missing/x.json"],
+        ["exact", "search", "--n", "16", "--k", "3", "--out", "{dir}"],
+    ])
+    def test_unwritable_output_is_one_line_and_1(self, capsys, tmp_path, argv):
+        # an output file that cannot be written is not a malformed input
+        code, out, err = run_cli(capsys, *[a.format(dir=tmp_path) for a in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("invinsert: ") and str(tmp_path) in err and err.count("\n") == 1
+
     def test_console_script_installed(self, tmp_path):
         # Run the [project.scripts] entry point of this checkout through the
         # wrapper an installer writes, so neither an install step nor a stale

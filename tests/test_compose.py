@@ -14,7 +14,7 @@ from invinsert.errors import CompositionError, ContractError
 from invinsert.exact import search_free_series
 from invinsert.greedy import greedy_run
 from invinsert.synth import synthesize_exact
-from hilbert_testing import run_schedule, target_state
+from hilbert_testing import doubled_signs, run_schedule, target_state
 
 DATA = Path(__file__).resolve().parent / "data"
 SCHEDULE_6_2 = DATA / "synth-6-2.schedule.json"
@@ -58,7 +58,7 @@ class TestReducedOracle:
         m = 6
         for j in range(m):
             reduced = reduced_oracle(j, 0, 1, m)
-            np.testing.assert_array_equal(reduced, hilbert.oracle_signs(j, m))
+            np.testing.assert_array_equal(reduced, doubled_signs(j, m))
 
     def test_level_two_example(self):
         # j = 17 in 0..35 probed at 5, 11, 17, 23, 29, 35: below-j probes
@@ -91,7 +91,7 @@ class TestReducedOracle:
             for j in range(base, base + m * scale):
                 np.testing.assert_array_equal(
                     reduced_oracle(j, base, scale, m),
-                    hilbert.oracle_signs((j - base) // scale, m),
+                    doubled_signs((j - base) // scale, m),
                 )
 
 
@@ -155,8 +155,8 @@ def reference_run(m, k, h, schedule, hidden):
     for t in range(h, 0, -1):
         scale = m ** (t - 1)
         f = [1.0 if base + (s + 1) * scale - 1 >= hidden else -1.0 for s in range(m)]
-        final = hilbert.run_signs(schedule.stages, np.array(f + [-v for v in f]))
-        best = int(np.argmax(hilbert.target_probs(final, k)))
+        final = hilbert.run_signs(schedule.stages, np.array(f))
+        best = int(np.argmax(2 * np.abs(final) ** 2))
         per_level.append((base, t, best))
         base += best * scale
     return base, per_level

@@ -411,7 +411,10 @@ def dense_reference(n: int, k: int) -> tuple:
 class TestExchangeSearch:
     @pytest.mark.parametrize("n,k", PARITY_CASES)
     def test_delta_matches_dense_lp(self, n, k):
-        delta, _ = exact._max_min_slack(n, k, default_grid(n))
+        if k == 2:  # no free series: delta* is the grid minimum of 1 + B_0
+            delta = certify_chain(build_chain(n, 2), default_grid(n))[1].grid_min
+        else:
+            delta, _ = exact._max_min_slack(n, k, default_grid(n))
         dense_delta, _, _ = dense_reference(n, k)
         assert abs(delta - dense_delta) <= 1e-9
         assert (search_free_series(n, k) is not None) == (dense_delta >= 0)

@@ -10,7 +10,7 @@ import pytest
 from invinsert import bounds
 from invinsert.greedy import _advance, greedy_run
 from invinsert.hilbert import load_schedule, oracle_signs, run_all_answers, run_signs
-from hilbert_testing import oracle_momentum_block
+from hilbert_testing import doubled_state, oracle_momentum_block
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -149,7 +149,7 @@ class TestGreedyRun:
     def test_recorded_states_match_schedule_runner(self):
         n, k = 6, 3
         trace = greedy_run(n, k)
-        final = np.fft.fft(run_signs(trace.phase_schedule.stages, oracle_signs(0, n)), norm="ortho")
+        final = np.fft.fft(doubled_state(run_signs(trace.phase_schedule.stages, oracle_signs(0, n)), k), norm="ortho")
         np.testing.assert_allclose(final[k % 2 :: 2], trace.states[k], atol=1e-12)
         assert np.max(np.abs(final[1 - k % 2 :: 2])) < 1e-12
 

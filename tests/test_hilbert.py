@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from invinsert import cli, exact, hilbert
+from invinsert import cli, exact, hilbert, synth
 from invinsert.errors import SchemaError
 from invinsert.exact import search_free_series
 from invinsert.greedy import greedy_run
@@ -28,6 +28,8 @@ from hilbert_testing import (
     POSITION,
     StateVector,
     apply_oracle,
+    doubled_signs,
+    doubled_state,
     inner,
     momentum_basis_vector,
     oracle_momentum_element,
@@ -55,15 +57,15 @@ def brute_momentum_element(p, q, n):
 class TestUniformStart:
     # the runner's start state: run_signs with no stages returns it
     def test_n6_amplitudes(self):
-        start = run_signs(np.empty((0, 12)), oracle_signs(0, 6))
+        start = doubled_state(run_signs(np.empty((0, 12)), oracle_signs(0, 6)), 0)
         assert start.shape == (12,)
         np.testing.assert_allclose(start, 1 / np.sqrt(12), atol=1e-15)
 
     def test_n2_amplitudes(self):
-        np.testing.assert_allclose(run_signs(np.empty((0, 4)), oracle_signs(0, 2)), 0.5, atol=1e-15)
+        np.testing.assert_allclose(doubled_state(run_signs(np.empty((0, 4)), oracle_signs(0, 2)), 0), 0.5, atol=1e-15)
 
     def test_momentum_representation_is_p0(self):
-        mom = np.fft.fft(run_signs(np.empty((0, 12)), oracle_signs(0, 6)), norm="ortho")
+        mom = np.fft.fft(doubled_state(run_signs(np.empty((0, 12)), oracle_signs(0, 6)), 0), norm="ortho")
         expected = np.zeros(12, dtype=complex)
         expected[0] = 1.0
         np.testing.assert_allclose(mom, expected, atol=1e-14)
@@ -72,27 +74,28 @@ class TestUniformStart:
         with pytest.raises(ValueError):
             PhaseSchedule(n=1, k=1, stages=np.zeros((1, 2)))
 
-    def test_rejects_signs_that_are_not_doubled_oracle_rows(self):
-        # the runner reads x < N only, so sigma(x + N) must be -sigma(x)
-        with pytest.raises(ValueError, match="sigma"):
-            run_signs(np.zeros((1, 12)), np.ones(12))
-        rows = oracle_signs(np.arange(6), 6)
-        rows[3, 8] *= -1
-        with pytest.raises(ValueError, match="sigma"):
-            run_signs(np.zeros((2, 12)), rows)
-        with pytest.raises(ValueError, match="sigma"):
-            run_signs(np.zeros((1, 11)), np.ones(11))
+    def test_rejects_stages_not_twice_the_sign_width(self):
+        # stages act on all 2N momenta, signs on the N positions x < N
+        for stages, signs in [
+            (np.zeros((1, 12)), np.ones(12)),  # doubled signs
+            (np.zeros((2, 12)), oracle_signs(np.arange(5), 5)),
+            (np.zeros((1, 11)), np.ones(5)),
+            (np.ones((1, 11), dtype=complex), np.ones(6)),  # factors too
+        ]:
+            with pytest.raises(ValueError, match="do not fit signs"):
+                run_signs(stages, signs)
+        assert run_signs(np.zeros((1, 12)), oracle_signs(np.arange(6), 6)).shape == (6, 6)
 
 
 class TestOracle:
     def test_j0_signs(self):
-        signs = oracle_signs(0, 5)
+        signs = doubled_signs(0, 5)
         np.testing.assert_array_equal(signs[:5], 1.0)
         np.testing.assert_array_equal(signs[5:], -1.0)
 
     def test_n3_j1_sign_vector(self):
         # direct evaluation of the doubled step function
-        np.testing.assert_array_equal(oracle_signs(1, 3), [-1, 1, 1, 1, -1, -1])
+        np.testing.assert_array_equal(doubled_signs(1, 3), [-1, 1, 1, 1, -1, -1])
 
     def test_involution(self):
         rng = np.random.default_rng(7)
@@ -301,7 +304,7 @@ class TestRunSchedule:
         for n in (3, 5, 8):
             schedule = PhaseSchedule(n=n, k=1, stages=np.zeros((1, 2 * n)))
             _, prob = run_schedule(schedule, 0)
-            f0 = np.diag(oracle_signs(0, n))
+            f0 = np.diag(doubled_signs(0, n))
             start = np.full(2 * n, 1 / np.sqrt(2 * n))
             target = target_state(0, -1, n).amps
             brute = abs(np.vdot(target, f0 @ start)) ** 2
@@ -318,7 +321,7 @@ class TestRunSchedule:
         for j in range(n):
             psi = np.full(2 * n, 1 / np.sqrt(2 * n), dtype=complex)
             for stage in schedule.stages:
-                psi = np.diag(oracle_signs(j, n)) @ psi
+                psi = np.diag(doubled_signs(j, n)) @ psi
                 psi = fourier.conj().T @ (np.exp(1j * stage) * (fourier @ psi))
             final, prob = run_schedule(schedule, j)
             np.testing.assert_allclose(final.amps, psi, atol=1e-12)
@@ -359,7 +362,7 @@ def dense_run(stages, j, n):
     diag(sigma_j), the unitary DFT and diag(exp(i alpha)) per stage."""
     x = np.arange(2 * n)
     fourier = np.exp(-1j * np.pi * np.outer(x, x) / n) / np.sqrt(2 * n)
-    oracle = np.diag(oracle_signs(j, n))
+    oracle = np.diag(doubled_signs(j, n))
     psi = np.full(2 * n, 1 / np.sqrt(2 * n), dtype=complex)
     for stage in stages:
         psi = fourier.conj().T @ np.diag(np.exp(1j * stage)) @ fourier @ oracle @ psi
@@ -374,13 +377,14 @@ class TestHalfLengthRunner:
         rng = np.random.default_rng(100 * n + k)
         stages = rng.uniform(-7, 7, (k, 2 * n))
         reference = np.array([dense_run(stages, j, n) for j in range(n)])
-        batched = run_signs(stages, oracle_signs(np.arange(n), n))
+        batched = doubled_state(run_signs(stages, oracle_signs(np.arange(n), n)), k)
         np.testing.assert_allclose(batched, reference, atol=1e-12)
         factors = np.exp(1j * stages)
         for j in range(n):
-            np.testing.assert_allclose(run_signs(factors, oracle_signs(j, n)), reference[j], atol=1e-12)
+            final = doubled_state(run_signs(factors, oracle_signs(j, n)), k)
+            np.testing.assert_allclose(final, reference[j], atol=1e-12)
         # a leading axis of blocks is a batch too
-        blocks = run_signs(stages, oracle_signs(np.arange(n)[None, :].repeat(2, axis=0), n))
+        blocks = doubled_state(run_signs(stages, oracle_signs(np.arange(n)[None, :].repeat(2, axis=0), n)), k)
         np.testing.assert_allclose(blocks, reference[None].repeat(2, axis=0), atol=1e-12)
 
 
@@ -411,7 +415,38 @@ class TestKernelLength:
         lengths = self.record_lengths(monkeypatch)
         blocks = list(run_all_answers(schedule))
         assert lengths and set(lengths) == {6}
-        assert blocks[0][0].shape == (6, 12)
+        assert blocks[0][0].shape == (6, 6)
+
+    def test_synthesis(self, monkeypatch):
+        # one oracle image per stage, and the only length-2N transform is
+        # the V columns' inverse FFT
+        n, k = 52, 3
+        free = search_free_series(n, k)[0]
+        images = []
+        oracle_image = hilbert.oracle_image
+
+        def counted(amps, parity):
+            images.append(parity)
+            return oracle_image(amps, parity)
+
+        monkeypatch.setattr(hilbert, "oracle_image", counted)
+        lengths = self.record_lengths(monkeypatch)
+        v_column = synth.v_column
+        spans = []
+
+        def recorded(phases, n):
+            start = len(lengths)
+            column = v_column(phases, n)
+            spans.append((start, len(lengths)))
+            return column
+
+        monkeypatch.setattr(synth, "v_column", recorded)
+        synthesize_exact(n, k, free)
+        assert images == [0, 1, 2]
+        (start, end), = spans
+        outside = lengths[:start] + lengths[end:]
+        assert lengths[start:end] == [2 * n]
+        assert outside and 2 * n not in outside
 
 
 ANSWER_SCHEDULES = {
@@ -430,13 +465,13 @@ class TestRunAllAnswers:
         # blocks of 5 answers, so most sizes end on a partial block
         monkeypatch.setattr(hilbert, "ANSWER_BLOCK_AMPS", 5 * 2 * n)
         blocks = list(run_all_answers(schedule))
-        assert blocks[0][0].shape == (min(5, n), 2 * n)
+        assert blocks[0][0].shape == (min(5, n), n)
         finals = np.concatenate([f for f, _ in blocks])
         success = np.concatenate([p for _, p in blocks])
-        assert finals.shape == (n, 2 * n) and success.shape == (n,)
+        assert finals.shape == (n, n) and success.shape == (n,)
         for j in range(n):
             final, prob = run_schedule(schedule, j)
-            np.testing.assert_allclose(finals[j], final.amps, atol=1e-12)
+            np.testing.assert_allclose(doubled_state(finals[j], schedule.k), final.amps, atol=1e-12)
             assert abs(success[j] - prob) < 1e-12
 
 

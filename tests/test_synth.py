@@ -10,7 +10,7 @@ from invinsert import cli, hilbert, synth
 from invinsert.errors import ContractError, FactorizationError
 from invinsert.exact import a0, b0, build_chain, search_free_series, zero_series
 from invinsert.greedy import greedy_run
-from hilbert_testing import run_schedule, target_state
+from hilbert_testing import doubled_signs, doubled_state, run_schedule, target_state
 from invinsert.synth import (
     LaurentPoly,
     Poly,
@@ -49,7 +49,7 @@ def root_reference(q_poly):
     roots = np.roots(q_poly.q[::-1])
     w = np.exp(2j * np.pi * np.arange(n) / n)
     monic = np.fft.fft(np.prod(w[:, None] - roots[np.abs(roots) < 1], axis=1)) / n
-    return monic * np.sqrt(q_poly.coeff(0).real / np.sum(np.abs(monic) ** 2))
+    return monic * np.sqrt(q_poly.q[n - 1].real / np.sum(np.abs(monic) ** 2))
 
 
 class TestQFromChain:
@@ -69,7 +69,7 @@ class TestQFromChain:
         np.testing.assert_allclose(
             q.q[6:], [1 / 3, 1 / 6, 0, -1 / 6, -1 / 3], atol=1e-15
         )
-        assert q.coeff(0) == 1.0
+        assert q.q[q.n - 1] == 1.0
 
     def test_hermitian_symmetry_enforced(self):
         bad = np.zeros(9, dtype=complex)
@@ -382,16 +382,16 @@ class TestStatesFromPoly:
     def test_start_polynomial_gives_uniform(self):
         n = 6
         p = Poly(degree=n - 1, coeffs=np.ones(n) / np.sqrt(n))
-        state = states_from_poly(p, 0)
+        state = doubled_state(states_from_poly(p), 0)
         np.testing.assert_allclose(state, 1 / np.sqrt(2 * n), atol=1e-14)
 
     def test_monomial_gives_target(self):
         n = 5
         coeffs = np.zeros(n, dtype=complex)
         coeffs[n - 1] = 1.0
-        even = states_from_poly(Poly(degree=n - 1, coeffs=coeffs), 2)
+        even = doubled_state(states_from_poly(Poly(degree=n - 1, coeffs=coeffs)), 2)
         np.testing.assert_allclose(even, target_state(0, 1, n).amps, atol=1e-14)
-        odd = states_from_poly(Poly(degree=n - 1, coeffs=coeffs), 3)
+        odd = doubled_state(states_from_poly(Poly(degree=n - 1, coeffs=coeffs)), 3)
         np.testing.assert_allclose(odd, target_state(0, -1, n).amps, atol=1e-14)
 
     def test_parity_support(self):
@@ -400,7 +400,7 @@ class TestStatesFromPoly:
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         coeffs /= np.linalg.norm(coeffs)  # sum |c|^2 = 1 makes the state unit
         for ell in (0, 1):
-            state = states_from_poly(Poly(degree=n - 1, coeffs=coeffs), ell)
+            state = doubled_state(states_from_poly(Poly(degree=n - 1, coeffs=coeffs)), ell)
             mom = np.fft.fft(state, norm="ortho")
             dead = mom[(np.arange(2 * n) + ell) % 2 == 1]
             assert np.max(np.abs(dead)) < 1e-12
@@ -408,22 +408,23 @@ class TestStatesFromPoly:
     def test_bad_norm_rejected(self):
         n = 4
         with pytest.raises(ContractError):
-            states_from_poly(Poly(degree=n - 1, coeffs=np.ones(n)), 0)
+            states_from_poly(Poly(degree=n - 1, coeffs=np.ones(n)))
 
 
 class TestPhasesFromStates:
     def test_oracle_image_itself_gives_zero_phases(self):
         n = 6
-        image_pos = hilbert.oracle_signs(0, n) / np.sqrt(2 * n)
+        image_pos = doubled_signs(0, n) / np.sqrt(2 * n)
         psi1 = np.fft.fft(image_pos, norm="ortho")[1::2]
-        phases = phases_from_states(start_momentum(n), psi1, 1)
+        phases = phases_from_states(hilbert.oracle_image(start_momentum(n), 0), psi1)
         np.testing.assert_allclose(phases, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 6, 16])
     def test_matches_greedy_recorded_phases(self, n):
         trace = greedy_run(n, 3)
         for ell in range(1, 4):
-            extracted = phases_from_states(trace.states[ell - 1], trace.states[ell], ell)
+            phi = hilbert.oracle_image(trace.states[ell - 1], ell - 1)
+            extracted = phases_from_states(phi, trace.states[ell])
             recorded = trace.phase_schedule.stages[ell - 1, ell % 2 :: 2]
             delta = np.mod(extracted - recorded + np.pi, 2 * np.pi) - np.pi
             assert np.max(np.abs(delta)) < 1e-10
@@ -433,7 +434,7 @@ class TestPhasesFromStates:
         amps = np.zeros(n, dtype=complex)
         amps[0] = 1.0  # at p = 1, the right parity but wrong magnitudes
         with pytest.raises(ContractError):
-            phases_from_states(start_momentum(n), amps, 1)
+            phases_from_states(hilbert.oracle_image(start_momentum(n), 0), amps)
 
 
 class TestVColumn:
