@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import functools
 import math
 import os
@@ -82,6 +83,15 @@ def _parse_range(text: str) -> range:
     if hi < lo:
         raise _UsageError(f"empty range {text!r}")
     return range(lo, hi + 1)
+
+
+def _out_path(path: str) -> str:
+    """An output path, checked as the arguments are parsed: before any work,
+    and without making the file, raise the OSError that opening it would."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    return path
 
 
 def cmd_greedy(args) -> int:
@@ -240,7 +250,8 @@ def cmd_exact_synth(args) -> int:
 def cmd_verify(args) -> int:
     schedule = hilbert.load_schedule(args.schedule)
     n = schedule.n
-    success = np.concatenate([p for _, p in hilbert.run_all_answers(schedule)])
+    # answer j ends in T^j psi_0, so every answer succeeds with 2 |psi_0(0)|^2
+    success = np.full(n, 2 * abs(hilbert.run_answer_zero(schedule)[0]) ** 2)
     columns = synth.v_column(schedule.stages, n)
     if args.format == "json":
         _emit_report(
@@ -334,7 +345,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("greedy", help="run the greedy algorithm")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--emit-schedule", metavar="FILE")
+    p.add_argument("--emit-schedule", type=_out_path, metavar="FILE")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(handler="cmd_greedy")
 
@@ -359,7 +370,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--grid", type=int)
-    ps.add_argument("--out", metavar="FILE")
+    ps.add_argument("--out", type=_out_path, metavar="FILE")
     ps.set_defaults(handler="cmd_exact_search")
 
     py = esub.add_parser("synth", help="synthesize a verified schedule")
@@ -367,7 +378,7 @@ def build_parser() -> _Parser:
     py.add_argument("--k", type=int, required=True)
     py.add_argument("--series", action="append", metavar="FILE")
     py.add_argument("--grid", type=int)
-    py.add_argument("--out", required=True, metavar="FILE")
+    py.add_argument("--out", required=True, type=_out_path, metavar="FILE")
     py.set_defaults(handler="cmd_exact_synth")
 
     p = sub.add_parser("verify", help="re-simulate a schedule file")

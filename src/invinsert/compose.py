@@ -10,8 +10,8 @@ not itself translationally invariant.
 
 The reduced oracle of answer j is f'(s) = f_j(base + (s + 1) scale - 1),
 s = 0..M-1, which is -1 exactly for s < j' = (j - base) // scale: it is the
-M-point oracle F_{j'} itself.  So only M distinct subroutine runs exist, and
-the simulation runs each at most once.
+M-point oracle F_{j'} itself, which ends in the translate T^{j'} psi_0 of
+answer 0's final state: one subroutine run serves every level and answer.
 """
 
 from __future__ import annotations
@@ -44,12 +44,11 @@ def compose_all(
 
     Measurement is simulated deterministically: the exact subroutine leaves
     essentially unit overlap with exactly one target, and that subanswer is
-    selected.  An overlap below 1 - 1e-6 at any level aborts, since the
-    schedule is then not exact enough to compose.  The reduced oracle of
-    answer j at a level is F_{j'}, j' = (j - base) // scale, so subanswers
-    and overlaps are read from a table over j' = 0..M-1 whose rows are run
-    (through ``run_all_answers``) the first time a level needs them.  The
-    simulated algorithm still makes k queries per level and answer.
+    selected; an overlap below 1 - 1e-6 aborts at the first level.  Answer
+    j's reduced oracle at a level is F_{j'}, j' = (j - base) // scale, which
+    ends in T^{j'} psi_0 (``hilbert.run_answer_zero``), so the subanswer is
+    (j' + argmax |psi_0|) mod M.  The simulated algorithm still makes k
+    queries per level and answer.
     """
     if schedule.n != m or schedule.k != k:
         raise ValueError(
@@ -63,8 +62,13 @@ def compose_all(
     if bad.size:
         raise ValueError(f"hidden index must lie in 0..{n_total - 1}, got {bad[0]}")
 
-    found = np.full(m, -1, dtype=np.int64)  # measured subanswer per j', -1 until run
-    overlap = np.zeros(m)  # its target probability
+    probs = 2 * np.abs(hilbert.run_answer_zero(schedule)) ** 2
+    shift, overlap = int(np.argmax(probs)), float(probs.max())
+    if hidden.size and overlap < SUCCESS_FLOOR:  # no answers: nothing falls short
+        raise CompositionError(
+            f"level {h}: best overlap {overlap:.6f} below {SUCCESS_FLOOR}; "
+            "the subroutine schedule is not exact"
+        )
     bases = np.empty((h, hidden.size), dtype=np.int64)
     subanswers = np.empty_like(bases)
     base = np.zeros_like(hidden)
@@ -78,23 +82,8 @@ def compose_all(
                 f"hidden index {hidden[i]} outside the interval "
                 f"[{base[i]}, {base[i] + m * scale})"
             )
-        used = np.flatnonzero(np.bincount(sub, minlength=m))  # the j' needed
-        new = used[found[used] < 0]
-        lo = 0
-        for finals, _ in hilbert.run_all_answers(schedule, new):
-            probs = 2 * np.abs(finals) ** 2  # over every target j
-            rows = new[lo : lo + len(finals)]
-            found[rows] = np.argmax(probs, axis=-1)
-            overlap[rows] = probs.max(axis=-1)
-            lo += len(finals)
-        worst = float(overlap[used].min(initial=1.0))  # no answers: nothing falls short
-        if worst < SUCCESS_FLOOR:
-            raise CompositionError(
-                f"level {t}: best overlap {worst:.6f} below {SUCCESS_FLOOR}; "
-                "the subroutine schedule is not exact"
-            )
         bases[row] = base
-        subanswers[row] = found[sub]
+        subanswers[row] = (sub + shift) % m
         base = base + subanswers[row] * scale
     return Composition(base, bases, subanswers, h * k)
 

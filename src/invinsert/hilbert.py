@@ -19,9 +19,11 @@ is a plain complex array of N amplitudes on its last axis, and the query
 count l carries the parity: in momentum those of parity l mod 2, p = l mod 2,
 l mod 2 + 2, ..., and in position psi(x), x = 0..N-1.  Leading axes are
 separate states.  The oracle signs are those of f_j, and a phase stage keeps
-all 2N entries.  Every schedule run goes through ``run_signs``, and every
-function returns fresh arrays.  Every JSON document the package writes or
-reads goes through ``write_json`` or ``read_json``.
+all 2N entries.  Every schedule run goes through ``run_signs``.  The stages
+commute with the cyclic shift T of the 2N positions, F_j = T^j F_0 T^-j, and
+the start is T-invariant, so answer j ends in T^j psi_0: ``run_answer_zero``
+stands for every answer.  Every function returns fresh arrays, and every JSON
+document goes through ``write_json`` or ``read_json``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterator
 import numpy as np
 import orjson
 
-from .errors import SchemaError
+from .errors import ContractError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -201,11 +203,9 @@ def run_signs(stages: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Final position amplitudes psi(x), x < N, of the phase stages (shape
     (k, 2N)) run from the uniform start against the oracles whose signs f_j
     are the rows of ``signs`` (shape (..., N)): each stage is the oracle, then
-    exp(i alpha(p)).  Complex ``stages`` are the factors exp(i alpha),
-    computed once per run.  Stage l transforms psi at length N on parity
-    l mod 2.  Raises ValueError unless the stages are twice as wide as the
-    signs."""
-    factors = stages if np.iscomplexobj(stages) else np.exp(1j * np.asarray(stages, dtype=float))
+    exp(i alpha(p)).  Stage l transforms psi at length N on parity l mod 2.
+    Raises ValueError unless the stages are twice as wide as the signs."""
+    factors = np.exp(1j * np.asarray(stages, dtype=float))
     signs = np.asarray(signs, dtype=float)
     n = signs.shape[-1]
     if factors.shape[-1] != 2 * n:
@@ -213,7 +213,7 @@ def run_signs(stages: np.ndarray, signs: np.ndarray) -> np.ndarray:
     twist = _twist(n)
     untwist = twist.conj()
     amps = np.full(signs.shape, 1.0 / np.sqrt(2 * n), dtype=complex)
-    for ell, factor in enumerate(factors, 1):  # in place where it can: blocks of answers are large
+    for ell, factor in enumerate(factors, 1):  # in place where it can
         odd = ell % 2
         np.multiply(amps, signs, out=amps)
         if odd:
@@ -225,19 +225,17 @@ def run_signs(stages: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return amps
 
 
-ANSWER_BLOCK_AMPS = 1 << 16  # bounds the memory of a batch of answers at any N
-
-
-def run_all_answers(schedule: PhaseSchedule, js=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Run the schedule against the oracles F_j for the answers ``js``
-    (default every j = 0..N-1), yielding (final position amplitudes psi(x),
-    x < N, success probabilities) per block of answers.  Answer j's target
-    is (|j> + (-1)^k |j+N>) / sqrt(2), so its success is 2 |psi(j)|^2."""
+def run_answer_zero(schedule: PhaseSchedule) -> np.ndarray:
+    """Final position amplitudes psi_0(x), x < N, of answer 0; answer j ends
+    in the first N of np.roll(psi_0 doubled, j).  The same ``run_signs`` call
+    runs answers N // 2 and N - 1 and raises ContractError unless they end
+    within 1e-12 of those translates."""
     n = schedule.n
-    js = np.arange(n) if js is None else np.asarray(js, dtype=np.int64)
-    step = max(1, ANSWER_BLOCK_AMPS // (2 * n))
-    factors = np.exp(1j * schedule.stages)
-    for lo in range(0, js.size, step):
-        block = js[lo : lo + step]
-        finals = run_signs(factors, oracle_signs(block, n))
-        yield finals, 2 * np.abs(finals[np.arange(block.size), block]) ** 2
+    spots = [0, n // 2, n - 1]
+    finals = run_signs(schedule.stages, oracle_signs(spots, n))
+    doubled = np.concatenate([finals[0], (-1) ** schedule.k * finals[0]])
+    for j, final in zip(spots[1:], finals[1:]):
+        err = float(np.max(np.abs(final - np.roll(doubled, j)[:n])))
+        if not err <= 1e-12:  # also on NaN
+            raise ContractError(f"answer {j} ends {err:.3e} from the translate of answer 0")
+    return finals[0]

@@ -363,6 +363,8 @@ def synthesize_exact(
     Returns the schedule plus a verification report with per-answer success
     probabilities, the worst pairwise overlap of the final states, the first
     column of every stage unitary, and the per-stage magnitude mismatch.
+    Answer j ends in T^j psi_0 (``hilbert.run_answer_zero``), so every
+    success is 2 |psi_0(0)|^2; the overlaps are the FFT of its momentum weights.
     Factorization or magnitude failures raise with the stage number.
     """
     chain: MatchingChain = build_chain(n, k, free)
@@ -406,11 +408,10 @@ def synthesize_exact(
         psi_prev = psi_mom
 
     schedule = PhaseSchedule(n=n, k=k, stages=stages)
-    blocks = list(hilbert.run_all_answers(schedule))
-    finals = np.concatenate([f for f, _ in blocks])
-    success = np.concatenate([p for _, p in blocks])
-    overlaps = 2 * np.abs(finals @ np.conj(finals).T)  # psi(x + N) = +-psi(x) doubles each
-    np.fill_diagonal(overlaps, 0.0)
+    final = hilbert.run_answer_zero(schedule)
+    success = np.full(n, 2 * abs(final[0]) ** 2)
+    weights = 2 / n * np.abs(np.fft.fft(untwist * final if k % 2 else final)) ** 2
+    overlaps = np.abs(np.fft.fft(weights))
     columns = v_column(schedule.stages, n)
     report = {
         "n": n,
@@ -418,7 +419,7 @@ def synthesize_exact(
         "success_probs": success,
         "min_success_prob": float(success.min()),
         "exact": bool(success.min() >= 1 - 1e-9),
-        "max_pairwise_overlap": float(overlaps.max()),
+        "max_pairwise_overlap": float(overlaps[1:].max()),
         "v_columns": np.stack([columns.real, columns.imag], -1),
         "max_v_imag": float(np.abs(columns.imag).max()),
         "magnitude_mismatch": magnitude_mismatch,

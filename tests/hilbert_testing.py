@@ -5,14 +5,17 @@
 basis-tagged state of all 2N amplitudes, the doubled oracle signs, the
 unitary transforms, the translation operator, the closed-form momentum
 matrix element, the measurement targets, a single-answer schedule run,
-random states and schedules, and the inner product.  The library itself
-computes on plain arrays of the N live amplitudes.
+the brute-force run of every answer, a counter of the rows the library
+runner runs, random states and schedules, and the inner product.  The
+library itself computes on plain arrays of the N live amplitudes.
 """
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
+import invinsert.hilbert
 from invinsert.hilbert import *  # noqa: F401,F403 - the library namespace
 from invinsert.hilbert import PhaseSchedule, oracle_signs, run_signs
 
@@ -122,6 +125,37 @@ def run_schedule(schedule: PhaseSchedule, j: int) -> tuple[StateVector, float]:
     n, k = schedule.n, schedule.k
     final = StateVector(n, POSITION, doubled_state(run_signs(schedule.stages, oracle_signs(j, n)), k))
     return final, abs(inner(target_state(j, (-1) ** k, n), final)) ** 2
+
+
+ANSWER_BLOCK_AMPS = 1 << 16  # bounds the memory of a batch of answers at any N
+
+
+def run_all_answers(schedule: PhaseSchedule, js=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The brute-force reference for ``run_answer_zero``: run the schedule
+    against the oracles F_j for the answers ``js`` (default every
+    j = 0..N-1), yielding (final position amplitudes psi(x), x < N, success
+    probabilities) per block of answers.  Answer j's target is
+    (|j> + (-1)^k |j+N>) / sqrt(2), so its success is 2 |psi(j)|^2."""
+    n = schedule.n
+    js = np.arange(n) if js is None else np.asarray(js, dtype=np.int64)
+    step = max(1, ANSWER_BLOCK_AMPS // (2 * n))
+    for lo in range(0, js.size, step):
+        block = js[lo : lo + step]
+        finals = run_signs(schedule.stages, oracle_signs(block, n))
+        yield finals, 2 * np.abs(finals[np.arange(block.size), block]) ** 2
+
+
+def count_rows(monkeypatch) -> list:
+    """Count the oracle rows every call of the library's ``run_signs`` runs."""
+    rows = []
+    library_run = invinsert.hilbert.run_signs
+
+    def counted(stages, signs):
+        rows.append(int(np.prod(np.shape(signs)[:-1])))
+        return library_run(stages, signs)
+
+    monkeypatch.setattr(invinsert.hilbert, "run_signs", counted)
+    return rows
 
 
 def random_state(n: int, rng: np.random.Generator, basis: str = POSITION) -> StateVector:

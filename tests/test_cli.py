@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from exact_testing import NonOptimalHighs
+from hilbert_testing import count_rows
 
-from invinsert import cli, exact, hilbert, synth
-from invinsert.errors import SchemaError
+from invinsert import cli, exact, greedy, hilbert, synth
+from invinsert.errors import FactorizationError, SchemaError
 
 TABLE_N64 = ["0.2036", "0.6495", "0.9615", "0.9997", "1.0000", "1.0000"]
 
@@ -268,6 +269,14 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch):
 
 
 class TestSynthVerifyRoundTrip:
+    def test_verify_runs_three_rows(self, capsys, monkeypatch):
+        # answer 0 and the spot-checked N // 2 and N - 1 stand for all 52
+        rows = count_rows(monkeypatch)
+        path = Path(__file__).parent / "data" / "greedy-52-6.schedule.json"
+        code, out, _ = run_cli(capsys, "verify", "--schedule", str(path), "--format", "json")
+        assert code == 0 and len(json.loads(out)["results"]["success_probs"]) == 52
+        assert 0 < sum(rows) <= 3
+
     def test_success_probs_identical_after_reload(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         code, out, _ = run_cli(
@@ -548,6 +557,38 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *[a.format(dir=tmp_path) for a in argv])
         assert code == 1 and out == ""
         assert err.startswith("invinsert: ") and str(tmp_path) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["greedy", "--n", "4", "--k", "1", "--emit-schedule", "{dir}/missing/x.json"],
+        ["greedy", "--n", "4", "--k", "1", "--emit-schedule", "{dir}"],
+        ["exact", "search", "--k", "4", "--n", "200", "--out", "{dir}/missing/x.json"],
+        ["exact", "search", "--k", "4", "--n", "200", "--out", "{dir}"],
+        ["exact", "synth", "--n", "6", "--k", "2", "--out", "{dir}/missing/x.json"],
+        ["exact", "synth", "--n", "6", "--k", "2", "--out", "{dir}"],
+    ])
+    def test_unwritable_output_fails_before_the_work(self, capsys, tmp_path, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the work started before the output path was checked")
+
+        for module, name in [(exact, "search_free_series"), (synth, "synthesize_exact"), (greedy, "greedy_run")]:
+            monkeypatch.setattr(module, name, refuse)
+        argv = [a.format(dir=tmp_path) for a in argv]
+        with pytest.raises(OSError) as opened:  # what opening the path would say
+            open(argv[-1], "w")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err == f"invinsert: {opened.value}\n"
+
+    def test_output_file_untouched_until_the_work_succeeds(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "s.json"
+        path.write_text("kept")
+
+        def fail(*args, **kwargs):
+            raise FactorizationError("stage 1: refused")
+
+        monkeypatch.setattr(synth, "synthesize_exact", fail)
+        code, _, err = run_cli(capsys, "exact", "synth", "--n", "6", "--k", "2", "--out", str(path))
+        assert code == 1 and err == "invinsert: stage 1: refused\n"
+        assert path.read_text() == "kept"
 
     def test_console_script_installed(self, tmp_path):
         # Run the [project.scripts] entry point of this checkout through the

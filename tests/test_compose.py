@@ -14,7 +14,7 @@ from invinsert.errors import CompositionError, ContractError
 from invinsert.exact import search_free_series
 from invinsert.greedy import greedy_run
 from invinsert.synth import synthesize_exact
-from hilbert_testing import doubled_signs, run_schedule, target_state
+from hilbert_testing import count_rows, doubled_signs, run_schedule, target_state
 
 DATA = Path(__file__).resolve().parent / "data"
 SCHEDULE_6_2 = DATA / "synth-6-2.schedule.json"
@@ -170,20 +170,18 @@ def levels(comp, i):
 
 class TestComposeAll:
     @pytest.mark.parametrize("m, k, h", [(6, 2, 2), (2, 1, 5), (6, 2, 3)])
-    @pytest.mark.parametrize("block_answers", [None, 5])
-    def test_matches_single_answer_runs(self, m, k, h, block_answers, monkeypatch):
+    @pytest.mark.parametrize("order", [None, "reversed"])
+    def test_matches_single_answer_runs(self, m, k, h, order):
         schedule = synthesize_exact(m, k)[0]
-        if block_answers:
-            # blocks of a few answers, so most levels end on a partial block
-            monkeypatch.setattr(hilbert, "ANSWER_BLOCK_AMPS", block_answers * 2 * m)
-        comp = compose_all(m, k, h, schedule, range(m**h))
+        hidden_js = np.arange(m**h)[::-1] if order else np.arange(m**h)
+        comp = compose_all(m, k, h, schedule, hidden_js)
         assert comp.found.shape == (m**h,)  # one column per answer, in order
-        for hidden in range(m**h):
+        for i, hidden in enumerate(hidden_js.tolist()):
             single = compose_all(m, k, h, schedule, [hidden])
             found, per_level = reference_run(m, k, h, schedule, hidden)
-            assert comp.found[hidden] == single.found[0] == found == hidden
+            assert comp.found[i] == single.found[0] == found == hidden
             assert comp.queries_used == single.queries_used == h * k
-            assert levels(comp, hidden) == levels(single, 0) == per_level
+            assert levels(comp, i) == levels(single, 0) == per_level
 
     def test_int64_columns(self, schedule_6_2):
         comp = compose_all(6, 2, 2, schedule_6_2, [0, 35])
@@ -271,25 +269,18 @@ def shifted_schedule(schedule):
     return hilbert.PhaseSchedule(n=schedule.n, k=schedule.k, stages=stages)
 
 
-def count_rows(monkeypatch):
-    """Count the oracle rows every ``run_signs`` call runs."""
-    rows = []
-    run_signs = hilbert.run_signs
-
-    def counted(stages, signs):
-        rows.append(int(np.prod(np.shape(signs)[:-1])))
-        return run_signs(stages, signs)
-
-    monkeypatch.setattr(hilbert, "run_signs", counted)
-    return rows
-
-
 class TestOutcomeTable:
     def test_all_runs_at_most_m_rows(self, schedule_6_2, monkeypatch):
         rows = count_rows(monkeypatch)
         comp = compose_all(6, 2, 4, schedule_6_2, range(6**4))
         assert comp.found.tolist() == list(range(6**4))
         assert 0 < sum(rows) <= 6
+
+    def test_all_runs_at_most_three_rows(self, schedule_6_2, monkeypatch):
+        # answer 0 and the spot-checked N // 2 and N - 1, whatever the size
+        rows = count_rows(monkeypatch)
+        compose_all(6, 2, 4, schedule_6_2, range(6**4))
+        assert 0 < sum(rows) <= 3
 
     def test_one_answer_runs_at_most_h_rows(self, schedule_6_2, monkeypatch):
         rows = count_rows(monkeypatch)

@@ -9,8 +9,8 @@ import pytest
 
 from invinsert import bounds
 from invinsert.greedy import _advance, greedy_run
-from invinsert.hilbert import load_schedule, oracle_signs, run_all_answers, run_signs
-from hilbert_testing import doubled_state, oracle_momentum_block
+from invinsert.hilbert import load_schedule, oracle_signs, run_signs
+from hilbert_testing import doubled_state, oracle_momentum_block, run_all_answers
 
 DATA = Path(__file__).resolve().parent / "data"
 

@@ -15,14 +15,16 @@ from invinsert import cli, exact, hilbert, synth
 from invinsert.errors import SchemaError
 from invinsert.exact import search_free_series
 from invinsert.greedy import greedy_run
+from invinsert.errors import ContractError
 from invinsert.hilbert import (
     PhaseSchedule,
     oracle_image,
     oracle_signs,
-    run_all_answers,
+    run_answer_zero,
     run_signs,
 )
 from invinsert.synth import synthesize_exact
+import hilbert_testing
 from hilbert_testing import (
     MOMENTUM,
     POSITION,
@@ -37,6 +39,7 @@ from hilbert_testing import (
     oracle_momentum_matrix,
     random_schedule,
     random_state,
+    run_all_answers,
     run_schedule,
     target_state,
     to_momentum,
@@ -80,7 +83,6 @@ class TestUniformStart:
             (np.zeros((1, 12)), np.ones(12)),  # doubled signs
             (np.zeros((2, 12)), oracle_signs(np.arange(5), 5)),
             (np.zeros((1, 11)), np.ones(5)),
-            (np.ones((1, 11), dtype=complex), np.ones(6)),  # factors too
         ]:
             with pytest.raises(ValueError, match="do not fit signs"):
                 run_signs(stages, signs)
@@ -370,7 +372,7 @@ def dense_run(stages, j, n):
 
 
 class TestHalfLengthRunner:
-    # k = 1..5 ends on both parities; complex stages are the factors
+    # k = 1..5 ends on both parities
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", PROP_SIZES)
     def test_every_answer_matches_dense_simulation(self, n, k):
@@ -379,9 +381,8 @@ class TestHalfLengthRunner:
         reference = np.array([dense_run(stages, j, n) for j in range(n)])
         batched = doubled_state(run_signs(stages, oracle_signs(np.arange(n), n)), k)
         np.testing.assert_allclose(batched, reference, atol=1e-12)
-        factors = np.exp(1j * stages)
         for j in range(n):
-            final = doubled_state(run_signs(factors, oracle_signs(j, n)), k)
+            final = doubled_state(run_signs(stages, oracle_signs(j, n)), k)
             np.testing.assert_allclose(final, reference[j], atol=1e-12)
         # a leading axis of blocks is a batch too
         blocks = doubled_state(run_signs(stages, oracle_signs(np.arange(n)[None, :].repeat(2, axis=0), n)), k)
@@ -454,6 +455,7 @@ ANSWER_SCHEDULES = {
     "greedy-52-4": lambda: greedy_run(52, 4, keep_states=False).phase_schedule,
     "exact-6-2": lambda: synthesize_exact(6, 2)[0],
     "exact-16-3": lambda: synthesize_exact(16, 3, search_free_series(16, 3)[0])[0],
+    "random-2-3": lambda: random_schedule(2, 3, np.random.default_rng(23)),
 }
 
 
@@ -463,7 +465,7 @@ class TestRunAllAnswers:
         schedule = ANSWER_SCHEDULES[name]()
         n = schedule.n
         # blocks of 5 answers, so most sizes end on a partial block
-        monkeypatch.setattr(hilbert, "ANSWER_BLOCK_AMPS", 5 * 2 * n)
+        monkeypatch.setattr(hilbert_testing, "ANSWER_BLOCK_AMPS", 5 * 2 * n)
         blocks = list(run_all_answers(schedule))
         assert blocks[0][0].shape == (min(5, n), n)
         finals = np.concatenate([f for f, _ in blocks])
@@ -473,6 +475,39 @@ class TestRunAllAnswers:
             final, prob = run_schedule(schedule, j)
             np.testing.assert_allclose(doubled_state(finals[j], schedule.k), final.amps, atol=1e-12)
             assert abs(success[j] - prob) < 1e-12
+
+
+class TestRunAnswerZero:
+    """Answer j ends in the translate T^j psi_0 of answer 0's final state."""
+
+    @pytest.mark.parametrize("name", sorted(ANSWER_SCHEDULES))
+    def test_every_answer_is_a_translate(self, name):
+        schedule = ANSWER_SCHEDULES[name]()
+        n, k = schedule.n, schedule.k
+        psi = run_answer_zero(schedule)
+        finals = np.concatenate([f for f, _ in run_all_answers(schedule)])
+        doubled = np.concatenate([psi, (-1) ** k * psi])
+        for j in range(n):
+            np.testing.assert_allclose(finals[j], np.roll(doubled, j)[:n], rtol=0, atol=1e-12)
+
+    def test_answer_off_its_translate_raises(self, tmp_path, monkeypatch, capsys):
+        # answer N - 1 nudged by 1e-9 fails the spot check, in the library and in verify
+        schedule = synthesize_exact(6, 2)[0]
+        path = tmp_path / "s.json"
+        hilbert.save_schedule(schedule, path)
+        library_run = hilbert.run_signs
+
+        def perturbed(stages, signs):
+            finals = library_run(stages, signs)
+            finals[(np.asarray(signs) < 0).sum(axis=-1) == 5] += 1e-9
+            return finals
+
+        monkeypatch.setattr(hilbert, "run_signs", perturbed)
+        with pytest.raises(ContractError, match=r"^answer 5 ends 1\.000e-09 from the translate of answer 0$"):
+            run_answer_zero(schedule)
+        assert cli.main(["verify", "--schedule", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "invinsert: answer 5 ends 1.000e-09 from the translate of answer 0\n"
 
 
 class TestScheduleSerialization:

@@ -10,7 +10,9 @@ from invinsert import cli, hilbert, synth
 from invinsert.errors import ContractError, FactorizationError
 from invinsert.exact import a0, b0, build_chain, search_free_series, zero_series
 from invinsert.greedy import greedy_run
-from hilbert_testing import doubled_signs, doubled_state, run_schedule, target_state
+from hilbert_testing import (
+    count_rows, doubled_signs, doubled_state, random_schedule, run_all_answers, run_schedule, target_state,
+)
 from invinsert.synth import (
     LaurentPoly,
     Poly,
@@ -530,3 +532,40 @@ class TestSynthesizeOtherCases:
     def test_k3_with_zero_free_series(self):
         _, report = synthesize_exact(6, 3, {"A1": zero_series(6, "A")})
         assert report["min_success_prob"] >= 1 - 1e-9
+
+
+class TestOneRun:
+    """Synthesis runs answer 0 and reads every other answer off its translates."""
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (16, 3), (52, 3)])
+    def test_overlap_is_the_dense_overlap(self, n, k):
+        free = search_free_series(n, k)[0] if k > 2 else None
+        schedule, report = synthesize_exact(n, k, free)
+        finals = np.concatenate([f for f, _ in run_all_answers(schedule)])
+        dense = 2 * np.abs(finals @ np.conj(finals).T)  # psi(x + N) = +-psi(x) doubles each
+        np.fill_diagonal(dense, 0.0)
+        assert abs(report["max_pairwise_overlap"] - dense.max()) <= 1e-13
+        success = np.concatenate([p for _, p in run_all_answers(schedule)])
+        np.testing.assert_allclose(report["success_probs"], success, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (16, 3)])
+    def test_overlap_of_final_states_that_are_not_orthogonal(self, n, k, monkeypatch):
+        # exact schedules leave every overlap near 0 whatever the momentum
+        # weights are; a random schedule's final states tell them apart
+        other = random_schedule(n, k, np.random.default_rng(n))
+        run_answer_zero = hilbert.run_answer_zero
+        monkeypatch.setattr(hilbert, "run_answer_zero", lambda schedule: run_answer_zero(other))
+        free = search_free_series(n, k)[0] if k > 2 else None
+        report = synthesize_exact(n, k, free)[1]
+        finals = np.concatenate([f for f, _ in run_all_answers(other)])
+        dense = 2 * np.abs(finals @ np.conj(finals).T)
+        np.fill_diagonal(dense, 0.0)
+        assert dense.max() > 0.1
+        assert abs(report["max_pairwise_overlap"] - dense.max()) <= 1e-13
+
+    def test_synthesis_runs_three_rows(self, monkeypatch):
+        free = search_free_series(52, 3)[0]
+        rows = count_rows(monkeypatch)
+        synthesize_exact(52, 3, free)
+        assert 0 < sum(rows) <= 3
+
