@@ -19,7 +19,6 @@ from .greedy import GreedyTrace, greedy_run
 from .hilbert import PhaseSchedule, load_schedule, save_schedule
 from .synth import (
     LaurentPoly,
-    Poly,
     phases_from_states,
     q_from_chain,
     spectral_factor,
@@ -40,7 +39,6 @@ __all__ = [
     "LaurentPoly",
     "MatchingChain",
     "PhaseSchedule",
-    "Poly",
     "SchemaError",
     "SolverError",
     "a0",

@@ -15,7 +15,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -152,7 +151,10 @@ def cmd_exact_feasible(args) -> int:
     ns = list(_parse_range(args.n_range))
     tasks = [(n, args.k, grid) for n in ns]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # spawned, not forked: a search leaves HiGHS threads running
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        with ProcessPoolExecutor(args.jobs, mp_context=get_context("spawn")) as pool:
             flags = list(pool.map(_feasible_one, tasks))
     else:
         flags = [_feasible_one(t) for t in tasks]

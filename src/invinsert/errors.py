@@ -37,7 +37,8 @@ class SchemaError(ValueError):
         items = [data[key]]
         for item in items:  # grows as lists are opened: a breadth-first walk
             if type(item) is list:
-                items.extend(item)
+                if not set(map(type, item)) <= {int, float}:  # one C-level pass
+                    items.extend(item)
             elif type(item) not in (int, float):
                 raise SchemaError(f"{document} field {key!r} must hold only numbers, got {item!r}")
         return data[key]

@@ -315,24 +315,17 @@ def _pinned(n: int, klass: str, grid: int) -> np.ndarray:
     return (rest == 0) & (multiple % 2 == (1 if klass == KLASS_A else 0))
 
 
-def _coefficient_map(n: int, klass: str, columns: np.ndarray) -> tuple:
-    """Where the LP variables x[columns] of a class-`klass` series land among
-    its N - 1 coefficients: c[index] = weight * x[source].  Orders r and
-    N - r share a variable; the middle order of class A is its own mirror,
-    so it lands once."""
+def _expand(n: int, klass: str, half: np.ndarray) -> np.ndarray:
+    """The N - 1 coefficients of the class-`klass` series whose free half
+    (the LP variables of the orders of :func:`_basis_orders`) is `half`:
+    c_r = h and c_{N-r} = +/-h.  The middle order of class A is its own
+    mirror, so it is written once."""
     rs, sign = _basis_orders(n, klass)
     mirror = rs != n - rs
-    index = np.concatenate([rs - 1, n - rs[mirror] - 1])
-    source = np.concatenate([columns, columns[mirror]])
-    weight = np.concatenate([np.ones(len(rs)), np.full(mirror.sum(), sign)])
-    return index, source, weight
-
-
-def _scatter(n: int, maps: Sequence[tuple], x: np.ndarray) -> np.ndarray:
-    """Coefficients of the sum of the series whose coefficient maps are
-    `maps`, at LP variables x: one ``np.bincount``."""
-    index, source, weight = (np.concatenate(parts) for parts in zip(*maps))
-    return np.bincount(index, weight * x[source], minlength=n - 1)
+    coeffs = np.zeros(n - 1)
+    coeffs[rs - 1] += half
+    coeffs[n - rs[mirror] - 1] += sign * half[mirror]
+    return coeffs
 
 
 def _Highs():
@@ -444,7 +437,6 @@ def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
     params, stages = _stage_rows(n, k, grid)
     width = sum(len(p) for p in params.values())
     thetas = np.pi * np.arange(grid + 1) / grid
-    maps = {name: _coefficient_map(n, name[0], p) for name, p in params.items()}
     # the angles of each group that have a row in the LP; a row's key is
     # its flat index here, group * (G + 1) + angle
     active = np.zeros((len(stages), grid + 1), dtype=bool)
@@ -467,7 +459,7 @@ def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
         active.flat[dropped] = False
         indices = []
         for (_, names, fixed, pinned), used in zip(stages, active):
-            coeffs = _scatter(n, [maps[name] for name in names], x)
+            coeffs = sum(_expand(n, name[0], x[params[name]]) for name in names)
             slack = fixed - x[-1] + grid_values(coeffs, grid)
             slack[pinned | used] = np.inf
             low = slack < -1e-9
@@ -484,8 +476,8 @@ def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
     first = activate([start[~pinned[start]] for _, _, _, pinned in stages])
     x = _maximize_last(width + 1, first, violated_rows)
     free = {
-        name: CosineSeries(n=n, klass=name[0], coeffs=_scatter(n, [maps[name]], x))
-        for name in params
+        name: CosineSeries(n=n, klass=name[0], coeffs=_expand(n, name[0], x[p]))
+        for name, p in params.items()
     }
     return float(min(cap, x[-1])), free
 
@@ -512,13 +504,13 @@ def search_free_series(
     * The LP without the fixed rows is solved by exchange.  It starts from
       N + 1 evenly spread angles of each stage, enough to bound delta.
       After each solve every stage is evaluated on the full grid by one
-      coefficient scatter and one ``grid_values``.  The angles outside the
-      LP that fall below delta by more than 1e-9 and are local minima there
-      (all of them, if none is) become rows, and HiGHS re-solves warm from
-      its last basis.  After a solve in which delta fell more than
-      FALL_TOL below every earlier solve's, the rows more than DROP_SLACK
-      above delta are deleted and their angles leave the LP, to come back
-      as rows if they are violated again.  The loop stops when no angle
+      ``grid_values`` of the sum of its free series, each expanded from its
+      free half.  The angles outside the LP that fall below delta by more
+      than 1e-9 and are local minima there (all of them, if none is) become
+      rows, and HiGHS re-solves warm from its last basis.  After a solve in
+      which delta fell more than FALL_TOL below every earlier solve's, the
+      rows more than DROP_SLACK above delta are deleted and their angles
+      leave the LP, to come back as rows if they are violated again.  The loop stops when no angle
       outside the LP falls below delta, so the solution holds on the full
       grid.
     * The loop ends.  Deleting rows that do not bind leaves the solution

@@ -5,11 +5,15 @@ Pipeline per stage l:
 1. ``q_from_chain``  - assemble the Hermitian Laurent polynomial
    Q_l(z) = 1 + A_l + B_l with cos(r theta) split as (z^r + z^-r) / 2.
 2. ``spectral_factor`` - write Q_l = P_l(z) conj(P_l(1/conj(z))) on |z| = 1,
-   with P's zeros in the closed unit disk.
+   with P's zeros in the closed unit disk, and return P's coefficients.
 3. ``states_from_poly`` - read the stage state's position amplitudes
    psi(x), x < N, off P's coefficients.
 4. ``phases_from_states`` - the diagonal stage is the phase of
    <p|psi_l> / <p|F_0|psi_{l-1}> on parity l mod 2.
+
+P is the plain array of its N coefficients in ascending powers.  Only Q has
+a class, ``LaurentPoly``, which checks the Hermitian symmetry that makes it
+real on the circle.
 
 As in ``hilbert``, a state after l queries is a plain array of N amplitudes
 and l carries the parity: psi(x), x < N, in position, since
@@ -95,29 +99,6 @@ class LaurentPoly:
         if grid < 2 * self.n - 1:
             raise ValueError(f"{grid} angles fold {self.n - 1} harmonics")
         return np.fft.irfft(self.q[self.n - 1:], grid) * grid
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Ordinary polynomial of degree N-1; coeffs[i] multiplies z^i."""
-
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (self.degree + 1,):
-            raise ValueError(
-                f"expected {self.degree + 1} coefficients, got shape {coeffs.shape}"
-            )
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def circle_values(self, grid: int) -> np.ndarray:
-        arr = np.zeros(grid, dtype=complex)
-        arr[: self.degree + 1] = self.coeffs
-        return grid * np.fft.ifft(arr)
 
 
 def q_from_chain(a: CosineSeries, b: CosineSeries) -> LaurentPoly:
@@ -279,10 +260,11 @@ def _newton_factor(q_poly: LaurentPoly) -> np.ndarray:
     raise FactorizationError(f"Newton steps still shrink after {NEWTON_STEPS}")
 
 
-def spectral_factor(q_poly: LaurentPoly) -> Poly:
+def spectral_factor(q_poly: LaurentPoly) -> np.ndarray:
     """Factor Q(z) = P(z) conj(P(1/conj(z))) with |P|^2 = Q on the circle.
 
-    P has its zeros in the closed unit disk and a real positive leading
+    Returns P's N complex coefficients, ``coeffs[i]`` multiplying z^i.  P
+    has its zeros in the closed unit disk and a real positive leading
     coefficient.  Q positive on the circle takes the FFT (cepstral) factor,
     so Q = 1 factors as z^(N-1); only Q with complex coefficients, Q that
     is not positive on the FFT grid, or Q that does not converge by its
@@ -292,27 +274,26 @@ def spectral_factor(q_poly: LaurentPoly) -> Poly:
     on the 64N-point grid by more than FACTOR_GRID_TOL, as for Q that
     changes sign, and ContractError when q_0 is not positive.
     """
-    n = q_poly.n
     coeffs = _cepstral_factor(q_poly)
     if coeffs is None:
         coeffs = _newton_factor(q_poly)
-    poly = Poly(degree=n - 1, coeffs=coeffs)
+    coeffs = np.asarray(coeffs, dtype=complex)
 
-    grid = 64 * n
-    mismatch = float(
-        np.max(np.abs(np.abs(poly.circle_values(grid)) ** 2 - q_poly.circle_values(grid)))
-    )
+    grid = 64 * q_poly.n
+    p_values = grid * np.fft.ifft(coeffs, grid)
+    mismatch = float(np.max(np.abs(np.abs(p_values) ** 2 - q_poly.circle_values(grid))))
     if mismatch > FACTOR_GRID_TOL:
         raise FactorizationError(
             f"|P|^2 deviates from Q by {mismatch:.3e} on the circle"
         )
-    return poly
+    return coeffs
 
 
-def states_from_poly(p: Poly) -> np.ndarray:
+def states_from_poly(coeffs: np.ndarray) -> np.ndarray:
     """Position amplitudes psi(x) = coeff(z^{N-1-x}) / sqrt(2), x < N, of a
-    unit state whose upper half psi(x + N) = (-1)^l psi(x) is left implicit."""
-    amps = p.coeffs[::-1] / np.sqrt(2)
+    unit state whose upper half psi(x + N) = (-1)^l psi(x) is left implicit,
+    from P's coefficients in ascending powers."""
+    amps = coeffs[::-1] / np.sqrt(2)
     norm = float(np.sqrt(2) * np.linalg.norm(amps))
     if abs(norm - 1) > 1e-6:
         raise ContractError(

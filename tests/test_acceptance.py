@@ -257,7 +257,7 @@ class TestCriterion8Properties:
             grid = 64 * n
             err = np.max(
                 np.abs(
-                    np.abs(p.circle_values(grid)) ** 2 - q_poly.circle_values(grid)
+                    np.abs(grid * np.fft.ifft(p, grid)) ** 2 - q_poly.circle_values(grid)
                 )
             )
             worst = max(worst, err)

@@ -101,12 +101,23 @@ class TestExactCommands:
         flags = [line.split(",")[1] for line in out.strip().splitlines()[1:]]
         assert flags == ["true"] * 5 + ["false"]
 
+    def test_feasible_jobs_after_a_search_in_process(self, capsys):
+        # a solve leaves a HiGHS thread running in this process, which the
+        # worker pool must not fork
+        assert exact.search_free_series(52, 3) is not None
+        serial, pooled = (
+            run_cli(capsys, "exact", "feasible", "--k", "3", "--n-range", "55..58", "--jobs", jobs)
+            for jobs in ("1", "2")
+        )
+        assert serial == pooled
+        assert "true" in serial[1] and "false" in serial[1]
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_feasible_jobs_below_one_rejected(self, capsys, monkeypatch, jobs):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         code, out, err = run_cli(
             capsys, "exact", "feasible", "--k", "2", "--n-range", "2..7", "--jobs", jobs,
         )
@@ -477,6 +488,9 @@ NON_NUMBER_DOCS = [
     ("series", {"n": 3, "klass": "A", "coeffs": ["1.5", "1.5"]}),
     ("series", dict(SERIES_DOC, coeffs=[0.0, False, 0.0, False, 0.0])),
     ("series", dict(SERIES_DOC, coeffs=[0.0, 0.0, None, 0.0, 0.0])),
+    # long rows, which pass or fail as a whole before any value is walked
+    ("schedule", {"n": 1024, "k": 2, "stages": [[0.0] * 2047 + [True], [0.0] * 2048]}),
+    ("schedule", {"n": 1024, "k": 2, "stages": [[0.0] * 2048, [0.0] * 1000 + [None] + [0.0] * 1047]}),
 ]
 
 
@@ -500,6 +514,16 @@ class TestInputNumbers:
         loader = hilbert.load_schedule if kind == "schedule" else exact.load_series
         with pytest.raises(SchemaError, match="must hold only numbers"):
             loader(tmp_path / f"{kind}.json")
+
+    @pytest.mark.parametrize("value, bad", [
+        ([[0.0] * 2047 + [True], [0.0] * 2048], "True"),
+        ([[0.0] * 2048, [0.0] * 1000 + [None] + [0.0] * 1047], "None"),
+        ([[1, "a"], ["b"], 2.5], "'a'"),  # breadth-first: the first row's value
+        ([[[0.0, False]], [1, None]], "None"),  # shallower than the False
+    ])
+    def test_error_names_the_first_bad_value(self, value, bad):
+        with pytest.raises(SchemaError, match=f"field 'stages' must hold only numbers, got {bad}$"):
+            SchemaError.require_numbers({"stages": value}, "stages", "schedule")
 
     @pytest.mark.parametrize("kind", ["schedule", "series"])
     def test_integer_entries_load(self, capsys, tmp_path, kind):

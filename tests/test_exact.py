@@ -440,6 +440,18 @@ class TestExchangeSearch:
         for i, a in enumerate(firsts):
             assert not any(np.array_equal(a, b) for b in firsts[i + 1:])
 
+    @pytest.mark.parametrize("klass", ["A", "B"])
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 52])
+    def test_lp_rows_and_slack_describe_one_series(self, n, klass):
+        # _symmetric_basis builds the LP's rows, and _expand the coefficients
+        # whose grid values the exchange checks for violated rows
+        half = np.random.default_rng(n).standard_normal(len(exact._basis_orders(n, klass)[0]))
+        coeffs = exact._expand(n, klass, half)
+        CosineSeries(n=n, klass=klass, coeffs=coeffs)  # of the class's symmetry
+        grid = 8 * n
+        rows = exact._symmetric_basis(n, klass, np.pi * np.arange(grid + 1) / grid) @ half
+        np.testing.assert_allclose(rows, grid_values(coeffs, grid), rtol=0, atol=1e-12)
+
     def test_k3_stages_share_their_rows(self):
         # 1 + B0 + A1 and 1 + A1 have the one free series A1
         _, groups = exact._stage_rows(52, 3, default_grid(52))

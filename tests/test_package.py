@@ -37,11 +37,14 @@ def test_benchmark_tracer_runs(monkeypatch, capsys):
     assert metrics["synth.synthesize_s"] > 0 and metrics["synth.factor_calls"] == 1
 
 
-@pytest.mark.parametrize("package", ["scipy.optimize", "scipy.fft", "scipy.linalg"])
+@pytest.mark.parametrize(
+    "package", ["scipy.optimize", "scipy.fft", "scipy.linalg", "multiprocessing", "concurrent.futures"]
+)
 def test_cli_import_leaves_out(package):
     # only the free-series LP needs scipy's HiGHS binding, and importing it
     # runs all of scipy.optimize; the transforms stay in numpy (scipy.fft
-    # alone takes about 0.3 s to import)
+    # alone takes about 0.3 s to import); only `exact feasible --jobs` starts
+    # a worker pool
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
