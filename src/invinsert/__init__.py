@@ -1,6 +1,6 @@
 """Translationally invariant quantum query algorithms for ordered insertion."""
 
-from .bounds import bound_report, harmonic_sum, min_queries_invariant, overlap_bound
+from .bounds import bound_report, harmonic_sum
 from .compose import compose_all, rate
 from .errors import (
     CompositionError, ContractError, FactorizationError, SchemaError, SolverError,
@@ -8,7 +8,6 @@ from .errors import (
 from .exact import (
     CosineSeries,
     FeasibilityCertificate,
-    MatchingChain,
     a0,
     b0,
     build_chain,
@@ -18,7 +17,6 @@ from .exact import (
 from .greedy import GreedyTrace, greedy_run
 from .hilbert import PhaseSchedule, load_schedule, save_schedule
 from .synth import (
-    LaurentPoly,
     phases_from_states,
     q_from_chain,
     spectral_factor,
@@ -36,8 +34,6 @@ __all__ = [
     "FactorizationError",
     "FeasibilityCertificate",
     "GreedyTrace",
-    "LaurentPoly",
-    "MatchingChain",
     "PhaseSchedule",
     "SchemaError",
     "SolverError",
@@ -50,8 +46,6 @@ __all__ = [
     "greedy_run",
     "harmonic_sum",
     "load_schedule",
-    "min_queries_invariant",
-    "overlap_bound",
     "phases_from_states",
     "q_from_chain",
     "rate",

@@ -43,40 +43,26 @@ def harmonic_sum(n: int) -> HarmonicSum:
     return HarmonicSum(exact=exact, approx=approx)
 
 
-def overlap_bound(n: int, ell: int) -> float:
-    """Upper bound on the target overlap after ell queries: S^ell / sqrt(N)."""
-    if ell < 0:
-        raise ValueError(f"query count must be >= 0, got {ell}")
-    return harmonic_sum(n).exact ** ell / math.sqrt(n)
-
-
-def min_queries_invariant(n: int, epsilon: float) -> tuple[int, Optional[float]]:
-    """Smallest k whose squared overlap bound reaches epsilon.
-
-    Also returns the asymptotic estimate ln N / (2 ln ln N), reported only
-    for n >= 16 where ln ln N is comfortably positive.
-    """
+def bound_report(n: int, epsilon: float = 1.0) -> BoundReport:
+    """The per-stage bounds S^l / sqrt(N) up to the smallest k whose squared
+    bound reaches epsilon, and both log conventions of the asymptotic
+    estimate ln N / (2 ln ln N), reported only for n >= 16 where ln ln N is
+    comfortably positive."""
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if n < 2:
-        raise ValueError(f"problem size must be >= 2, got {n}")
-    s = harmonic_sum(n).exact
-    bound = 1.0 / math.sqrt(n)
-    k = 0
-    while bound * bound < epsilon:
-        bound *= s
-        k += 1
-    asymptotic = math.log(n) / (2 * math.log(math.log(n))) if n >= 16 else None
-    return k, asymptotic
-
-
-def bound_report(n: int, epsilon: float = 1.0) -> BoundReport:
-    """Assemble the per-stage bounds and both log conventions of the estimate."""
-    k_min, asymptotic = min_queries_invariant(n, epsilon)
     hs = harmonic_sum(n)
+    bound = 1.0 / math.sqrt(n)
+    k_min = 0
+    while bound * bound < epsilon:
+        bound *= hs.exact
+        k_min += 1
     per_ell = hs.exact ** np.arange(k_min + 1) / math.sqrt(n)
-    log2n = math.log2(n)
-    asymptotic_log2 = log2n / (2 * math.log2(log2n)) if n >= 16 else None
+    if n >= 16:
+        asymptotic = math.log(n) / (2 * math.log(math.log(n)))
+        log2n = math.log2(n)
+        asymptotic_log2 = log2n / (2 * math.log2(log2n))
+    else:
+        asymptotic = asymptotic_log2 = None
     return BoundReport(
         n=n,
         epsilon=epsilon,

@@ -150,11 +150,12 @@ def cmd_exact_feasible(args) -> int:
     grid = _grid_override(args.grid)
     ns = list(_parse_range(args.n_range))
     tasks = [(n, args.k, grid) for n in ns]
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(tasks))  # a worker per N at most
+    if jobs > 1:
         # spawned, not forked: a search leaves HiGHS threads running
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
-        with ProcessPoolExecutor(args.jobs, mp_context=get_context("spawn")) as pool:
+        with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
             flags = list(pool.map(_feasible_one, tasks))
     else:
         flags = [_feasible_one(t) for t in tasks]
@@ -282,6 +283,8 @@ def cmd_verify(args) -> int:
 def cmd_compose(args) -> int:
     if args.h < 1:
         raise _UsageError(f"--h must be at least 1, got {args.h}")
+    if args.m < 2:
+        raise _UsageError(f"--m must be at least 2, got {args.m}")
     n_total = args.m**args.h
     if n_total >= 2**63:  # hidden indices are int64
         raise _UsageError(f"--h {args.h}: M^h = {args.m}^{args.h} must be below 2^63")

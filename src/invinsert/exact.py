@@ -126,16 +126,6 @@ class FeasibilityCertificate:
         return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
-class MatchingChain:
-    """Fully resolved series chain (A_0, B_0), ..., (A_k, B_k)."""
-
-    n: int
-    k: int
-    stages: tuple  # tuple of (CosineSeries, CosineSeries)
-    free_names: tuple
-
-
 def zero_series(n: int, klass: str) -> CosineSeries:
     return CosineSeries(n=n, klass=klass, coeffs=np.zeros(n - 1))
 
@@ -226,8 +216,9 @@ def chain_free_names(n: int, k: int) -> tuple[str, ...]:
 
 def build_chain(
     n: int, k: int, free: Optional[Mapping[str, CosineSeries]] = None
-) -> MatchingChain:
-    """Materialize the chain from the k - 2 free series.
+) -> tuple[tuple[CosineSeries, CosineSeries], ...]:
+    """Materialize the chain from the k - 2 free series: the tuple of its
+    stages (A_0, B_0), ..., (A_k, B_k).
 
     Stage 0 is (A_0, B_0) and stage l >= 1 is (F_l, F_{l-1}) at odd l and
     (F_{l-1}, F_l) at even l, where F_0 = B_0, F_{k-1} = F_k = 0, and the
@@ -256,27 +247,25 @@ def build_chain(
     for ell in range(1, k + 1):
         klass = KLASS_A if ell % 2 else KLASS_B
         new.append(free[f"{klass}{ell}"] if ell < k - 1 else zero_series(n, klass))
-    stages = ((a0(n), new[0]),) + tuple(
+    return ((a0(n), new[0]),) + tuple(
         (new[ell], new[ell - 1]) if ell % 2 else (new[ell - 1], new[ell])
         for ell in range(1, k + 1)
     )
-    return MatchingChain(n=n, k=k, stages=stages, free_names=free_names)
 
 
-def chain_constraints(chain: MatchingChain) -> dict[int, list[CosineSeries]]:
+def chain_constraints(chain: Sequence[tuple]) -> dict[int, list[CosineSeries]]:
     """The nontrivial positivity constraints: stage l -> series of 1 + A_l + B_l.
 
-    Stage 0 holds identically (it is a squared magnitude) and stage k is
-    1 >= 0, so only l = 1..k-1 is returned.
+    Stage 0 holds identically (it is a squared magnitude) and stage
+    k = len(chain) - 1 is 1 >= 0, so only l = 1..k-1 is returned.
     """
-    out = {}
-    for ell in range(1, chain.k):
-        a, b = chain.stages[ell]
-        out[ell] = [s for s in (a, b) if not s.is_zero()]
-    return out
+    return {
+        ell: [s for s in stage if not s.is_zero()]
+        for ell, stage in enumerate(chain[1:-1], start=1)
+    }
 
 
-def certify_chain(chain: MatchingChain, grid_points: int) -> dict[int, FeasibilityCertificate]:
+def certify_chain(chain: Sequence[tuple], grid_points: int) -> dict[int, FeasibilityCertificate]:
     """:func:`certify_nonneg` of each stage of :func:`chain_constraints`, by stage."""
     return {ell: certify_nonneg(s, grid_points) for ell, s in chain_constraints(chain).items()}
 

@@ -2,8 +2,8 @@
 
 Pipeline per stage l:
 
-1. ``q_from_chain``  - assemble the Hermitian Laurent polynomial
-   Q_l(z) = 1 + A_l + B_l with cos(r theta) split as (z^r + z^-r) / 2.
+1. ``q_from_chain``  - assemble Q_l(z) = 1 + A_l + B_l with cos(r theta)
+   split as (z^r + z^-r) / 2.
 2. ``spectral_factor`` - write Q_l = P_l(z) conj(P_l(1/conj(z))) on |z| = 1,
    with P's zeros in the closed unit disk, and return P's coefficients.
 3. ``states_from_poly`` - read the stage state's position amplitudes
@@ -11,9 +11,9 @@ Pipeline per stage l:
 4. ``phases_from_states`` - the diagonal stage is the phase of
    <p|psi_l> / <p|F_0|psi_{l-1}> on parity l mod 2.
 
-P is the plain array of its N coefficients in ascending powers.  Only Q has
-a class, ``LaurentPoly``, which checks the Hermitian symmetry that makes it
-real on the circle.
+P is the plain array of its N coefficients in ascending powers, and Q the
+plain array of its N coefficients q_0..q_{N-1}: q_{-r} = conj(q_r) is
+implied, so Q is Hermitian, and real on the circle, by construction.
 
 As in ``hilbert``, a state after l queries is a plain array of N amplitudes
 and l carries the parity: psi(x), x < N, in position, since
@@ -41,7 +41,6 @@ sum_j conj(h_j) h_{j+r} = q_r instead, started from a constant.  Either way
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -51,7 +50,6 @@ from .errors import ContractError, FactorizationError
 from .exact import (
     CosineSeries,
     INFEASIBLE,
-    MatchingChain,
     build_chain,
     certify_chain,
     default_grid,
@@ -66,54 +64,22 @@ ZERO_AMP_TOL = 1e-12    # arbitrary-phase threshold in phase extraction
 MAGNITUDE_TOL = 1e-8    # stage state vs oracle image, momentum by momentum
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Hermitian Laurent polynomial sum_r q_r z^r, r = -(N-1)..N-1.
-
-    ``q[i]`` stores the coefficient of z^(i - (N-1)).  Hermitian symmetry
-    q_r = conj(q_{-r}) makes the polynomial real on the unit circle.
-    """
-
-    n: int
-    q: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"problem size must be >= 2, got {self.n}")
-        q = np.asarray(self.q, dtype=complex)
-        if q.shape != (2 * self.n - 1,):
-            raise ValueError(
-                f"expected {2 * self.n - 1} coefficients, got shape {q.shape}"
-            )
-        herm = np.conj(q[::-1])
-        scale = max(float(np.abs(q).max()), 1.0)
-        if not np.max(np.abs(q - herm)) <= 1e-10 * scale:  # also on NaN
-            raise ContractError("coefficients are not finite or violate Hermitian symmetry")
-        q = q.copy()
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-
-    def circle_values(self, grid: int) -> np.ndarray:
-        """Q(e^{i theta}) at theta = 2 pi m / grid, m = 0..grid-1: by Hermitian
-        symmetry, the inverse real FFT of q_r, r = 0..N-1."""
-        if grid < 2 * self.n - 1:
-            raise ValueError(f"{grid} angles fold {self.n - 1} harmonics")
-        return np.fft.irfft(self.q[self.n - 1:], grid) * grid
-
-
-def q_from_chain(a: CosineSeries, b: CosineSeries) -> LaurentPoly:
-    """Q(z) for 1 + A(theta) + B(theta): q_0 = 1, q_{+-r} = (a_r + b_r) / 2."""
+def q_from_chain(a: CosineSeries, b: CosineSeries) -> np.ndarray:
+    """Q's coefficients q_0..q_{N-1} for 1 + A(theta) + B(theta): q_0 = 1 and
+    q_r = (a_r + b_r) / 2, with q_{-r} = conj(q_r) implied."""
     if a.n != b.n:
         raise ValueError("series must share the same problem size")
     if a.klass != "A" or b.klass != "B":
         raise ValueError("expected one class-A and one class-B series")
-    n = a.n
-    q = np.zeros(2 * n - 1, dtype=complex)
-    q[n - 1] = 1.0
-    half = (a.coeffs + b.coeffs) / 2.0
-    q[n:] = half
-    q[n - 2::-1] = half
-    return LaurentPoly(n=n, q=q)
+    return np.r_[1.0, (a.coeffs + b.coeffs) / 2]
+
+
+def _circle_values(q: np.ndarray, grid: int) -> np.ndarray:
+    """Q(e^{i theta}) at theta = 2 pi m / grid, m = 0..grid-1: with
+    q_{-r} = conj(q_r), the inverse real FFT of q_0..q_{N-1}."""
+    if grid < 2 * len(q) - 1:
+        raise ValueError(f"{grid} angles fold {len(q) - 1} harmonics")
+    return np.fft.irfft(q, grid) * grid
 
 
 def _series_exp(c: np.ndarray) -> np.ndarray:
@@ -166,7 +132,7 @@ def _odd_point_sums(q: np.ndarray, grid: int) -> Optional[np.ndarray]:
     return 2 * (np.conj(turn) * np.fft.rfft(log_q)[:len(q)]).real
 
 
-def _cepstral_factor(q_poly: LaurentPoly) -> Optional[np.ndarray]:
+def _cepstral_factor(q: np.ndarray) -> Optional[np.ndarray]:
     """Kolmogorov's minimum-phase factor: H = exp(causal part of log Q).
 
     H(z) = sum_n h_n z^n has no zeros in the disk, so the returned
@@ -184,12 +150,11 @@ def _cepstral_factor(q_poly: LaurentPoly) -> Optional[np.ndarray]:
     which no chain makes, for Q not positive on the grid, or at the cap, as
     for zeros on the circle.
     """
-    n = q_poly.n
+    n = len(q)
     size = max(FFT_MIN_SIZE, 1 << (16 * n - 1).bit_length()) // 2
-    q = q_poly.q[n - 1:]
     if size > FFT_MAX_SIZE or q.imag.any():
         return None
-    values = q_poly.circle_values(size)
+    values = _circle_values(q, size)
     if values.min() <= 0:
         return None
     log_q = np.log(values, out=values)
@@ -218,7 +183,7 @@ def _cepstral_factor(q_poly: LaurentPoly) -> Optional[np.ndarray]:
     return None
 
 
-def _newton_factor(q_poly: LaurentPoly) -> np.ndarray:
+def _newton_factor(q: np.ndarray) -> np.ndarray:
     """Wilson's Newton iteration for sum_j conj(h_j) h_{j+r} = q_r, r < N,
     for Q that the cepstral factor cannot take (G. T. Wilson, SIAM J.
     Numer. Anal. 6, 1969).  Each step solves T h' + K conj(h') = q + T h,
@@ -233,8 +198,7 @@ def _newton_factor(q_poly: LaurentPoly) -> np.ndarray:
     positive, and FactorizationError on a singular solve or when the steps
     still shrink after NEWTON_STEPS.
     """
-    n = q_poly.n
-    q = q_poly.q[n - 1:]
+    n = len(q)
     if not q[0].real > 0:
         raise ContractError(f"q_0 = {q[0].real:.3e}, the mean of Q on the circle, is not positive")
     lag = np.arange(n) - np.arange(n)[:, None]  # < 0 indexes the zero padding
@@ -260,28 +224,37 @@ def _newton_factor(q_poly: LaurentPoly) -> np.ndarray:
     raise FactorizationError(f"Newton steps still shrink after {NEWTON_STEPS}")
 
 
-def spectral_factor(q_poly: LaurentPoly) -> np.ndarray:
+def spectral_factor(q: np.ndarray) -> np.ndarray:
     """Factor Q(z) = P(z) conj(P(1/conj(z))) with |P|^2 = Q on the circle.
 
-    Returns P's N complex coefficients, ``coeffs[i]`` multiplying z^i.  P
-    has its zeros in the closed unit disk and a real positive leading
-    coefficient.  Q positive on the circle takes the FFT (cepstral) factor,
-    so Q = 1 factors as z^(N-1); only Q with complex coefficients, Q that
-    is not positive on the FFT grid, or Q that does not converge by its
-    cap, takes the Newton factor.
+    Q is given by q_0..q_{N-1}, q_{-r} = conj(q_r) implied, so it is real
+    on the circle when q_0 is.  Returns P's N complex coefficients,
+    ``coeffs[i]`` multiplying z^i.  P has its zeros in the closed unit disk
+    and a real positive leading coefficient.  Q positive on the circle takes
+    the FFT (cepstral) factor, so Q = 1 factors as z^(N-1); only Q with
+    complex coefficients, Q that is not positive on the FFT grid, or Q that
+    does not converge by its cap, takes the Newton factor.
 
-    Raises FactorizationError when the Newton iteration fails or |P|^2 misses Q
+    Raises ValueError unless q is 1-D with at least 2 coefficients,
+    ContractError for coefficients that are not finite, for
+    |Im q_0| > 1e-10 max(1, max |q_r|) or when q_0 is not positive, and
+    FactorizationError when the Newton iteration fails or |P|^2 misses Q
     on the 64N-point grid by more than FACTOR_GRID_TOL, as for Q that
-    changes sign, and ContractError when q_0 is not positive.
+    changes sign.
     """
-    coeffs = _cepstral_factor(q_poly)
+    q = np.asarray(q)
+    if q.ndim != 1 or len(q) < 2:
+        raise ValueError(f"expected at least 2 coefficients in a 1-D array, got shape {q.shape}")
+    if not np.isfinite(q).all() or abs(q[0].imag) > 1e-10 * max(1.0, np.abs(q).max()):
+        raise ContractError("coefficients are not finite or q_0 is not real")
+    coeffs = _cepstral_factor(q)
     if coeffs is None:
-        coeffs = _newton_factor(q_poly)
+        coeffs = _newton_factor(q)
     coeffs = np.asarray(coeffs, dtype=complex)
 
-    grid = 64 * q_poly.n
+    grid = 64 * len(q)
     p_values = grid * np.fft.ifft(coeffs, grid)
-    mismatch = float(np.max(np.abs(np.abs(p_values) ** 2 - q_poly.circle_values(grid))))
+    mismatch = float(np.max(np.abs(np.abs(p_values) ** 2 - _circle_values(q, grid))))
     if mismatch > FACTOR_GRID_TOL:
         raise FactorizationError(
             f"|P|^2 deviates from Q by {mismatch:.3e} on the circle"
@@ -348,7 +321,7 @@ def synthesize_exact(
     success is 2 |psi_0(0)|^2; the overlaps are the FFT of its momentum weights.
     Factorization or magnitude failures raise with the stage number.
     """
-    chain: MatchingChain = build_chain(n, k, free)
+    chain = build_chain(n, k, free)
     grid = default_grid(n) if grid_points is None else grid_points
     certificates = certify_chain(chain, grid)
     for ell, cert in certificates.items():
@@ -364,9 +337,8 @@ def synthesize_exact(
     untwist = hilbert._twist(n).conj()
     for ell in range(1, k + 1):
         odd = ell % 2
-        a_series, b_series = chain.stages[ell]
         try:
-            psi = states_from_poly(spectral_factor(q_from_chain(a_series, b_series)))
+            psi = states_from_poly(spectral_factor(q_from_chain(*chain[ell])))
         except (FactorizationError, ContractError) as exc:
             raise type(exc)(f"stage {ell}: {exc}") from exc
         phi = hilbert.oracle_image(psi_prev, ell - 1)

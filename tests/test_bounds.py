@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from invinsert.bounds import (
-    bound_report,
-    harmonic_sum,
-    min_queries_invariant,
-    overlap_bound,
-)
+from invinsert.bounds import bound_report, harmonic_sum
 from invinsert.greedy import greedy_run
+
+
+def overlap_bound(n: int, ell: int) -> float:
+    """The paper's bound on the target overlap after ell queries of an
+    invariant algorithm: S^ell / sqrt(N)."""
+    return harmonic_sum(n).exact ** ell / math.sqrt(n)
 
 
 class TestHarmonicSum:
@@ -69,20 +70,19 @@ class TestMinQueries:
         ("n", "epsilon"), [(16, 0.5), (100, 1.0), (4096, 1.0), (4096, 0.01), (2, 1.0)]
     )
     def test_threshold_definition(self, n, epsilon):
-        k_min, _ = min_queries_invariant(n, epsilon)
+        k_min = bound_report(n, epsilon).min_queries
         assert overlap_bound(n, k_min) ** 2 >= epsilon
         if k_min > 0:
             assert overlap_bound(n, k_min - 1) ** 2 < epsilon
 
     def test_n4096_needs_at_least_three(self):
-        k_min, _ = min_queries_invariant(4096, 1.0)
-        assert k_min >= 3
+        assert bound_report(4096, 1.0).min_queries >= 3
 
     def test_asymptotic_field(self):
-        _, asym = min_queries_invariant(4096, 1.0)
+        asym = bound_report(4096, 1.0).asymptotic
         assert abs(asym - math.log(4096) / (2 * math.log(math.log(4096)))) < 1e-12
-        _, small = min_queries_invariant(8, 1.0)
-        assert small is None
+        small = bound_report(8, 1.0)
+        assert small.asymptotic is None and small.asymptotic_log2 is None
 
     def test_log_convention_ratio_tends_to_one(self):
         # the natural-log and base-2 forms of the asymptotic estimate agree
@@ -99,8 +99,8 @@ class TestMinQueries:
         # integer ceiling (the ratio jumps whenever k_min steps up)
         gaps = []
         for m in range(10, 21):
-            k_min, asym = min_queries_invariant(2**m, 1.0)
-            gaps.append(k_min / asym)
+            report = bound_report(2**m, 1.0)
+            gaps.append(report.min_queries / report.asymptotic)
         assert all(1.0 < g < 1.7 for g in gaps)
         runs_down = [b < a for a, b in zip(gaps, gaps[1:])]
         assert sum(runs_down) >= 9  # decreasing except at the k_min step
@@ -108,9 +108,9 @@ class TestMinQueries:
 
     def test_epsilon_domain(self):
         with pytest.raises(ValueError):
-            min_queries_invariant(64, 0.0)
+            bound_report(64, 0.0)
         with pytest.raises(ValueError):
-            min_queries_invariant(64, 1.5)
+            bound_report(64, 1.5)
 
 
 class TestBoundReport:

@@ -123,6 +123,17 @@ class TestExactCommands:
         )
         assert code == 64 and "--jobs" in err and out == ""
 
+    def test_feasible_one_n_starts_no_pool(self, capsys, monkeypatch):
+        # a worker per N at most: one N runs in this process whatever --jobs says
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        code, out, _ = run_cli(
+            capsys, "exact", "feasible", "--k", "2", "--n-range", "6..6", "--jobs", "2",
+        )
+        assert code == 0 and out == "n,feasible\n6,true\n"
+
     def test_search_solver_failure_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(exact, "_Highs", NonOptimalHighs)
         code, out, err = run_cli(capsys, "exact", "search", "--k", "3", "--n", "16")
@@ -372,6 +383,12 @@ class TestComposeAndRate:
         code, out, err = run_cli(capsys, "compose", "--m", "6", "--k", "2", *argv)
         assert code == 64 and out == ""
         assert err.startswith("invinsert: --") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("m", ["-2", "0", "1"])
+    def test_compose_m_below_two_exits_64(self, capsys, m):
+        # checked before M^h is formed, against which --j is checked
+        code, out, err = run_cli(capsys, "compose", "--m", m, "--k", "1", "--h", "1", "--j", "0")
+        assert (code, out, err) == (64, "", f"invinsert: --m must be at least 2, got {m}\n")
 
     def test_compose_size_checked_before_schedule_loads(self, capsys, tmp_path):
         # 2^63 answers is the first size past int64; a missing schedule

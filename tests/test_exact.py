@@ -226,11 +226,11 @@ class TestFeasibilityBoundaries:
 class TestBuildChain:
     def test_k2_chain_shape(self):
         chain = build_chain(6, 2)
-        assert chain.free_names == ()
-        a_1, b_1 = chain.stages[1]
+        assert chain_free_names(6, 2) == ()
+        a_1, b_1 = chain[1]
         assert a_1.is_zero()
         np.testing.assert_array_equal(b_1.coeffs, b0(6).coeffs)
-        a_2, b_2 = chain.stages[2]
+        a_2, b_2 = chain[2]
         assert a_2.is_zero() and b_2.is_zero()
 
     def test_k3_constraints_reduce_to_two(self):
@@ -251,12 +251,12 @@ class TestBuildChain:
         coeffs[0] = coeffs[n - 2] = 0.25
         free = {"A1": CosineSeries(n=n, klass="A", coeffs=coeffs)}
         chain = build_chain(n, 3, free)
-        a_1, b_1 = chain.stages[1]
-        a_2, b_2 = chain.stages[2]
+        a_1, b_1 = chain[1]
+        a_2, b_2 = chain[2]
         np.testing.assert_array_equal(a_1.coeffs, a_2.coeffs)  # A2 = A1
         np.testing.assert_array_equal(b_1.coeffs, b0(n).coeffs)  # B1 = B0
         assert b_2.is_zero()  # B2 = B3 = 0
-        assert chain.stages[3][0].is_zero()
+        assert chain[3][0].is_zero()
 
     def test_k4_free_names(self):
         assert chain_free_names(10, 4) == ("A1", "B2")
@@ -264,15 +264,15 @@ class TestBuildChain:
             10, 4, {"A1": zero_series(10, "A"), "B2": zero_series(10, "B")}
         )
         # unrolled identifications: B1=B0, A2=A1, B3=B2, A3=A4=0, B4=0
-        np.testing.assert_array_equal(chain.stages[1][1].coeffs, b0(10).coeffs)
+        np.testing.assert_array_equal(chain[1][1].coeffs, b0(10).coeffs)
         np.testing.assert_array_equal(
-            chain.stages[2][0].coeffs, chain.stages[1][0].coeffs
+            chain[2][0].coeffs, chain[1][0].coeffs
         )
         np.testing.assert_array_equal(
-            chain.stages[3][1].coeffs, chain.stages[2][1].coeffs
+            chain[3][1].coeffs, chain[2][1].coeffs
         )
-        assert chain.stages[3][0].is_zero()
-        assert chain.stages[4][0].is_zero() and chain.stages[4][1].is_zero()
+        assert chain[3][0].is_zero()
+        assert chain[4][0].is_zero() and chain[4][1].is_zero()
 
     def test_k5_free_names(self):
         assert chain_free_names(9, 5) == ("A1", "B2", "A3")
@@ -293,14 +293,14 @@ class TestBuildChain:
             coeffs = v + v[::-1] if name[0] == "A" else v - v[::-1]
             free[name] = CosineSeries(n=n, klass=name[0], coeffs=coeffs)
         chain = build_chain(n, k, free)
-        assert chain.free_names == names and len(chain.stages) == k + 1
+        assert len(chain) == k + 1
 
         def same(s, t):
             return s.klass == t.klass and np.array_equal(s.coeffs, t.coeffs)
 
-        assert same(chain.stages[0][0], a0(n)) and same(chain.stages[0][1], b0(n))
+        assert same(chain[0][0], a0(n)) and same(chain[0][1], b0(n))
         for ell in range(1, k + 1):
-            (a, b), (a_prev, b_prev) = chain.stages[ell], chain.stages[ell - 1]
+            (a, b), (a_prev, b_prev) = chain[ell], chain[ell - 1]
             assert a.klass == "A" and b.klass == "B"
             if ell % 2:  # B_l = B_{l-1}; A_l is the stage's own series
                 assert same(b, b_prev)
@@ -310,7 +310,7 @@ class TestBuildChain:
                 own = b
             if ell <= k - 2:
                 assert same(own, free[f"{own.klass}{ell}"])
-        assert chain.stages[k][0].is_zero() and chain.stages[k][1].is_zero()
+        assert chain[k][0].is_zero() and chain[k][1].is_zero()
 
     def test_wrong_free_set_rejected(self):
         with pytest.raises(ContractError):
@@ -328,7 +328,7 @@ class TestBuildChain:
 
     def test_k1_requires_n2(self):
         chain = build_chain(2, 1)
-        assert chain.stages[1][0].is_zero() and chain.stages[1][1].is_zero()
+        assert chain[1][0].is_zero() and chain[1][1].is_zero()
         with pytest.raises(ContractError):
             build_chain(6, 1)
 

@@ -11,6 +11,7 @@ from invinsert import bounds
 from invinsert.greedy import _advance, greedy_run
 from invinsert.hilbert import load_schedule, oracle_signs, run_signs
 from hilbert_testing import doubled_state, oracle_momentum_block, run_all_answers
+from test_bounds import overlap_bound
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -121,7 +122,7 @@ class TestGreedyRun:
         trace = greedy_run(n, 5)
         for ell in range(1, 6):
             live = trace.states[ell].real.sum() / np.sqrt(n)
-            assert live <= bounds.overlap_bound(n, ell) + 1e-12
+            assert live <= overlap_bound(n, ell) + 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 6, 8, 16])
     def test_schedule_reproduces_probs_for_every_j(self, n):

@@ -73,3 +73,29 @@ def test_third_party_imports_are_declared():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"invinsert"}
     assert third_party and third_party <= declared, sorted(third_party - declared)
+
+
+def test_public_library_names_are_used_by_the_library():
+    # a public function or class that only tests use is surface to delete;
+    # cmd_* handlers are exempt, since main looks them up by name
+    package = Path(invinsert.__file__).parent
+    defined, used = {}, set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = sorted(
+        f"{module}:{name}" for name, module in defined.items()
+        if name not in used and not name.startswith("cmd_")
+    )
+    assert unused == []

@@ -1,4 +1,4 @@
-"""Laurent assembly, spectral factorization, state recovery, phase extraction."""
+"""Q assembly, spectral factorization, state recovery, phase extraction."""
 
 import tracemalloc
 from pathlib import Path
@@ -14,7 +14,6 @@ from hilbert_testing import (
     count_rows, doubled_signs, doubled_state, random_schedule, run_all_answers, run_schedule, target_state,
 )
 from invinsert.synth import (
-    LaurentPoly,
     phases_from_states,
     q_from_chain,
     spectral_factor,
@@ -33,12 +32,11 @@ V2_COLUMN = [.9122, -.2022, -.0380, .0736, .1258, .1286,
 
 def triangular_q(n):
     """Q with coefficients (N - |r|)/N, the squared magnitude of the start polynomial."""
-    r = np.arange(-(n - 1), n)
-    return LaurentPoly(n=n, q=((n - np.abs(r)) / n).astype(complex))
+    return (n - np.arange(n)) / n
 
 
-def q_on_circle(q_poly, grid):
-    return q_poly.circle_values(grid)
+def q_on_circle(q, grid):
+    return synth._circle_values(q, grid)
 
 
 def p_on_circle(coeffs, grid):
@@ -46,43 +44,34 @@ def p_on_circle(coeffs, grid):
     return grid * np.fft.ifft(coeffs, grid)
 
 
-def root_reference(q_poly):
+def root_reference(q):
     """P from the zeros of z^(N-1) Q(z) inside the disk, scaled so that
     sum |p_k|^2 = q_0.  The product is interpolated on the N-th roots of
     unity: np.poly's expansion of the N = 52 stage zeros, 0.002 inside the
     circle, is off by 1e-5."""
-    n = q_poly.n
-    roots = np.roots(q_poly.q[::-1])
+    n = len(q)
+    roots = np.roots(np.r_[np.conj(q[:0:-1]), q][::-1])
     w = np.exp(2j * np.pi * np.arange(n) / n)
     monic = np.fft.fft(np.prod(w[:, None] - roots[np.abs(roots) < 1], axis=1)) / n
-    return monic * np.sqrt(q_poly.q[n - 1].real / np.sum(np.abs(monic) ** 2))
+    return monic * np.sqrt(q[0].real / np.sum(np.abs(monic) ** 2))
 
 
 class TestQFromChain:
     def test_start_chain_gives_triangular(self):
         for n in (2, 6, 11):
             q = q_from_chain(a0(n), b0(n))
-            np.testing.assert_allclose(q.q, triangular_q(n).q, atol=1e-14)
+            np.testing.assert_allclose(q, triangular_q(n), atol=1e-14)
 
     def test_zero_chain_gives_unit(self):
         q = q_from_chain(zero_series(5, "A"), zero_series(5, "B"))
-        expected = np.zeros(9)
-        expected[4] = 1.0
-        np.testing.assert_array_equal(q.q, expected)
+        np.testing.assert_array_equal(q, [1.0, 0, 0, 0, 0])
 
     def test_n6_two_query_middle_polynomial(self):
         q = q_from_chain(zero_series(6, "A"), b0(6))
         np.testing.assert_allclose(
-            q.q[6:], [1 / 3, 1 / 6, 0, -1 / 6, -1 / 3], atol=1e-15
+            q[1:], [1 / 3, 1 / 6, 0, -1 / 6, -1 / 3], atol=1e-15
         )
-        assert q.q[q.n - 1] == 1.0
-
-    def test_hermitian_symmetry_enforced(self):
-        bad = np.zeros(9, dtype=complex)
-        bad[4] = 1.0
-        bad[5] = 1.0j  # q_1 != conj(q_{-1}) = 0
-        with pytest.raises(ContractError):
-            LaurentPoly(n=5, q=bad)
+        assert q[0] == 1.0
 
 
 class TestSpectralFactor:
@@ -126,7 +115,7 @@ class TestSpectralFactor:
             coeffs = np.poly(roots)[::-1] * (0.3 + rng.random())
             q_arr = np.convolve(coeffs, np.conj(coeffs[::-1]))
             q_arr = q_arr / q_arr[deg].real  # normalize the zero-lag term to 1
-            q = LaurentPoly(n=n, q=q_arr)
+            q = q_arr[deg:]
             p = spectral_factor(q)
             grid = 64 * n
             err = np.max(np.abs(np.abs(p_on_circle(p, grid)) ** 2 - q_on_circle(q, grid)))
@@ -137,7 +126,7 @@ class TestSpectralFactor:
     def test_chain_stages_match_root_reference(self, n, k, monkeypatch):
         free, _ = search_free_series(n, k)
         chain = build_chain(n, k, free)
-        qs = [q_from_chain(*chain.stages[ell]) for ell in range(1, k + 1)]
+        qs = [q_from_chain(*chain[ell]) for ell in range(1, k + 1)]
         references = [root_reference(q) for q in qs]
 
         def no_eigensolve(_):
@@ -170,7 +159,7 @@ class TestSpectralFactor:
         angles = np.array([0.3, 1.1, 2.0, 2.9, -2.5, -1.4, -0.6])
         roots = (1 - 1e-3) * np.exp(1j * angles)
         p_coeffs = np.poly(roots)[::-1]
-        q = LaurentPoly(n=n, q=np.convolve(p_coeffs, np.conj(p_coeffs[::-1])))
+        q = np.convolve(p_coeffs, np.conj(p_coeffs[::-1]))[n - 1:]
 
         def no_eigensolve(_):
             raise AssertionError("a positive Q reached np.roots")
@@ -184,7 +173,7 @@ class TestSpectralFactor:
         angles = np.array([0.5, 1.5, 2.5])
         roots = (1 - 1e-3) * np.exp(1j * np.r_[angles, -angles])
         p_coeffs = np.poly(roots)[::-1].real
-        q = LaurentPoly(n=7, q=np.convolve(p_coeffs, p_coeffs[::-1]))
+        q = np.convolve(p_coeffs, p_coeffs[::-1])[6:]
 
         def no_eigensolve(_):
             raise AssertionError("a positive Q reached np.roots")
@@ -202,14 +191,31 @@ class TestSpectralFactor:
             spectral_factor(q)
 
     @pytest.mark.parametrize("q", [
-        [0, 0, 0, 0, 0], [0, 0, -1, 0, 0], [np.nan, 0, 1, 0, np.nan],
+        [0, 0, 0], [-1, 0, 0], [1, 0, np.nan],
     ], ids=["zero", "minus-one", "nan"])
     def test_q_without_factor_raises_typed_errors(self, q):
         # Q = 0 and Q = -1 are not positive on any grid, so they reach the
         # Newton factor, which has no start sqrt(q_0) e_0 for them; a Q with
         # NaN coefficients would pass the NaN-blind |P|^2 - Q gate
         with pytest.raises((FactorizationError, ContractError)):
-            spectral_factor(LaurentPoly(n=3, q=np.array(q, dtype=complex)))
+            spectral_factor(np.array(q, dtype=complex))
+
+    @pytest.mark.parametrize("q,error", [
+        (np.ones((2, 2)), ValueError),
+        (np.ones(1), ValueError),
+        (np.array([1.0, np.nan]), ContractError),
+        (np.array([1.0 + 1e-6j, 0.25]), ContractError),
+    ], ids=["2-D", "one-coefficient", "nan", "complex-q0"])
+    def test_malformed_q_rejected(self, q, error):
+        with pytest.raises(error):
+            spectral_factor(q)
+
+    def test_q0_roundoff_accepted(self):
+        # normalizing a convolution by its real zero-lag term leaves
+        # Im q_0 at rounding level, which the factor takes as real
+        q = np.array([1.0 + 1e-12j, 0.25])
+        p = spectral_factor(q)
+        np.testing.assert_allclose(np.abs(p_on_circle(p, 64)) ** 2, q_on_circle(q, 64), atol=1e-10)
 
     def test_newton_step_cap_raises(self, monkeypatch):
         # the triangular Q converges linearly, about 27 steps at N = 6
@@ -225,7 +231,7 @@ class TestSpectralFactor:
         chain = build_chain(n, k, free)
         monkeypatch.setattr(synth, "_cepstral_factor", lambda q: None)
         for ell in range(1, k + 1):
-            q = q_from_chain(*chain.stages[ell])
+            q = q_from_chain(*chain[ell])
             ref = root_reference(q)
             coeffs = spectral_factor(q)
             i = np.argmax(np.abs(ref))
@@ -237,7 +243,7 @@ class TestSpectralFactor:
         # complex coefficients; its circle zeros keep Q off the cepstral factor
         roots = np.exp(1j * np.array([0.3, 1.1, 2.0])) * np.array([1.0, 1.0, 0.5])
         p_coeffs = np.poly(roots)[::-1]
-        q = LaurentPoly(n=4, q=np.convolve(p_coeffs, np.conj(p_coeffs[::-1])))
+        q = np.convolve(p_coeffs, np.conj(p_coeffs[::-1]))[3:]
         assert synth._cepstral_factor(q) is None
         coeffs = spectral_factor(q)
         phase = coeffs[-1] / abs(coeffs[-1])
@@ -260,7 +266,7 @@ class TestSpectralFactor:
         _, report = synthesize_exact(n, k, free)
         assert report["exact"]
         assert len(factored) == 1
-        np.testing.assert_array_equal(factored[0].q, q_from_chain(*chain.stages[1]).q)
+        np.testing.assert_array_equal(factored[0], q_from_chain(*chain[1]))
 
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -270,17 +276,17 @@ def record_rungs(monkeypatch):
     """The grid of every rung ``_cepstral_factor`` evaluates Q on, in order:
     the first rung's circle values, then each later rung's odd points."""
     grids = []
-    circle_values, odd_point_sums = LaurentPoly.circle_values, synth._odd_point_sums
+    circle_values, odd_point_sums = synth._circle_values, synth._odd_point_sums
 
-    def first(self, grid):
+    def first(q, grid):
         grids.append(grid)
-        return circle_values(self, grid)
+        return circle_values(q, grid)
 
     def odd(q, grid):
         grids.append(grid)
         return odd_point_sums(q, grid)
 
-    monkeypatch.setattr(LaurentPoly, "circle_values", first)
+    monkeypatch.setattr(synth, "_circle_values", first)
     monkeypatch.setattr(synth, "_odd_point_sums", odd)
     return grids
 
@@ -302,7 +308,7 @@ class TestCepstralFactor:
         accepted = []
         for ell in range(1, k + 1):
             grids.clear()
-            assert synth._cepstral_factor(q_from_chain(*chain.stages[ell])) is not None
+            assert synth._cepstral_factor(q_from_chain(*chain[ell])) is not None
             accepted.append(max(grids))
         assert accepted == rungs
 
@@ -317,7 +323,7 @@ class TestCepstralFactor:
                 return transform(a, n, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, recording)
-        assert synth._cepstral_factor(q_from_chain(*chain.stages[1])) is not None
+        assert synth._cepstral_factor(q_from_chain(*chain[1])) is not None
         first = first_rung(150)
         assert lengths[:2] == [first, first] and len(lengths) == 14  # 7 rungs, 2 transforms each
         # the r-th rung after the first grid has a grid of first * 2^r points
@@ -361,19 +367,19 @@ class TestCepstralFactor:
         # the sums over the odd points of a 64-point grid, against log Q on
         # all 32 of them; P's real coefficients make Q's real
         p = np.array([1.0, -0.3, 0.2, 0.1, -0.05])  # |P| >= 0.35 on the circle
-        q = LaurentPoly(n=5, q=np.convolve(p, p[::-1]))
+        q = np.convolve(p, p[::-1])[4:]
         theta = 2 * np.pi * np.arange(1, 64, 2) / 64
-        log_q = np.log(q.circle_values(64)[1::2])
+        log_q = np.log(q_on_circle(q, 64)[1::2])
         reference = np.exp(-1j * np.outer(np.arange(5), theta)) @ log_q
-        sums = synth._odd_point_sums(q.q[4:].real, 64)
+        sums = synth._odd_point_sums(q, 64)
         np.testing.assert_allclose(sums, reference, rtol=0, atol=1e-13)
 
     def test_complex_q_takes_newton(self):
         # no chain makes a Q with complex coefficients; the ladder leaves it
-        q = LaurentPoly(n=2, q=np.array([0.25j, 1.0, -0.25j]))
+        q = np.array([1.0, -0.25j])
         assert synth._cepstral_factor(q) is None
         p = spectral_factor(q)
-        np.testing.assert_allclose(np.abs(p_on_circle(p, 64)) ** 2, q.circle_values(64), atol=1e-12)
+        np.testing.assert_allclose(np.abs(p_on_circle(p, 64)) ** 2, q_on_circle(q, 64), atol=1e-12)
 
 
 def start_momentum(n):
