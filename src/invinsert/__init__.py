@@ -6,7 +6,6 @@ from .errors import (
     CompositionError, ContractError, FactorizationError, SchemaError, SolverError,
 )
 from .exact import (
-    CosineSeries,
     FeasibilityCertificate,
     a0,
     b0,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CompositionError",
     "ContractError",
-    "CosineSeries",
     "FactorizationError",
     "FeasibilityCertificate",
     "GreedyTrace",

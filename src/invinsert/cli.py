@@ -81,7 +81,22 @@ def _parse_range(text: str) -> range:
         raise _UsageError(f"expected a range like 2..10, got {text!r}") from exc
     if hi < lo:
         raise _UsageError(f"empty range {text!r}")
+    if lo < 2:
+        raise _UsageError(f"--n-range must start at 2 or more, got {text!r}")
     return range(lo, hi + 1)
+
+
+def _at_least(flag: str, lo: int):
+    """An argparse type for integers of at least ``lo``; a smaller one raises
+    _UsageError, which argparse lets through, as it does ``_out_path``'s OSError."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise _UsageError(f"{flag} must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _out_path(path: str) -> str:
@@ -145,8 +160,6 @@ def _feasible_one(task) -> bool:
 
 
 def cmd_exact_feasible(args) -> int:
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     grid = _grid_override(args.grid)
     ns = list(_parse_range(args.n_range))
     tasks = [(n, args.k, grid) for n in ns]
@@ -185,7 +198,7 @@ def cmd_exact_search(args) -> int:
         params,
         {
             "found": True,
-            "free": {name: s.to_dict() for name, s in free.items()},
+            "free": exact.series_docs(free),
             "certificates": {str(ell): c.to_dict() for ell, c in certs.items()},
             "out": args.out,
         },
@@ -199,11 +212,11 @@ def _load_free_series(n: int, k: int, paths: list) -> dict:
     file when a series has no slot, fills a slot already filled or does not
     fit its slot, or a slot stays empty."""
     needed = exact.chain_free_names(n, k)
-    loaded: dict[str, exact.CosineSeries] = {}
+    loaded: dict[str, np.ndarray] = {}
     for path in paths:
         if not needed:
             raise SchemaError(f"{path}: a {k}-query chain has no free series")
-        for key, series in exact.load_series(path).items():
+        for key, doc in exact.load_series(path).items():
             slots = [name for name in needed if key in (name, name[0])]
             empty = [name for name in slots if name not in loaded]
             if slots and not empty:
@@ -214,12 +227,12 @@ def _load_free_series(n: int, k: int, paths: list) -> dict:
                     f"name it explicitly (one of {list(needed)})"
                 )
             name = empty[0]
-            if (series.n, series.klass) != (n, name[0]):
+            if (doc["n"], doc["klass"]) != (n, name[0]):
                 raise SchemaError(
-                    f"{path}: {name} is a class-{series.klass} series for "
-                    f"N={series.n}, expected class {name[0]} for N={n}"
+                    f"{path}: {name} is a class-{doc['klass']} series for "
+                    f"N={doc['n']}, expected class {name[0]} for N={n}"
                 )
-            loaded[name] = series
+            loaded[name] = doc["coeffs"]
     if missing := [name for name in needed if name not in loaded]:
         raise SchemaError(f"{', '.join(map(str, paths))}: no series for {missing}")
     return loaded
@@ -281,10 +294,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    if args.h < 1:
-        raise _UsageError(f"--h must be at least 1, got {args.h}")
-    if args.m < 2:
-        raise _UsageError(f"--m must be at least 2, got {args.m}")
     n_total = args.m**args.h
     if n_total >= 2**63:  # hidden indices are int64
         raise _UsageError(f"--h {args.h}: M^h = {args.m}^{args.h} must be below 2^63")
@@ -329,8 +338,6 @@ def cmd_compose(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    if args.sort_items is not None and args.sort_items < 1:
-        raise _UsageError(f"--sort-items must be at least 1, got {args.sort_items}")
     value = compose.rate(args.k, args.m)
     sys.stdout.write(f"{value:.4f}\n")
     if args.sort_items is not None:
@@ -348,14 +355,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("greedy", help="run the greedy algorithm")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_at_least("--n", 2), required=True)
+    p.add_argument("--k", type=_at_least("--k", 1), required=True)
     p.add_argument("--emit-schedule", type=_out_path, metavar="FILE")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(handler="cmd_greedy")
 
     p = sub.add_parser("bound", help="invariant overlap bound and query count")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least("--n", 2), required=True)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(handler="cmd_bound")
@@ -364,23 +371,23 @@ def build_parser() -> _Parser:
     esub = p.add_subparsers(dest="exact_command", required=True)
 
     pf = esub.add_parser("feasible", help="feasibility sweep over n")
-    pf.add_argument("--k", type=int, required=True)
+    pf.add_argument("--k", type=_at_least("--k", 1), required=True)
     pf.add_argument("--n-range", required=True, metavar="A..B")
     pf.add_argument("--grid", type=int)
-    pf.add_argument("--jobs", type=int, default=1)
+    pf.add_argument("--jobs", type=_at_least("--jobs", 1), default=1)
     pf.add_argument("--format", choices=["csv", "json"], default="csv")
     pf.set_defaults(handler="cmd_exact_feasible")
 
     ps = esub.add_parser("search", help="search the free series for one n")
-    ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--n", type=int, required=True)
+    ps.add_argument("--k", type=_at_least("--k", 1), required=True)
+    ps.add_argument("--n", type=_at_least("--n", 2), required=True)
     ps.add_argument("--grid", type=int)
     ps.add_argument("--out", type=_out_path, metavar="FILE")
     ps.set_defaults(handler="cmd_exact_search")
 
     py = esub.add_parser("synth", help="synthesize a verified schedule")
-    py.add_argument("--n", type=int, required=True)
-    py.add_argument("--k", type=int, required=True)
+    py.add_argument("--n", type=_at_least("--n", 2), required=True)
+    py.add_argument("--k", type=_at_least("--k", 1), required=True)
     py.add_argument("--series", action="append", metavar="FILE")
     py.add_argument("--grid", type=int)
     py.add_argument("--out", required=True, type=_out_path, metavar="FILE")
@@ -392,9 +399,9 @@ def build_parser() -> _Parser:
     p.set_defaults(handler="cmd_verify")
 
     p = sub.add_parser("compose", help="iterate an exact subroutine")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--m", type=_at_least("--m", 2), required=True)
+    p.add_argument("--k", type=_at_least("--k", 1), required=True)
+    p.add_argument("--h", type=_at_least("--h", 1), required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--j", type=int)
     group.add_argument("--all", action="store_true")
@@ -402,9 +409,9 @@ def build_parser() -> _Parser:
     p.set_defaults(handler="cmd_compose")
 
     p = sub.add_parser("rate", help="queries per log2(N) of the iterated subroutine")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--sort-items", type=int, metavar="N",
+    p.add_argument("--k", type=_at_least("--k", 1), required=True)
+    p.add_argument("--m", type=_at_least("--m", 2), required=True)
+    p.add_argument("--sort-items", type=_at_least("--sort-items", 1), metavar="N",
                    help="also print the implied query count for sorting N items")
     p.set_defaults(handler="cmd_rate")
 

@@ -15,7 +15,8 @@ F_{k-1} = F_k = 0.  One search answers every k: the k - 2 free series
 F_1..F_{k-2} (A1, B2, A3, ...) come from a maximize-minimum-slack linear
 program on a theta grid (none for k <= 2: k = 2 is 1 + B_0 >= 0, k = 1 is
 B_0 = 0), and one Lipschitz grid certificate per stage checks the chain.
-Every series is evaluated on the grid by one real FFT (``grid_values``).
+A series is the array of its N - 1 coefficients c_1..c_{N-1}, its class the
+first letter of its slot's name; ``grid_values`` evaluates it by one FFT.
 
 The LP is never written out over the whole grid.  Where every free series
 of a stage vanishes (N theta an odd multiple of pi for class A, an even one
@@ -64,55 +65,6 @@ def default_grid(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class CosineSeries:
-    """Coefficients c_1..c_{N-1} of sum_r c_r cos(r theta), with a symmetry class."""
-
-    n: int
-    klass: str
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"problem size must be >= 2, got {self.n}")
-        if self.klass not in (KLASS_A, KLASS_B):
-            raise ValueError(f"unknown series class {self.klass!r}")
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (self.n - 1,):
-            raise ValueError(
-                f"expected {self.n - 1} coefficients, got shape {coeffs.shape}"
-            )
-        mirror = coeffs[::-1]
-        expected = mirror if self.klass == KLASS_A else -mirror
-        if not np.all(np.isfinite(coeffs)) or np.max(np.abs(coeffs - expected)) > 1e-12:
-            raise ContractError(
-                f"coefficients are not finite or violate class-{self.klass} symmetry"
-            )
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0))
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "klass": self.klass, "coeffs": self.coeffs.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CosineSeries":
-        if not isinstance(data, dict):
-            raise SchemaError("series document must be a JSON object")
-        missing = {"n", "klass", "coeffs"} - set(data)
-        if missing:
-            raise SchemaError(f"series document missing fields {sorted(missing)}")
-        n = SchemaError.require_int(data, "n", "series")
-        coeffs = SchemaError.require_numbers(data, "coeffs", "series")
-        try:
-            return cls(n=n, klass=str(data["klass"]), coeffs=np.asarray(coeffs, dtype=float))
-        except (ValueError, ContractError) as exc:
-            raise SchemaError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
 class FeasibilityCertificate:
     """Grid evidence for nonnegativity of 1 + (sum of series) on [0, pi]."""
 
@@ -126,18 +78,14 @@ class FeasibilityCertificate:
         return dataclasses.asdict(self)
 
 
-def zero_series(n: int, klass: str) -> CosineSeries:
-    return CosineSeries(n=n, klass=klass, coeffs=np.zeros(n - 1))
-
-
-def a0(n: int) -> CosineSeries:
+def a0(n: int) -> np.ndarray:
     """Fixed symmetric endpoint: every coefficient 1."""
     if n < 2:
         raise ValueError(f"problem size must be >= 2, got {n}")
-    return CosineSeries(n=n, klass=KLASS_A, coeffs=np.ones(n - 1))
+    return np.ones(n - 1)
 
 
-def b0(n: int) -> CosineSeries:
+def b0(n: int) -> np.ndarray:
     """Fixed antisymmetric endpoint: coefficient of cos(r theta) is 1 - 2r/N."""
     if n < 2:
         raise ValueError(f"problem size must be >= 2, got {n}")
@@ -146,7 +94,21 @@ def b0(n: int) -> CosineSeries:
         value = 1.0 - 2.0 * r / n
         coeffs[r - 1] = value
         coeffs[n - r - 1] = -value  # exact antisymmetry by construction
-    return CosineSeries(n=n, klass=KLASS_B, coeffs=coeffs)
+    return coeffs
+
+
+def _checked(coeffs, n: int, klass: str) -> np.ndarray:
+    """A read-only copy of the N - 1 coefficients of a class-`klass` series.
+    Raises ContractError unless they are finite and within 1e-12 of the
+    class's symmetry, c_r = c_{N-r} (A) or c_r = -c_{N-r} (B)."""
+    coeffs = np.array(coeffs, dtype=float)
+    if coeffs.shape != (n - 1,):
+        raise ContractError(f"expected {n - 1} coefficients, got shape {coeffs.shape}")
+    mirror = coeffs[::-1] if klass == KLASS_A else -coeffs[::-1]
+    if not np.all(np.isfinite(coeffs)) or np.max(np.abs(coeffs - mirror)) > 1e-12:
+        raise ContractError(f"coefficients are not finite or violate class-{klass} symmetry")
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def grid_values(coeffs: np.ndarray, grid_points: int) -> np.ndarray:
@@ -158,7 +120,7 @@ def grid_values(coeffs: np.ndarray, grid_points: int) -> np.ndarray:
 
 
 def certify_nonneg(
-    one_plus: Sequence[CosineSeries], grid_points: int
+    one_plus: Sequence[np.ndarray], grid_points: int
 ) -> FeasibilityCertificate:
     """Grid-plus-Lipschitz certificate for f = 1 + sum of series on [0, pi].
 
@@ -172,8 +134,8 @@ def certify_nonneg(
     """
     one_plus = list(one_plus)
     if one_plus:
-        n = one_plus[0].n
-        if any(s.n != n for s in one_plus):
+        n = len(one_plus[0]) + 1
+        if any(len(c) + 1 != n for c in one_plus):
             raise ValueError("all series must share the same problem size")
         if grid_points < 8 * n:
             raise ValueError(f"need at least {8 * n} grid intervals, got {grid_points}")
@@ -181,10 +143,9 @@ def certify_nonneg(
         raise ValueError("grid_points must be positive")
     f = np.ones(grid_points + 1)
     lipschitz = 0.0
-    for series in one_plus:
-        f += grid_values(series.coeffs, grid_points)
-        r = np.arange(1, series.n)
-        lipschitz += float(np.sum(r * np.abs(series.coeffs)))
+    for coeffs in one_plus:
+        f += grid_values(coeffs, grid_points)
+        lipschitz += float(np.sum(np.arange(1, n) * np.abs(coeffs)))
     grid_min = float(f.min())
     margin = grid_min - lipschitz * (np.pi / grid_points) / 2
     if margin >= 0:
@@ -215,16 +176,17 @@ def chain_free_names(n: int, k: int) -> tuple[str, ...]:
 
 
 def build_chain(
-    n: int, k: int, free: Optional[Mapping[str, CosineSeries]] = None
-) -> tuple[tuple[CosineSeries, CosineSeries], ...]:
+    n: int, k: int, free: Optional[Mapping[str, np.ndarray]] = None
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Materialize the chain from the k - 2 free series: the tuple of its
-    stages (A_0, B_0), ..., (A_k, B_k).
+    stages (A_0, B_0), ..., (A_k, B_k), each series a read-only array.
 
     Stage 0 is (A_0, B_0) and stage l >= 1 is (F_l, F_{l-1}) at odd l and
     (F_{l-1}, F_l) at even l, where F_0 = B_0, F_{k-1} = F_k = 0, and the
     free map supplies F_1..F_{k-2}: exactly the names of
-    :func:`chain_free_names`, each of the right class and size.  For k = 1
-    the chain forces B_0 = 0, so it only exists for N = 2.
+    :func:`chain_free_names`, each N - 1 coefficients of the class its
+    name starts with (checked and copied by ``_checked``).  For k = 1 the
+    chain forces B_0 = 0, so it only exists for N = 2.
     """
     free = dict(free or {})
     free_names = chain_free_names(n, k)
@@ -232,35 +194,26 @@ def build_chain(
         raise ContractError(
             f"free series must be exactly {sorted(free_names)}, got {sorted(free)}"
         )
-    for name, series in free.items():
-        if not isinstance(series, CosineSeries):
-            raise ContractError(f"{name} must be a CosineSeries")
-        if series.n != n:
-            raise ContractError(f"{name} has problem size {series.n}, expected {n}")
-        if series.klass != name[0]:
-            raise ContractError(f"{name} must be class {name[0]}, got {series.klass}")
-    if k == 1 and not b0(n).is_zero():
-        raise ContractError(
-            "a single-query chain needs B_0 = 0, which only holds for N = 2"
-        )
-    new = [b0(n)]
-    for ell in range(1, k + 1):
-        klass = KLASS_A if ell % 2 else KLASS_B
-        new.append(free[f"{klass}{ell}"] if ell < k - 1 else zero_series(n, klass))
-    return ((a0(n), new[0]),) + tuple(
+    a_0, b_0, zero = a0(n), b0(n), np.zeros(n - 1)
+    if k == 1 and b_0.any():
+        raise ContractError("a single-query chain needs B_0 = 0, which only holds for N = 2")
+    for coeffs in (a_0, b_0, zero):
+        coeffs.setflags(write=False)
+    new = [b_0] + [_checked(free[name], n, name[0]) for name in free_names] + [zero] * min(k, 2)
+    return ((a_0, b_0),) + tuple(
         (new[ell], new[ell - 1]) if ell % 2 else (new[ell - 1], new[ell])
         for ell in range(1, k + 1)
     )
 
 
-def chain_constraints(chain: Sequence[tuple]) -> dict[int, list[CosineSeries]]:
+def chain_constraints(chain: Sequence[tuple]) -> dict[int, list[np.ndarray]]:
     """The nontrivial positivity constraints: stage l -> series of 1 + A_l + B_l.
 
     Stage 0 holds identically (it is a squared magnitude) and stage
     k = len(chain) - 1 is 1 >= 0, so only l = 1..k-1 is returned.
     """
     return {
-        ell: [s for s in stage if not s.is_zero()]
+        ell: [s for s in stage if s.any()]
         for ell, stage in enumerate(chain[1:-1], start=1)
     }
 
@@ -407,7 +360,7 @@ def _stage_rows(n: int, k: int, grid: int) -> tuple[dict, list]:
         width += size
     groups: dict[tuple, tuple] = {}
     for ell in range(1, k):
-        fixed = 1 + grid_values(b0(n).coeffs, grid) if ell == 1 else np.ones(grid + 1)
+        fixed = 1 + grid_values(b0(n), grid) if ell == 1 else np.ones(grid + 1)
         names = tuple(free_names[i - 1] for i in (ell - 1, ell) if 1 <= i <= k - 2)
         members, least = groups.get(names, ((), fixed))
         groups[names] = (members + (ell,), np.minimum(least, fixed))
@@ -464,10 +417,7 @@ def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
     start = grid * np.arange(n + 1) // n
     first = activate([start[~pinned[start]] for _, _, _, pinned in stages])
     x = _maximize_last(width + 1, first, violated_rows)
-    free = {
-        name: CosineSeries(n=n, klass=name[0], coeffs=_expand(n, name[0], x[p]))
-        for name, p in params.items()
-    }
+    free = {name: _expand(n, name[0], x[p]) for name, p in params.items()}
     return float(min(cap, x[-1])), free
 
 
@@ -529,7 +479,7 @@ def search_free_series(
         delta, free = _max_min_slack(n, k, grid)
         if delta < 0:
             return None
-    elif k == 1 and not b0(n).is_zero():
+    elif k == 1 and b0(n).any():
         return None
     certificates = certify_chain(build_chain(n, k, free), grid)
     if any(c.verdict == INFEASIBLE for c in certificates.values()):
@@ -541,25 +491,50 @@ def search_free_series(
 # series file IO
 # ---------------------------------------------------------------------------
 
-def save_series(series_by_name: Mapping[str, CosineSeries], path) -> None:
+def series_docs(free: Mapping[str, np.ndarray]) -> dict[str, dict]:
+    """The document {"n", "klass", "coeffs"} of each free series, by name;
+    its class is the first letter of its name."""
+    return {name: {"n": len(c) + 1, "klass": name[0], "coeffs": c} for name, c in free.items()}
+
+
+def save_series(free: Mapping[str, np.ndarray], path) -> None:
     """Write free series to JSON: a bare series object when there is exactly
     one, otherwise a name-keyed map of series objects."""
-    items = dict(series_by_name)
-    if len(items) == 1:
-        payload = next(iter(items.values())).to_dict()
-    else:
-        payload = {name: s.to_dict() for name, s in items.items()}
+    docs = series_docs(free)
+    payload = next(iter(docs.values())) if len(docs) == 1 else docs
     with open(path, "w") as fh:
         write_json(payload, fh)
 
 
-def load_series(path) -> dict[str, CosineSeries]:
-    """Read a series file; bare objects come back under their class letter
-    (resolved against the chain by the caller), keyed maps verbatim."""
+def _checked_doc(data) -> dict:
+    """A series document whose coefficients ``_checked`` has passed; any
+    fault raises SchemaError."""
+    if not isinstance(data, dict):
+        raise SchemaError("series document must be a JSON object")
+    missing = {"n", "klass", "coeffs"} - set(data)
+    if missing:
+        raise SchemaError(f"series document missing fields {sorted(missing)}")
+    n = SchemaError.require_int(data, "n", "series")
+    coeffs = SchemaError.require_numbers(data, "coeffs", "series")
+    klass = str(data["klass"])
+    if n < 2:
+        raise SchemaError(f"problem size must be >= 2, got {n}")
+    if klass not in (KLASS_A, KLASS_B):
+        raise SchemaError(f"unknown series class {klass!r}")
+    try:
+        return {"n": n, "klass": klass, "coeffs": _checked(coeffs, n, klass)}
+    except (ValueError, ContractError) as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def load_series(path) -> dict[str, dict]:
+    """Read a series file into checked documents {"n", "klass", "coeffs"}:
+    a bare object comes back under its class letter (resolved against the
+    chain by the caller), a keyed map verbatim."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: series document must be a JSON object")
     if "coeffs" in data:
-        series = CosineSeries.from_dict(data)
-        return {series.klass: series}
-    return {name: CosineSeries.from_dict(doc) for name, doc in data.items()}
+        doc = _checked_doc(data)
+        return {doc["klass"]: doc}
+    return {name: _checked_doc(doc) for name, doc in data.items()}

@@ -22,16 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import PhaseSchedule, oracle_image, reduce_phases
-
-# below this magnitude the aligning phase is arbitrary; 0 keeps tables tidy
-ZERO_AMP_TOL = 1e-14
+from .hilbert import PhaseSchedule, oracle_image
 
 
 @dataclass(frozen=True)
 class GreedyTrace:
     """Result of a greedy run: probabilities, per-stage states (``states[l]``
-    the N momentum amplitudes of parity l mod 2), schedule."""
+    the N real, nonnegative momentum amplitudes of parity l mod 2), schedule."""
 
     n: int
     probs: np.ndarray
@@ -41,13 +38,10 @@ class GreedyTrace:
 
 def _advance(amps: np.ndarray, ell: int):
     """One greedy stage: the N amplitudes of parity l from the N of parity
-    l - 1, and the N phases that align them."""
+    l - 1, and the N phases that align them.  Every phase is defined: for real
+    amps Re phi = sum(amps) / N, and sum(amps) = sqrt(N prob) >= 1."""
     phi = oracle_image(amps, ell - 1)
-    mags = np.abs(phi)
-    live = mags > ZERO_AMP_TOL
-    phases = np.zeros(phi.size)
-    phases[live] = reduce_phases(-np.angle(phi[live]))
-    return np.where(live, mags, phi), phases  # keep sub-tolerance dust unrotated
+    return np.abs(phi), -np.angle(phi)
 
 
 def greedy_run(n: int, k: int, keep_states: bool = True) -> GreedyTrace:
@@ -62,15 +56,14 @@ def greedy_run(n: int, k: int, keep_states: bool = True) -> GreedyTrace:
         raise ValueError(f"problem size must be >= 2, got {n}")
     if k < 1:
         raise ValueError(f"query count must be >= 1, got {k}")
-    amps = np.zeros(n, dtype=complex)
-    amps[0] = 1.0
+    amps = np.eye(1, n)[0]  # real, as every later state is
     probs = np.empty(k + 1)
     probs[0] = 1.0 / n
     states = [amps] if keep_states else []
     stages = np.zeros((k, 2 * n))
     for ell in range(1, k + 1):
         amps, stages[ell - 1, ell % 2 :: 2] = _advance(amps, ell)
-        probs[ell] = float(amps.real.sum()) ** 2 / n
+        probs[ell] = float(amps.sum()) ** 2 / n
         if keep_states:
             states.append(amps)
     schedule = PhaseSchedule(n=n, k=k, stages=stages)

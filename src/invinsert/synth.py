@@ -47,13 +47,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import ContractError, FactorizationError
-from .exact import (
-    CosineSeries,
-    INFEASIBLE,
-    build_chain,
-    certify_chain,
-    default_grid,
-)
+from .exact import INFEASIBLE, build_chain, certify_chain, default_grid
 from .hilbert import PhaseSchedule
 
 FACTOR_GRID_TOL = 1e-8
@@ -64,14 +58,10 @@ ZERO_AMP_TOL = 1e-12    # arbitrary-phase threshold in phase extraction
 MAGNITUDE_TOL = 1e-8    # stage state vs oracle image, momentum by momentum
 
 
-def q_from_chain(a: CosineSeries, b: CosineSeries) -> np.ndarray:
-    """Q's coefficients q_0..q_{N-1} for 1 + A(theta) + B(theta): q_0 = 1 and
-    q_r = (a_r + b_r) / 2, with q_{-r} = conj(q_r) implied."""
-    if a.n != b.n:
-        raise ValueError("series must share the same problem size")
-    if a.klass != "A" or b.klass != "B":
-        raise ValueError("expected one class-A and one class-B series")
-    return np.r_[1.0, (a.coeffs + b.coeffs) / 2]
+def q_from_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Q's coefficients q_0..q_{N-1} for a chain stage's 1 + A(theta) + B(theta):
+    q_0 = 1 and q_r = (a_r + b_r) / 2, with q_{-r} = conj(q_r) implied."""
+    return np.r_[1.0, (a + b) / 2]
 
 
 def _circle_values(q: np.ndarray, grid: int) -> np.ndarray:
@@ -309,7 +299,7 @@ def v_column(phases: np.ndarray, n: int) -> np.ndarray:
 def synthesize_exact(
     n: int,
     k: int,
-    free: Optional[Mapping[str, CosineSeries]] = None,
+    free: Optional[Mapping[str, np.ndarray]] = None,
     grid_points: Optional[int] = None,
 ) -> tuple[PhaseSchedule, dict]:
     """Build and verify the exact k-query schedule from a feasible chain.

@@ -27,11 +27,12 @@ from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 from invinsert.exact import _symmetric_basis, b0, grid_values
 
 
-def eval_series(series, theta) -> np.ndarray | float:
-    """Evaluate sum_r c_r cos(r theta) at a scalar or array of angles."""
+def eval_series(coeffs, theta) -> np.ndarray | float:
+    """Evaluate sum_r c_r cos(r theta), coeffs[r - 1] = c_r, at a scalar or
+    array of angles."""
     th = np.asarray(theta, dtype=float)
-    r = np.arange(1, series.n)
-    values = np.cos(th[..., None] * r) @ series.coeffs
+    r = np.arange(1, len(coeffs) + 1)
+    values = np.cos(th[..., None] * r) @ coeffs
     return float(values) if np.isscalar(theta) else values
 
 
@@ -104,7 +105,7 @@ def matching_stages(n: int, k: int) -> list:
     odd l and A_l = A_{l-1} at even l from (A_0, B_0), naming the other
     series of each stage by its place, then sets both series that stage k
     holds to zero (A_k = B_k = 0)."""
-    a, b = np.ones(n - 1), b0(n).coeffs
+    a, b = np.ones(n - 1), b0(n)
     stages = []
     for ell in range(1, k + 1):
         if ell % 2:

@@ -1,6 +1,7 @@
 """Overlap bound, harmonic approximation, and implied query counts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,24 @@ class TestHarmonicSum:
 
     def test_large_n_convergence(self):
         hs = harmonic_sum(4096)
+        assert abs(hs.exact - hs.approx) / hs.exact < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 52, 4096, 2**16])
+    def test_one_block_is_the_whole_array_sum(self, n):
+        # up to one block the bits are those of a single numpy sum, so
+        # bound reports up to N = 2^16 keep their bytes
+        p = np.arange(1, 2 * n, 2)
+        assert harmonic_sum(n).exact == float(np.sum(1.0 / np.sin(np.pi * p / (2 * n)))) / n
+
+    def test_memory_stays_constant_at_n1e7(self):
+        # the whole-array sum holds three arrays of 10^7 values, 229 MiB
+        tracemalloc.start()
+        try:
+            hs = harmonic_sum(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
         assert abs(hs.exact - hs.approx) / hs.exact < 1e-9
 
 

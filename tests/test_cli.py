@@ -561,6 +561,24 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "greedy", "--n", "4", "--k", "1", "--bogus")
         assert code == 64
 
+    @pytest.mark.parametrize("argv, message", [
+        (["rate", "--k", "1", "--m", "1"], "--m must be at least 2, got 1"),
+        (["greedy", "--n", "1", "--k", "1"], "--n must be at least 2, got 1"),
+        (["greedy", "--n", "4", "--k", "0"], "--k must be at least 1, got 0"),
+        (["bound", "--n", "1"], "--n must be at least 2, got 1"),
+        (["exact", "search", "--k", "3", "--n", "1"], "--n must be at least 2, got 1"),
+        (["exact", "feasible", "--k", "0", "--n-range", "2..3"], "--k must be at least 1, got 0"),
+        (["exact", "feasible", "--k", "2", "--n-range", "1..3"],
+         "--n-range must start at 2 or more, got '1..3'"),
+    ], ids=["rate-m", "greedy-n", "greedy-k", "bound-n", "search-n", "feasible-k", "feasible-range"])
+    def test_out_of_range_size_is_64(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (64, "", f"invinsert: {message}\n")
+
+    def test_non_integer_size_is_64(self, capsys):
+        code, out, err = run_cli(capsys, "greedy", "--n", "4.5", "--k", "1")
+        assert code == 64 and out == "" and "invalid int value: '4.5'" in err
+
     def test_malformed_schedule_is_65(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2}')

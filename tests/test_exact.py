@@ -1,6 +1,7 @@
 """Cosine-series endpoints, matching chain, certificates, and the LP search."""
 
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ from invinsert.errors import ContractError, SchemaError, SolverError
 from invinsert.exact import (
     CERTIFIED_POSITIVE,
     INFEASIBLE,
-    CosineSeries,
     FeasibilityCertificate,
     a0,
     b0,
@@ -33,25 +33,24 @@ from invinsert.exact import (
     load_series,
     save_series,
     search_free_series,
-    zero_series,
 )
 
 
 class TestEndpoints:
     def test_a0_all_ones(self):
-        np.testing.assert_array_equal(a0(9).coeffs, np.ones(8))
+        np.testing.assert_array_equal(a0(9), np.ones(8))
 
     def test_b0_n6_values(self):
         np.testing.assert_allclose(
-            b0(6).coeffs, [2 / 3, 1 / 3, 0, -1 / 3, -2 / 3], atol=1e-15
+            b0(6), [2 / 3, 1 / 3, 0, -1 / 3, -2 / 3], atol=1e-15
         )
 
     def test_b0_n2_is_zero(self):
-        assert b0(2).is_zero()
+        assert not b0(2).any()
 
     def test_b0_antisymmetry_exact(self):
         for n in range(2, 40):
-            c = b0(n).coeffs
+            c = b0(n)
             np.testing.assert_array_equal(c, -c[::-1])
 
     @pytest.mark.parametrize("n", [2, 3, 6, 11, 16])
@@ -75,10 +74,9 @@ class TestEvalSeries:
         for r in range(1, n // 2 + 1):
             coeffs[r - 1] = half[r - 1]
             coeffs[n - r - 1] = half[r - 1]
-        series = CosineSeries(n=n, klass="A", coeffs=coeffs)
         for m in range(n):
             theta = (2 * m + 1) * np.pi / n
-            assert abs(eval_series(series, theta)) < 1e-12 * max(np.abs(coeffs).sum(), 1)
+            assert abs(eval_series(coeffs, theta)) < 1e-12 * max(np.abs(coeffs).sum(), 1)
 
     @pytest.mark.parametrize("n", [4, 7, 16, 64])
     def test_class_b_zero_locus(self, n):
@@ -89,15 +87,15 @@ class TestEvalSeries:
                 assert abs(eval_series(series, theta)) < 1e-12 * n
 
     def test_zero_series_everywhere_zero(self):
-        series = zero_series(5, "A")
+        series = build_chain(5, 2)[2][0]  # A_2 = 0
         thetas = np.linspace(0, np.pi, 33)
         np.testing.assert_array_equal(eval_series(series, thetas), 0.0)
 
     def test_symmetry_enforced(self):
-        with pytest.raises(ContractError):
-            CosineSeries(n=4, klass="A", coeffs=[1.0, 0.0, 2.0])
-        with pytest.raises(ContractError):
-            CosineSeries(n=4, klass="B", coeffs=[1.0, 0.5, -1.0])
+        with pytest.raises(ContractError, match="violate class-A symmetry"):
+            chain_with("A", [1.0, 0.0, 2.0])
+        with pytest.raises(ContractError, match="violate class-B symmetry"):
+            chain_with("B", [1.0, 0.5, -1.0])
 
     @pytest.mark.parametrize("klass, coeffs", [
         ("A", [np.nan, 0.0, 0.0, np.nan]),  # mirrored pairs, as symmetry asks
@@ -108,7 +106,16 @@ class TestEvalSeries:
     ])
     def test_non_finite_coefficients_rejected(self, klass, coeffs):
         with pytest.raises(ContractError, match="not finite"):
-            CosineSeries(n=len(coeffs) + 1, klass=klass, coeffs=coeffs)
+            chain_with(klass, coeffs)
+
+
+def chain_with(klass, coeffs):
+    """The chain whose first free series of class `klass` (A1 or B2) is
+    `coeffs`, the other free series zero."""
+    n = len(coeffs) + 1
+    if klass == "A":
+        return build_chain(n, 3, {"A1": coeffs})
+    return build_chain(n, 4, {"A1": np.zeros(n - 1), "B2": coeffs})
 
 
 def k2_cert(n):
@@ -118,7 +125,7 @@ def k2_cert(n):
 
 def random_series(n, klass, rng):
     c = rng.standard_normal(n - 1)
-    return CosineSeries(n=n, klass=klass, coeffs=(c + c[::-1] if klass == "A" else c - c[::-1]) / 2)
+    return (c + c[::-1] if klass == "A" else c - c[::-1]) / 2
 
 
 class TestGridValues:
@@ -130,7 +137,7 @@ class TestGridValues:
         for grid in (8 * n, 8 * n + 3, 12 * n + 1, default_grid(n)):
             thetas = np.linspace(0.0, np.pi, grid + 1)
             np.testing.assert_allclose(
-                grid_values(series.coeffs, grid), eval_series(series, thetas), atol=1e-10
+                grid_values(series, grid), eval_series(series, thetas), atol=1e-10
             )
 
     def test_endpoints_at_n1024(self):
@@ -138,12 +145,12 @@ class TestGridValues:
         thetas = np.linspace(0.0, np.pi, grid + 1)
         for series in (a0(1024), b0(1024)):
             np.testing.assert_allclose(
-                grid_values(series.coeffs, grid), eval_series(series, thetas), atol=1e-10
+                grid_values(series, grid), eval_series(series, thetas), atol=1e-10
             )
 
     def test_too_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
-            grid_values(b0(52).coeffs, 25)
+            grid_values(b0(52), 25)
 
 
 class TestCertifyNonneg:
@@ -172,7 +179,7 @@ class TestCertifyNonneg:
 
     def test_certified_survives_finer_grid(self):
         # soundness: a certified verdict cannot be contradicted at 10x
-        series = CosineSeries(n=4, klass="A", coeffs=[0.1, 0.1, 0.1])
+        series = np.array([0.1, 0.1, 0.1])
         base = 8 * 4 * 64
         cert = certify_nonneg([series], base)
         assert cert.verdict == CERTIFIED_POSITIVE
@@ -228,51 +235,47 @@ class TestBuildChain:
         chain = build_chain(6, 2)
         assert chain_free_names(6, 2) == ()
         a_1, b_1 = chain[1]
-        assert a_1.is_zero()
-        np.testing.assert_array_equal(b_1.coeffs, b0(6).coeffs)
+        assert not a_1.any()
+        np.testing.assert_array_equal(b_1, b0(6))
         a_2, b_2 = chain[2]
-        assert a_2.is_zero() and b_2.is_zero()
+        assert not a_2.any() and not b_2.any()
 
     def test_k3_constraints_reduce_to_two(self):
         # structurally: stage 1 is 1 + A1 + B0, stage 2 is 1 + A1
         n = 8
-        free = {"A1": zero_series(n, "A")}
+        free = {"A1": np.zeros(n - 1)}
         chain = build_chain(n, 3, free)
         constraints = chain_constraints(chain)
         assert set(constraints) == {1, 2}
         stage1 = constraints[1]
-        assert {s.klass for s in stage1} == {"B"}  # A1 = 0 dropped, B0 stays
-        np.testing.assert_array_equal(stage1[0].coeffs, b0(n).coeffs)
+        assert len(stage1) == 1  # A1 = 0 dropped, B0 stays
+        np.testing.assert_array_equal(stage1[0], b0(n))
         assert constraints[2] == []  # 1 + 0 >= 0
 
     def test_k3_with_nonzero_free(self):
         n = 8
         coeffs = np.zeros(n - 1)
         coeffs[0] = coeffs[n - 2] = 0.25
-        free = {"A1": CosineSeries(n=n, klass="A", coeffs=coeffs)}
+        free = {"A1": coeffs}
         chain = build_chain(n, 3, free)
         a_1, b_1 = chain[1]
         a_2, b_2 = chain[2]
-        np.testing.assert_array_equal(a_1.coeffs, a_2.coeffs)  # A2 = A1
-        np.testing.assert_array_equal(b_1.coeffs, b0(n).coeffs)  # B1 = B0
-        assert b_2.is_zero()  # B2 = B3 = 0
-        assert chain[3][0].is_zero()
+        np.testing.assert_array_equal(a_1, a_2)  # A2 = A1
+        np.testing.assert_array_equal(b_1, b0(n))  # B1 = B0
+        assert not b_2.any()  # B2 = B3 = 0
+        assert not chain[3][0].any()
 
     def test_k4_free_names(self):
         assert chain_free_names(10, 4) == ("A1", "B2")
         chain = build_chain(
-            10, 4, {"A1": zero_series(10, "A"), "B2": zero_series(10, "B")}
+            10, 4, {"A1": np.zeros(9), "B2": np.zeros(9)}
         )
         # unrolled identifications: B1=B0, A2=A1, B3=B2, A3=A4=0, B4=0
-        np.testing.assert_array_equal(chain[1][1].coeffs, b0(10).coeffs)
-        np.testing.assert_array_equal(
-            chain[2][0].coeffs, chain[1][0].coeffs
-        )
-        np.testing.assert_array_equal(
-            chain[3][1].coeffs, chain[2][1].coeffs
-        )
-        assert chain[3][0].is_zero()
-        assert chain[4][0].is_zero() and chain[4][1].is_zero()
+        np.testing.assert_array_equal(chain[1][1], b0(10))
+        np.testing.assert_array_equal(chain[2][0], chain[1][0])
+        np.testing.assert_array_equal(chain[3][1], chain[2][1])
+        assert not chain[3][0].any()
+        assert not chain[4][0].any() and not chain[4][1].any()
 
     def test_k5_free_names(self):
         assert chain_free_names(9, 5) == ("A1", "B2", "A3")
@@ -291,17 +294,15 @@ class TestBuildChain:
         for name in names:
             v = rng.standard_normal(n - 1)
             coeffs = v + v[::-1] if name[0] == "A" else v - v[::-1]
-            free[name] = CosineSeries(n=n, klass=name[0], coeffs=coeffs)
+            free[name] = coeffs
         chain = build_chain(n, k, free)
         assert len(chain) == k + 1
 
-        def same(s, t):
-            return s.klass == t.klass and np.array_equal(s.coeffs, t.coeffs)
-
+        same = np.array_equal
         assert same(chain[0][0], a0(n)) and same(chain[0][1], b0(n))
         for ell in range(1, k + 1):
             (a, b), (a_prev, b_prev) = chain[ell], chain[ell - 1]
-            assert a.klass == "A" and b.klass == "B"
+            assert same(a, a[::-1]) and same(b, -b[::-1])  # classes A and B
             if ell % 2:  # B_l = B_{l-1}; A_l is the stage's own series
                 assert same(b, b_prev)
                 own = a
@@ -309,26 +310,49 @@ class TestBuildChain:
                 assert same(a, a_prev)
                 own = b
             if ell <= k - 2:
-                assert same(own, free[f"{own.klass}{ell}"])
-        assert chain[k][0].is_zero() and chain[k][1].is_zero()
+                assert same(own, free[names[ell - 1]])
+        assert not chain[k][0].any() and not chain[k][1].any()
 
     def test_wrong_free_set_rejected(self):
         with pytest.raises(ContractError):
             build_chain(8, 3, {})
         with pytest.raises(ContractError):
-            build_chain(8, 3, {"B2": zero_series(8, "B")})
+            build_chain(8, 3, {"B2": np.zeros(7)})
 
     def test_wrong_klass_rejected(self):
-        with pytest.raises(ContractError):
-            build_chain(8, 3, {"A1": zero_series(8, "B")})
+        # a class-A slot given an antisymmetric series, a class-B slot a symmetric one
+        with pytest.raises(ContractError, match="^coefficients are not finite or violate class-A symmetry$"):
+            build_chain(8, 3, {"A1": b0(8)})
+        with pytest.raises(ContractError, match="^coefficients are not finite or violate class-B symmetry$"):
+            build_chain(8, 4, {"A1": np.zeros(7), "B2": a0(8)})
 
     def test_wrong_size_rejected(self):
-        with pytest.raises(ContractError):
-            build_chain(8, 3, {"A1": zero_series(6, "A")})
+        for coeffs in (np.zeros(5), np.zeros((1, 7)), np.zeros(8)):
+            message = f"expected 7 coefficients, got shape {coeffs.shape}"
+            with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+                build_chain(8, 3, {"A1": coeffs})
+
+    def test_non_finite_rejected(self):
+        coeffs = np.zeros(7)
+        coeffs[3] = np.nan  # the middle entry, its own mirror
+        with pytest.raises(ContractError, match="^coefficients are not finite or violate class-A symmetry$"):
+            build_chain(8, 3, {"A1": coeffs})
+
+    def test_stages_are_read_only_copies(self):
+        given = np.zeros(7)
+        given[0] = given[6] = 0.25
+        chain = build_chain(8, 4, {"A1": given, "B2": np.zeros(7)})
+        for stage in chain:
+            for series in stage:
+                assert not series.flags.writeable
+                with pytest.raises(ValueError):
+                    series[0] = 1.0
+        given[0] = given[6] = 0.5  # the caller's array is not the chain's
+        assert chain[1][0][0] == chain[2][0][0] == 0.25
 
     def test_k1_requires_n2(self):
         chain = build_chain(2, 1)
-        assert chain[1][0].is_zero() and chain[1][1].is_zero()
+        assert not chain[1][0].any() and not chain[1][1].any()
         with pytest.raises(ContractError):
             build_chain(6, 1)
 
@@ -349,7 +373,7 @@ class TestSearchFreeSeries:
         assert found is not None
         free, certs = found
         assert set(free) == {"A1"}
-        assert free["A1"].klass == "A"
+        assert np.array_equal(free["A1"], free["A1"][::-1])  # class A
         assert all(c.verdict != INFEASIBLE for c in certs.values())
         # the found series really satisfies both constraints on a fine grid
         fine = 10 * default_grid(6)
@@ -447,7 +471,7 @@ class TestExchangeSearch:
         # whose grid values the exchange checks for violated rows
         half = np.random.default_rng(n).standard_normal(len(exact._basis_orders(n, klass)[0]))
         coeffs = exact._expand(n, klass, half)
-        CosineSeries(n=n, klass=klass, coeffs=coeffs)  # of the class's symmetry
+        exact._checked(coeffs, n, klass)  # of the class's symmetry
         grid = 8 * n
         rows = exact._symmetric_basis(n, klass, np.pi * np.arange(grid + 1) / grid) @ half
         np.testing.assert_allclose(rows, grid_values(coeffs, grid), rtol=0, atol=1e-12)
@@ -583,15 +607,16 @@ class TestExchangeSearch:
 class TestSeriesSerialization:
     def test_single_series_round_trip(self, tmp_path):
         path = tmp_path / "a1.json"
-        series = CosineSeries(n=6, klass="A", coeffs=[0.5, 0.25, 0.2, 0.25, 0.5])
+        series = np.array([0.5, 0.25, 0.2, 0.25, 0.5])
         save_series({"A1": series}, path)
         loaded = load_series(path)
         assert set(loaded) == {"A"}  # bare object keyed by class
-        np.testing.assert_array_equal(loaded["A"].coeffs, series.coeffs)
+        assert (loaded["A"]["n"], loaded["A"]["klass"]) == (6, "A")
+        np.testing.assert_array_equal(loaded["A"]["coeffs"], series)
 
     def test_multi_series_round_trip(self, tmp_path):
         path = tmp_path / "free.json"
-        free = {"A1": zero_series(10, "A"), "B2": zero_series(10, "B")}
+        free = {"A1": np.zeros(9), "B2": np.zeros(9)}
         save_series(free, path)
         loaded = load_series(path)
         assert set(loaded) == {"A1", "B2"}

@@ -99,3 +99,11 @@ def test_public_library_names_are_used_by_the_library():
         if name not in used and not name.startswith("cmd_")
     )
     assert unused == []
+
+
+def test_readme_library_quickstart_runs():
+    # the README's API example, as a caller would paste it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "iv.synthesize_exact" in block
+    exec(compile(block, "README.md", "exec"), {})

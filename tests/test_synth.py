@@ -8,7 +8,7 @@ import pytest
 
 from invinsert import cli, hilbert, synth
 from invinsert.errors import ContractError, FactorizationError
-from invinsert.exact import a0, b0, build_chain, search_free_series, zero_series
+from invinsert.exact import a0, b0, build_chain, search_free_series
 from invinsert.greedy import greedy_run
 from hilbert_testing import (
     count_rows, doubled_signs, doubled_state, random_schedule, run_all_answers, run_schedule, target_state,
@@ -63,11 +63,11 @@ class TestQFromChain:
             np.testing.assert_allclose(q, triangular_q(n), atol=1e-14)
 
     def test_zero_chain_gives_unit(self):
-        q = q_from_chain(zero_series(5, "A"), zero_series(5, "B"))
+        q = q_from_chain(np.zeros(4), np.zeros(4))
         np.testing.assert_array_equal(q, [1.0, 0, 0, 0, 0])
 
     def test_n6_two_query_middle_polynomial(self):
-        q = q_from_chain(zero_series(6, "A"), b0(6))
+        q = q_from_chain(np.zeros(5), b0(6))
         np.testing.assert_allclose(
             q[1:], [1 / 3, 1 / 6, 0, -1 / 6, -1 / 3], atol=1e-15
         )
@@ -77,7 +77,7 @@ class TestQFromChain:
 class TestSpectralFactor:
     def test_unit_q_gives_monomial(self):
         for n in (2, 6, 52):
-            q = q_from_chain(zero_series(n, "A"), zero_series(n, "B"))
+            q = q_from_chain(np.zeros(n - 1), np.zeros(n - 1))
             p = spectral_factor(q)
             expected = np.zeros(n, dtype=complex)
             expected[n - 1] = 1.0
@@ -186,7 +186,7 @@ class TestSpectralFactor:
 
     def test_sign_crossing_rejected(self):
         # 1 + B0(7) dips below zero, so its circle zeros have odd multiplicity
-        q = q_from_chain(zero_series(7, "A"), b0(7))
+        q = q_from_chain(np.zeros(6), b0(7))
         with pytest.raises((FactorizationError, ContractError)):
             spectral_factor(q)
 
@@ -334,7 +334,7 @@ class TestCepstralFactor:
     def test_q_one_evaluates_one_rung(self, monkeypatch, n):
         # A_k = B_k = 0 ends every chain; Q = 1 has the factor z^(N-1), and
         # log Q = 0 on the first rung's points already proves Q = 1
-        q = q_from_chain(zero_series(n, "A"), zero_series(n, "B"))
+        q = q_from_chain(np.zeros(n - 1), np.zeros(n - 1))
         grids = record_rungs(monkeypatch)
         coeffs = synth._cepstral_factor(q)
         assert grids == [first_rung(n)]
@@ -540,7 +540,7 @@ class TestSynthesizeOtherCases:
         assert report["min_success_prob"] >= 1 - 1e-9
 
     def test_k3_with_zero_free_series(self):
-        _, report = synthesize_exact(6, 3, {"A1": zero_series(6, "A")})
+        _, report = synthesize_exact(6, 3, {"A1": np.zeros(5)})
         assert report["min_success_prob"] >= 1 - 1e-9
 
 
