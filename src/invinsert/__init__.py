@@ -13,8 +13,8 @@ from .exact import (
     certify_nonneg,
     search_free_series,
 )
-from .greedy import GreedyTrace, greedy_run
-from .hilbert import PhaseSchedule, load_schedule, save_schedule
+from .greedy import greedy_run
+from .hilbert import load_schedule, save_schedule
 from .synth import (
     phases_from_states,
     q_from_chain,
@@ -31,8 +31,6 @@ __all__ = [
     "ContractError",
     "FactorizationError",
     "FeasibilityCertificate",
-    "GreedyTrace",
-    "PhaseSchedule",
     "SchemaError",
     "SolverError",
     "a0",

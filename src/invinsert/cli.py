@@ -109,11 +109,11 @@ def _out_path(path: str) -> str:
 
 
 def cmd_greedy(args) -> int:
-    trace = greedy.greedy_run(args.n, args.k, keep_states=False)
+    probs, stages = greedy.greedy_run(args.n, args.k)
     if args.emit_schedule:
-        hilbert.save_schedule(trace.phase_schedule, args.emit_schedule)
+        hilbert.save_schedule(stages, args.emit_schedule)
     rows = [
-        (ell, f"{trace.probs[ell]:.4f}", f"{2.0**ell / args.n:.6g}")
+        (ell, f"{probs[ell]:.4f}", f"{2.0**ell / args.n:.6g}")
         for ell in range(1, args.k + 1)
     ]
     if args.format == "csv":
@@ -123,7 +123,7 @@ def cmd_greedy(args) -> int:
             "greedy",
             {"n": args.n, "k": args.k},
             {
-                "probs": trace.probs.tolist(),
+                "probs": probs.tolist(),
                 "classical": [2.0**ell / args.n for ell in range(args.k + 1)],
                 "schedule_file": args.emit_schedule,
             },
@@ -253,8 +253,8 @@ def cmd_exact_synth(args) -> int:
     if free is None:
         _emit_report("exact synth", {"n": args.n, "k": args.k}, {"found": False})
         return EXIT_INFEASIBLE
-    schedule, report = synth.synthesize_exact(args.n, args.k, free, grid)
-    hilbert.save_schedule(schedule, args.out)
+    stages, report = synth.synthesize_exact(args.n, args.k, free, grid)
+    hilbert.save_schedule(stages, args.out)
     _emit_report(
         "exact synth",
         {"n": args.n, "k": args.k, "out": args.out},
@@ -264,31 +264,18 @@ def cmd_exact_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    schedule = hilbert.load_schedule(args.schedule)
-    n = schedule.n
-    # answer j ends in T^j psi_0, so every answer succeeds with 2 |psi_0(0)|^2
-    success = np.full(n, 2 * abs(hilbert.run_answer_zero(schedule)[0]) ** 2)
-    columns = synth.v_column(schedule.stages, n)
+    _, report = synth.schedule_report(hilbert.load_schedule(args.schedule))
     if args.format == "json":
-        _emit_report(
-            "verify",
-            {"schedule": args.schedule},
-            {
-                "n": n,
-                "k": schedule.k,
-                "success_probs": success,
-                "min_success_prob": float(success.min()),
-                "v_columns": np.stack([columns.real, columns.imag], -1),
-            },
-        )
+        _emit_report("verify", {"schedule": args.schedule}, report)
     else:
-        sys.stdout.write(f"n={n} k={schedule.k}\n")
-        for j, prob in enumerate(success):
+        n, k, columns = report["n"], report["k"], report["v_columns"]
+        sys.stdout.write(f"n={n} k={k}\n")
+        for j, prob in enumerate(report["success_probs"]):
             sys.stdout.write(f"success[j={j}] = {prob:.12f}\n")
-        header = ["x"] + [f"V{ell}" for ell in range(1, schedule.k + 1)]
+        header = ["x"] + [f"V{ell}" for ell in range(1, k + 1)]
         sys.stdout.write("\t".join(header) + "\n")
         for x in range(2 * n):
-            row = [str(x)] + [f"{columns[ell].real[x]:.4f}" for ell in range(schedule.k)]
+            row = [str(x)] + [f"{columns[ell, x, 0]:.4f}" for ell in range(k)]
             sys.stdout.write("\t".join(row) + "\n")
     return EXIT_OK
 
@@ -305,11 +292,11 @@ def cmd_compose(args) -> int:
         raise _UsageError(f"--j must lie in 0..{n_total - 1}, got {args.j}")
     params = {"m": args.m, "k": args.k, "h": args.h}
     if args.schedule:
-        schedule = hilbert.load_schedule(args.schedule)
-        if schedule.n != args.m or schedule.k != args.k:
+        stages = hilbert.load_schedule(args.schedule)
+        if stages.shape != (args.k, 2 * args.m):
             raise SchemaError(
-                f"{args.schedule}: schedule is for (n={schedule.n}, k={schedule.k}), "
-                f"expected ({args.m}, {args.k})"
+                f"{args.schedule}: schedule is for (n={stages.shape[1] // 2}, "
+                f"k={stages.shape[0]}), expected ({args.m}, {args.k})"
             )
     else:
         grid = _grid_override(None)
@@ -317,11 +304,9 @@ def cmd_compose(args) -> int:
         if free is None:
             _emit_report("compose", params, {"found": False})
             return EXIT_INFEASIBLE
-        schedule, _ = synth.synthesize_exact(args.m, args.k, free, grid)
+        stages, _ = synth.synthesize_exact(args.m, args.k, free, grid)
     hidden = np.arange(n_total) if args.all else np.array([args.j])
-    found, bases, subanswers, queries = compose.compose_all(
-        args.m, args.k, args.h, schedule, hidden
-    )
+    found, bases, subanswers, queries = compose.compose_all(stages, args.h, hidden)
     # row i is answer i's (interval base, level t, subanswer j') per level;
     # C order, so orjson writes each row without a tolist fallback
     per_level = np.empty((hidden.size, args.h, 3), dtype=np.int64)

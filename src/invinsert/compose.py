@@ -22,7 +22,6 @@ import numpy as np
 
 from . import hilbert
 from .errors import CompositionError, ContractError
-from .hilbert import PhaseSchedule
 
 SUCCESS_FLOOR = 1 - 1e-6
 
@@ -36,11 +35,10 @@ class Composition(NamedTuple):
     queries_used: int  # h k, the same for every answer
 
 
-def compose_all(
-    m: int, k: int, h: int, schedule: PhaseSchedule, hidden_js
-) -> Composition:
+def compose_all(stages: np.ndarray, h: int, hidden_js) -> Composition:
     """Locate every hidden answer in 0..M^h - 1 with h runs of the (M, k)
-    subroutine each; column j of the result is ``hidden_js[j]``.
+    subroutine whose schedule is the (k, 2M) array ``stages``; column j of
+    the result is ``hidden_js[j]``.
 
     Measurement is simulated deterministically: the exact subroutine leaves
     essentially unit overlap with exactly one target, and that subanswer is
@@ -50,10 +48,8 @@ def compose_all(
     (j' + argmax |psi_0|) mod M.  The simulated algorithm still makes k
     queries per level and answer.
     """
-    if schedule.n != m or schedule.k != k:
-        raise ValueError(
-            f"schedule is for (n={schedule.n}, k={schedule.k}), expected ({m}, {k})"
-        )
+    k, width = np.shape(stages)
+    m = width // 2
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
     n_total = m**h
@@ -62,7 +58,7 @@ def compose_all(
     if bad.size:
         raise ValueError(f"hidden index must lie in 0..{n_total - 1}, got {bad[0]}")
 
-    probs = 2 * np.abs(hilbert.run_answer_zero(schedule)) ** 2
+    probs = 2 * np.abs(hilbert.run_answer_zero(stages)) ** 2
     shift, overlap = int(np.argmax(probs)), float(probs.max())
     if hidden.size and overlap < SUCCESS_FLOOR:  # no answers: nothing falls short
         raise CompositionError(

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ContractError(RuntimeError):
     """An internal consistency condition failed (parity support, magnitude
@@ -42,3 +44,16 @@ class SchemaError(ValueError):
             elif type(item) not in (int, float):
                 raise SchemaError(f"{document} field {key!r} must hold only numbers, got {item!r}")
         return data[key]
+
+    @staticmethod
+    def require_array(data: dict, key: str, document: str, shape: tuple) -> np.ndarray:
+        """``data[key]`` as a float array, for numbers as ``require_numbers``
+        takes them; nested lists of unequal lengths raise SchemaError naming
+        ``shape``, the one expected.  Other shapes are the caller's to check."""
+        values = SchemaError.require_numbers(data, key, document)
+        try:
+            return np.array(values, dtype=float)
+        except ValueError as exc:  # numpy's "inhomogeneous shape"
+            raise SchemaError(
+                f"{document} field {key!r} must be an array of shape {shape}, got a ragged list"
+            ) from exc

@@ -515,7 +515,7 @@ def _checked_doc(data) -> dict:
     if missing:
         raise SchemaError(f"series document missing fields {sorted(missing)}")
     n = SchemaError.require_int(data, "n", "series")
-    coeffs = SchemaError.require_numbers(data, "coeffs", "series")
+    coeffs = SchemaError.require_array(data, "coeffs", "series", (n - 1,))
     klass = str(data["klass"])
     if n < 2:
         raise SchemaError(f"problem size must be >= 2, got {n}")
@@ -523,18 +523,23 @@ def _checked_doc(data) -> dict:
         raise SchemaError(f"unknown series class {klass!r}")
     try:
         return {"n": n, "klass": klass, "coeffs": _checked(coeffs, n, klass)}
-    except (ValueError, ContractError) as exc:
+    except ContractError as exc:
         raise SchemaError(str(exc)) from exc
+
+
+def _series_file(data) -> dict[str, dict]:
+    """The checked documents of a series file, by name or class letter."""
+    if not isinstance(data, dict):
+        raise SchemaError("series document must be a JSON object")
+    if "coeffs" in data:
+        doc = _checked_doc(data)
+        return {doc["klass"]: doc}
+    return {name: _checked_doc(doc) for name, doc in data.items()}
 
 
 def load_series(path) -> dict[str, dict]:
     """Read a series file into checked documents {"n", "klass", "coeffs"}:
     a bare object comes back under its class letter (resolved against the
-    chain by the caller), a keyed map verbatim."""
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: series document must be a JSON object")
-    if "coeffs" in data:
-        doc = _checked_doc(data)
-        return {doc["klass"]: doc}
-    return {name: _checked_doc(doc) for name, doc in data.items()}
+    chain by the caller), a keyed map verbatim.  Every fault raises
+    SchemaError naming the file."""
+    return read_json(path, _series_file)

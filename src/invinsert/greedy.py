@@ -13,44 +13,34 @@ with q ranging over the previous parity class.  The sum is the oracle image
 FFTs, in O(N log N) time and O(N) memory.  The success probability after l
 queries is (sum_p new_amp(p))^2 / N.  A state after l queries is the array
 of its N momentum amplitudes on parity l mod 2, starting from [1, 0, ..., 0]
-at p = 0.
+at p = 0; the run keeps only the current one.  The aligning phases fill the
+stages of the (k, 2N) schedule (``hilbert``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .hilbert import PhaseSchedule, oracle_image
-
-
-@dataclass(frozen=True)
-class GreedyTrace:
-    """Result of a greedy run: probabilities, per-stage states (``states[l]``
-    the N real, nonnegative momentum amplitudes of parity l mod 2), schedule."""
-
-    n: int
-    probs: np.ndarray
-    states: list[np.ndarray]
-    phase_schedule: PhaseSchedule
+from .hilbert import oracle_image, reduce_phases
 
 
 def _advance(amps: np.ndarray, ell: int):
     """One greedy stage: the N amplitudes of parity l from the N of parity
-    l - 1, and the N phases that align them.  Every phase is defined: for real
-    amps Re phi = sum(amps) / N, and sum(amps) = sqrt(N prob) >= 1."""
+    l - 1, and the N phases that align them, reduced to [0, 2pi).  Every
+    phase is defined: for real amps Re phi = sum(amps) / N, and
+    sum(amps) = sqrt(N prob) >= 1."""
     phi = oracle_image(amps, ell - 1)
-    return np.abs(phi), -np.angle(phi)
+    return np.abs(phi), reduce_phases(-np.angle(phi))
 
 
-def greedy_run(n: int, k: int, keep_states: bool = True) -> GreedyTrace:
-    """Run k greedy stages from the start state and record everything.
+def greedy_run(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run k greedy stages from the start state: (probs, stages).
 
     ``probs[l]`` is the success probability if the run stops after l queries;
     ``probs[0] = 1/N`` is the overlap of the start state with the answer-0
-    target.  The accumulated PhaseSchedule reproduces ``probs[k]`` when fed
-    back through the generic schedule runner.
+    target.  ``stages`` is the read-only (k, 2N) schedule, which reproduces
+    ``probs[k]`` when fed back through the schedule runner.  Each stage row
+    is reduced as it is written, so no step holds a second copy of it.
     """
     if n < 2:
         raise ValueError(f"problem size must be >= 2, got {n}")
@@ -59,13 +49,9 @@ def greedy_run(n: int, k: int, keep_states: bool = True) -> GreedyTrace:
     amps = np.eye(1, n)[0]  # real, as every later state is
     probs = np.empty(k + 1)
     probs[0] = 1.0 / n
-    states = [amps] if keep_states else []
     stages = np.zeros((k, 2 * n))
     for ell in range(1, k + 1):
         amps, stages[ell - 1, ell % 2 :: 2] = _advance(amps, ell)
         probs[ell] = float(amps.sum()) ** 2 / n
-        if keep_states:
-            states.append(amps)
-    schedule = PhaseSchedule(n=n, k=k, stages=stages)
-    return GreedyTrace(n=n, probs=probs, states=states, phase_schedule=schedule)
-
+    stages.setflags(write=False)
+    return probs, stages

@@ -19,16 +19,19 @@ is a plain complex array of N amplitudes on its last axis, and the query
 count l carries the parity: in momentum those of parity l mod 2, p = l mod 2,
 l mod 2 + 2, ..., and in position psi(x), x = 0..N-1.  Leading axes are
 separate states.  The oracle signs are those of f_j, and a phase stage keeps
-all 2N entries.  Every schedule run goes through ``run_signs``.  The stages
-commute with the cyclic shift T of the 2N positions, F_j = T^j F_0 T^-j, and
-the start is T-invariant, so answer j ends in T^j psi_0: ``run_answer_zero``
-stands for every answer.  Every function returns fresh arrays, and every JSON
-document goes through ``write_json`` or ``read_json``.
+all 2N entries: a schedule, the portable artifact of an algorithm, is the
+(k, 2N) float array of its k stages, ``stages[l - 1, p]`` the phase applied
+at momentum p after the l-th query, reduced to [0, 2pi); N and k are its
+shape.  Every schedule run goes through ``run_signs``.  The stages commute
+with the cyclic shift T of the 2N positions, F_j = T^j F_0 T^-j, and the
+start is T-invariant, so answer j ends in T^j psi_0: ``run_answer_zero``
+stands for every answer.  Every function returns fresh arrays, and the
+schedules the library makes are read-only.  Every JSON document goes through
+``write_json`` or ``read_json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -36,55 +39,6 @@ import numpy as np
 import orjson
 
 from .errors import ContractError, SchemaError
-
-
-@dataclass(frozen=True)
-class PhaseSchedule:
-    """Per-stage diagonal phases alpha_l(p); the portable algorithm artifact.
-
-    ``stages[l - 1][p]`` holds the phase applied at momentum p after the l-th
-    query.  Phases are stored in radians, reduced to [0, 2pi).
-    """
-
-    n: int
-    k: int
-    stages: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"problem size must be >= 2, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"query count must be >= 1, got {self.k}")
-        stages = np.asarray(self.stages, dtype=float)
-        if stages.shape != (self.k, 2 * self.n):
-            raise SchemaError(
-                f"expected stage array of shape {(self.k, 2 * self.n)}, "
-                f"got {stages.shape}"
-            )
-        if not np.all(np.isfinite(stages)):
-            raise SchemaError("phases must be finite")
-        stages = reduce_phases(stages)
-        stages.setflags(write=False)
-        object.__setattr__(self, "stages", stages)
-
-    def to_dict(self) -> dict:
-        """The schedule document, ``stages`` left an array for ``write_json``."""
-        return {"n": self.n, "k": self.k, "stages": self.stages}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhaseSchedule":
-        if not isinstance(data, dict):
-            raise SchemaError("schedule document must be a JSON object")
-        missing = {"n", "k", "stages"} - set(data)
-        if missing:
-            raise SchemaError(f"schedule document missing fields {sorted(missing)}")
-        n = SchemaError.require_int(data, "n", "schedule")
-        k = SchemaError.require_int(data, "k", "schedule")
-        stages = SchemaError.require_numbers(data, "stages", "schedule")
-        try:
-            return cls(n=n, k=k, stages=np.asarray(stages, dtype=float))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
 
 
 JSON_PIECE = 1 << 12  # values per orjson.dumps call: bounds the text in memory
@@ -138,25 +92,56 @@ def _dumps(value) -> str:
     return orjson.dumps(value, default=np.ndarray.tolist, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
-def read_json(path):
-    """The document at ``path``; a file that cannot be read, invalid JSON,
-    NaN and 1e400 too, raises SchemaError naming the path."""
+def read_json(path, check):
+    """``check`` of the document at ``path``.  A file that cannot be read,
+    invalid JSON, NaN and 1e400 too, and every SchemaError of ``check`` raise
+    SchemaError naming the path."""
     try:
         with open(path, "rb") as fh:
-            return orjson.loads(fh.read())
+            doc = orjson.loads(fh.read())
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except orjson.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return check(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
-def save_schedule(schedule: PhaseSchedule, path) -> None:
+def save_schedule(stages: np.ndarray, path) -> None:
+    """Write the schedule document {"n", "k", "stages"} of a (k, 2N) schedule."""
+    k, width = stages.shape
     with open(path, "w") as fh:
-        write_json(schedule.to_dict(), fh)
+        write_json({"n": width // 2, "k": k, "stages": stages}, fh)
 
 
-def load_schedule(path) -> PhaseSchedule:
-    return PhaseSchedule.from_dict(read_json(path))
+def _checked_schedule(data) -> np.ndarray:
+    """The schedule of a schedule document, reduced and read-only; any fault
+    raises SchemaError."""
+    if not isinstance(data, dict):
+        raise SchemaError("schedule document must be a JSON object")
+    missing = {"n", "k", "stages"} - set(data)
+    if missing:
+        raise SchemaError(f"schedule document missing fields {sorted(missing)}")
+    n = SchemaError.require_int(data, "n", "schedule")
+    k = SchemaError.require_int(data, "k", "schedule")
+    stages = SchemaError.require_array(data, "stages", "schedule", (k, 2 * n))
+    if n < 2:
+        raise SchemaError(f"problem size must be >= 2, got {n}")
+    if k < 1:
+        raise SchemaError(f"query count must be >= 1, got {k}")
+    if stages.shape != (k, 2 * n):
+        raise SchemaError(f"expected stage array of shape {(k, 2 * n)}, got {stages.shape}")
+    stages = reduce_phases(stages)
+    stages.setflags(write=False)
+    return stages
+
+
+def load_schedule(path) -> np.ndarray:
+    """The schedule in the file at ``path``: a read-only (k, 2N) array of
+    phases reduced to [0, 2pi)."""
+    return read_json(path, _checked_schedule)
 
 
 def reduce_phases(phases: np.ndarray) -> np.ndarray:
@@ -225,15 +210,17 @@ def run_signs(stages: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return amps
 
 
-def run_answer_zero(schedule: PhaseSchedule) -> np.ndarray:
-    """Final position amplitudes psi_0(x), x < N, of answer 0; answer j ends
-    in the first N of np.roll(psi_0 doubled, j).  The same ``run_signs`` call
-    runs answers N // 2 and N - 1 and raises ContractError unless they end
-    within 1e-12 of those translates."""
-    n = schedule.n
+def run_answer_zero(stages: np.ndarray) -> np.ndarray:
+    """Final position amplitudes psi_0(x), x < N, of answer 0 under the
+    (k, 2N) schedule ``stages``; answer j ends in the first N of
+    np.roll(psi_0 doubled, j).  The same ``run_signs`` call runs answers
+    N // 2 and N - 1 and raises ContractError unless they end within 1e-12
+    of those translates."""
+    k, width = np.shape(stages)
+    n = width // 2
     spots = [0, n // 2, n - 1]
-    finals = run_signs(schedule.stages, oracle_signs(spots, n))
-    doubled = np.concatenate([finals[0], (-1) ** schedule.k * finals[0]])
+    finals = run_signs(stages, oracle_signs(spots, n))
+    doubled = np.concatenate([finals[0], (-1) ** k * finals[0]])
     for j, final in zip(spots[1:], finals[1:]):
         err = float(np.max(np.abs(final - np.roll(doubled, j)[:n])))
         if not err <= 1e-12:  # also on NaN

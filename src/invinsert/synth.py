@@ -48,7 +48,6 @@ import numpy as np
 from . import hilbert
 from .errors import ContractError, FactorizationError
 from .exact import INFEASIBLE, build_chain, certify_chain, default_grid
-from .hilbert import PhaseSchedule
 
 FACTOR_GRID_TOL = 1e-8
 FFT_MIN_SIZE = 1 << 10  # the first grid the factor may stop on is max(this, 16N)
@@ -287,13 +286,30 @@ def phases_from_states(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return phases
 
 
-def v_column(phases: np.ndarray, n: int) -> np.ndarray:
-    """<x|V|0> for x = 0..2N-1 on the last axis, a column per row of phases;
-    the full matrix is the cyclic shift family <x|V|y> = <x-y|V|0> mod 2N."""
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape[-1:] != (2 * n,):
-        raise ValueError(f"expected {2 * n} phases, got shape {phases.shape}")
-    return np.fft.ifft(np.exp(1j * phases))
+def v_column(phases: np.ndarray) -> np.ndarray:
+    """<x|V|0> for x = 0..2N-1 on the last axis, a column per row of 2N
+    phases; the full matrix is the cyclic shift family
+    <x|V|y> = <x-y|V|0> mod 2N."""
+    return np.fft.ifft(np.exp(1j * np.asarray(phases, dtype=float)))
+
+
+def schedule_report(stages: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Answer 0's final position amplitudes (``hilbert.run_answer_zero``) and
+    the report fields of the (k, 2N) schedule ``stages``: n, k, every
+    answer's success probability, which is 2 |psi_0(0)|^2 for all of them,
+    its minimum, and each stage's V column as [re, im] pairs."""
+    k, width = np.shape(stages)
+    n = width // 2
+    final = hilbert.run_answer_zero(stages)
+    success = np.full(n, 2 * abs(final[0]) ** 2)
+    columns = v_column(stages)
+    return final, {
+        "n": n,
+        "k": k,
+        "success_probs": success,
+        "min_success_prob": float(success.min()),
+        "v_columns": np.stack([columns.real, columns.imag], -1),
+    }
 
 
 def synthesize_exact(
@@ -301,12 +317,12 @@ def synthesize_exact(
     k: int,
     free: Optional[Mapping[str, np.ndarray]] = None,
     grid_points: Optional[int] = None,
-) -> tuple[PhaseSchedule, dict]:
+) -> tuple[np.ndarray, dict]:
     """Build and verify the exact k-query schedule from a feasible chain.
 
-    Returns the schedule plus a verification report with per-answer success
-    probabilities, the worst pairwise overlap of the final states, the first
-    column of every stage unitary, and the per-stage magnitude mismatch.
+    Returns the read-only (k, 2N) schedule plus a verification report with
+    ``schedule_report``'s fields, the worst pairwise overlap of the final
+    states, and the per-stage magnitude mismatch.
     Answer j ends in T^j psi_0 (``hilbert.run_answer_zero``), so every
     success is 2 |psi_0(0)|^2; the overlaps are the FFT of its momentum weights.
     Factorization or magnitude failures raise with the stage number.
@@ -350,22 +366,15 @@ def synthesize_exact(
             raise ContractError(f"stage {ell}: {exc}") from exc
         psi_prev = psi_mom
 
-    schedule = PhaseSchedule(n=n, k=k, stages=stages)
-    final = hilbert.run_answer_zero(schedule)
-    success = np.full(n, 2 * abs(final[0]) ** 2)
+    stages.setflags(write=False)
+    final, report = schedule_report(stages)
     weights = 2 / n * np.abs(np.fft.fft(untwist * final if k % 2 else final)) ** 2
     overlaps = np.abs(np.fft.fft(weights))
-    columns = v_column(schedule.stages, n)
-    report = {
-        "n": n,
-        "k": k,
-        "success_probs": success,
-        "min_success_prob": float(success.min()),
-        "exact": bool(success.min() >= 1 - 1e-9),
-        "max_pairwise_overlap": float(overlaps[1:].max()),
-        "v_columns": np.stack([columns.real, columns.imag], -1),
-        "max_v_imag": float(np.abs(columns.imag).max()),
-        "magnitude_mismatch": magnitude_mismatch,
-        "certificates": {str(ell): c.to_dict() for ell, c in certificates.items()},
-    }
-    return schedule, report
+    report.update(
+        exact=bool(report["min_success_prob"] >= 1 - 1e-9),
+        max_pairwise_overlap=float(overlaps[1:].max()),
+        max_v_imag=float(np.abs(report["v_columns"][..., 1]).max()),
+        magnitude_mismatch=magnitude_mismatch,
+        certificates={str(ell): c.to_dict() for ell, c in certificates.items()},
+    )
+    return stages, report

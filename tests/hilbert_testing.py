@@ -6,8 +6,9 @@ basis-tagged state of all 2N amplitudes, the doubled oracle signs, the
 unitary transforms, the translation operator, the closed-form momentum
 matrix element, the measurement targets, a single-answer schedule run,
 the brute-force run of every answer, a counter of the rows the library
-runner runs, random states and schedules, and the inner product.  The
-library itself computes on plain arrays of the N live amplitudes.
+runner runs, random states and schedules, greedy's states, and the inner
+product.  The library itself computes on plain arrays of the N live
+amplitudes, and a schedule is its (k, 2N) array of phase stages.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 import invinsert.hilbert
 from invinsert.hilbert import *  # noqa: F401,F403 - the library namespace
-from invinsert.hilbert import PhaseSchedule, oracle_signs, run_signs
+from invinsert.hilbert import oracle_image, oracle_signs, reduce_phases, run_signs
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -118,30 +119,30 @@ def target_state(j: int, sign: int, n: int) -> StateVector:
     return StateVector(n, POSITION, amps)
 
 
-def run_schedule(schedule: PhaseSchedule, j: int) -> tuple[StateVector, float]:
+def run_schedule(stages: np.ndarray, j: int) -> tuple[StateVector, float]:
     """One answer through the library runner: the final position state,
     rebuilt to all 2N amplitudes, and its success probability, the overlap
     with the target of sign (-1)^k."""
-    n, k = schedule.n, schedule.k
-    final = StateVector(n, POSITION, doubled_state(run_signs(schedule.stages, oracle_signs(j, n)), k))
+    k, n = stages.shape[0], stages.shape[1] // 2
+    final = StateVector(n, POSITION, doubled_state(run_signs(stages, oracle_signs(j, n)), k))
     return final, abs(inner(target_state(j, (-1) ** k, n), final)) ** 2
 
 
 ANSWER_BLOCK_AMPS = 1 << 16  # bounds the memory of a batch of answers at any N
 
 
-def run_all_answers(schedule: PhaseSchedule, js=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def run_all_answers(stages: np.ndarray, js=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The brute-force reference for ``run_answer_zero``: run the schedule
     against the oracles F_j for the answers ``js`` (default every
     j = 0..N-1), yielding (final position amplitudes psi(x), x < N, success
     probabilities) per block of answers.  Answer j's target is
     (|j> + (-1)^k |j+N>) / sqrt(2), so its success is 2 |psi(j)|^2."""
-    n = schedule.n
+    n = stages.shape[1] // 2
     js = np.arange(n) if js is None else np.asarray(js, dtype=np.int64)
     step = max(1, ANSWER_BLOCK_AMPS // (2 * n))
     for lo in range(0, js.size, step):
         block = js[lo : lo + step]
-        finals = run_signs(schedule.stages, oracle_signs(block, n))
+        finals = run_signs(stages, oracle_signs(block, n))
         yield finals, 2 * np.abs(finals[np.arange(block.size), block]) ** 2
 
 
@@ -165,11 +166,23 @@ def random_state(n: int, rng: np.random.Generator, basis: str = POSITION) -> Sta
     return StateVector(n, basis, amps)
 
 
-def random_schedule(
-    n: int, k: int, rng: np.random.Generator
-) -> PhaseSchedule:
-    """Uniformly random phase stages, for covariance property checks."""
-    return PhaseSchedule(n=n, k=k, stages=rng.uniform(0, 2 * np.pi, (k, 2 * n)))
+def random_schedule(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly random phase stages, reduced and read-only as the library's
+    schedules are, for covariance property checks."""
+    stages = reduce_phases(rng.uniform(0, 2 * np.pi, (k, 2 * n)))
+    stages.setflags(write=False)
+    return stages
+
+
+def greedy_states(n: int, k: int) -> list[np.ndarray]:
+    """The reference for the states ``greedy_run`` passes through:
+    ``states[l]`` the N real, nonnegative momentum amplitudes of parity
+    l mod 2 after l greedy stages, the magnitudes of the oracle image of
+    ``states[l - 1]``, from the start state [1, 0, ..., 0]."""
+    states = [np.eye(1, n)[0]]
+    for ell in range(1, k + 1):
+        states.append(np.abs(oracle_image(states[-1], ell - 1)))
+    return states
 
 
 def oracle_momentum_matrix(n: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hilbert_testing as hilbert
-from hilbert_testing import run_schedule, to_momentum, translate
+from hilbert_testing import greedy_states, run_schedule, to_momentum, translate
 from invinsert.bounds import harmonic_sum
 from invinsert.compose import compose_all, rate
 from invinsert.exact import (
@@ -65,7 +65,7 @@ def test_criterion_1_table_reproduction():
     t0 = time.time()
     failures = []
     for n, row in PUBLISHED_TABLE.items():
-        probs = greedy_run(n, 6, keep_states=False).probs
+        probs, _ = greedy_run(n, 6)
         for k in range(1, 7):
             value = probs[k]
             if (n, k) in SATURATED_CELLS:
@@ -184,7 +184,7 @@ def test_criterion_5_n52_k3(n52_search, n52_synthesis):
 def test_criterion_6_composition():
     schedule, _ = synthesize_exact(6, 2)
     for hidden in range(36):
-        comp = compose_all(6, 2, 2, schedule, [hidden])
+        comp = compose_all(schedule, 2, [hidden])
         assert comp.found[0] == hidden
         assert comp.queries_used == 4
     report(6, True, "all 36 answers recovered in exactly 4 queries (classical needs 6)")
@@ -234,10 +234,11 @@ class TestCriterion8Properties:
 
     @pytest.mark.parametrize("n", PROPERTY_SIZES)
     def test_greedy_monotone_and_dominated(self, n):
-        trace = greedy_run(n, 5)
-        assert np.all(np.diff(trace.probs) >= -1e-14)
+        probs, _ = greedy_run(n, 5)
+        states = greedy_states(n, 5)
+        assert np.all(np.diff(probs) >= -1e-14)
         for ell in range(1, 6):
-            overlap = trace.states[ell].real.sum() / np.sqrt(n)
+            overlap = states[ell].sum() / np.sqrt(n)
             assert overlap <= overlap_bound(n, ell) + 1e-12
 
     def test_factorization_round_trip(self):

@@ -8,6 +8,7 @@ import pytest
 
 from invinsert.bounds import bound_report, harmonic_sum
 from invinsert.greedy import greedy_run
+from hilbert_testing import greedy_states
 
 
 def overlap_bound(n: int, ell: int) -> float:
@@ -73,13 +74,12 @@ class TestOverlapBound:
     def test_greedy_saturates_first_stage(self):
         # one greedy query achieves the bound exactly
         n = 64
-        trace = greedy_run(n, 1)
-        overlap = trace.states[1].real.sum() / math.sqrt(n)
+        overlap = greedy_states(n, 1)[1].sum() / math.sqrt(n)
         assert abs(overlap - overlap_bound(n, 1)) < 1e-12
 
     @pytest.mark.parametrize("n", [64, 256, 1024, 2048, 4096])
     def test_dominates_published_probabilities(self, n):
-        probs = greedy_run(n, 6, keep_states=False).probs
+        probs, _ = greedy_run(n, 6)
         for k in range(1, 7):
             assert probs[k] <= min(1.0, overlap_bound(n, k) ** 2) + 1e-12
 

@@ -49,8 +49,7 @@ class TestGreedyCommand:
             capsys, "greedy", "--n", "6", "--k", "2", "--emit-schedule", str(path)
         )
         assert code == 0
-        schedule = hilbert.load_schedule(path)
-        assert schedule.n == 6 and schedule.k == 2
+        assert hilbert.load_schedule(path).shape == (2, 12)
 
 
 class TestBoundCommand:
@@ -327,11 +326,10 @@ class TestSynthVerifyRoundTrip:
     def test_serialized_precision(self, tmp_path):
         # at least 15 significant digits survive the file round trip
         stages = np.array([[0.123456789012345678, 1.0, 2.0, 3.0]])
-        schedule = hilbert.PhaseSchedule(n=2, k=1, stages=stages)
         path = tmp_path / "p.json"
-        hilbert.save_schedule(schedule, path)
+        hilbert.save_schedule(stages, path)
         loaded = hilbert.load_schedule(path)
-        assert loaded.stages[0, 0] == schedule.stages[0, 0]
+        assert loaded[0, 0] == stages[0, 0]
 
 
 class TestComposeAndRate:
@@ -550,6 +548,41 @@ class TestInputNumbers:
             doc = dict(SERIES_DOC, coeffs=[0, 0, 0, 0, 0])
         code, _, _ = run_input_document(capsys, tmp_path, kind, doc)
         assert code == 0
+
+
+BAD_DOCS = [
+    ("schedule", dict(SCHEDULE_DOC, n=1.5), "schedule field 'n' must be an integer, got 1.5"),
+    ("schedule", {"n": 6, "stages": []}, "schedule document missing fields ['k']"),
+    ("schedule", dict(SCHEDULE_DOC, n=1), "problem size must be >= 2, got 1"),
+    ("schedule", dict(SCHEDULE_DOC, k=0), "query count must be >= 1, got 0"),
+    ("schedule", dict(SCHEDULE_DOC, stages=[[0.0] * 11] * 2), "expected stage array of shape (2, 12), got (2, 11)"),
+    ("schedule", [SCHEDULE_DOC], "schedule document must be a JSON object"),
+    ("series", dict(SERIES_DOC, coeffs=[1.0, 0.0, 0.0, 0.0, 0.0]),
+     "coefficients are not finite or violate class-A symmetry"),
+    ("series", dict(SERIES_DOC, n=1.5), "series field 'n' must be an integer, got 1.5"),
+    ("series", dict(SERIES_DOC, klass="C"), "unknown series class 'C'"),
+    ("series", dict(SERIES_DOC, coeffs=[0.0] * 4), "expected 5 coefficients, got shape (4,)"),
+    ("series", {"A1": 5}, "series document must be a JSON object"),
+    ("series", {"A1": {"n": 6, "klass": "A"}}, "series document missing fields ['coeffs']"),
+    # nested lists of unequal lengths name the field and the shape expected
+    ("schedule", {"n": 2, "k": 2, "stages": [[0, 0], [0]]},
+     "schedule field 'stages' must be an array of shape (2, 4), got a ragged list"),
+    ("series", {"n": 4, "klass": "A", "coeffs": [[0, 0], [0]]},
+     "series field 'coeffs' must be an array of shape (3,), got a ragged list"),
+]
+
+
+class TestInputErrorsNameTheFile:
+    @pytest.mark.parametrize("kind, doc, message", BAD_DOCS)
+    def test_document_error_names_the_file(self, capsys, tmp_path, kind, doc, message):
+        # with several --series files, the path tells which one is bad
+        path = tmp_path / f"{kind}.json"
+        code, out, err = run_input_document(capsys, tmp_path, kind, doc)
+        assert (code, out, err) == (65, "", f"invinsert: {path}: {message}\n")
+        loader = hilbert.load_schedule if kind == "schedule" else exact.load_series
+        with pytest.raises(SchemaError) as raised:
+            loader(path)
+        assert str(raised.value) == f"{path}: {message}"
 
 
 class TestExitCodes:

@@ -100,13 +100,13 @@ class TestComposeSolve:
         # all 36 hidden answers recovered in exactly 4 queries; classical
         # needs ceil(log2 36) = 6
         for hidden in range(36):
-            comp = compose_all(6, 2, 2, schedule_6_2, [hidden])
+            comp = compose_all(schedule_6_2, 2, [hidden])
             assert comp.found[0] == hidden
             assert comp.queries_used == 4
 
     def test_exhaustive_m2_k1_h5(self, schedule_2_1):
         for hidden in range(32):
-            comp = compose_all(2, 1, 5, schedule_2_1, [hidden])
+            comp = compose_all(schedule_2_1, 5, [hidden])
             assert comp.found[0] == hidden
             assert comp.queries_used == 5
 
@@ -114,7 +114,7 @@ class TestComposeSolve:
         # h = 1 degenerates to run_schedule plus an argmax measurement
         sign = 1  # the target sign after an even number of queries
         for hidden in range(6):
-            comp = compose_all(6, 2, 1, schedule_6_2, [hidden])
+            comp = compose_all(schedule_6_2, 1, [hidden])
             final, _ = run_schedule(schedule_6_2, hidden)
             overlaps = [
                 abs(np.vdot(target_state(j, sign, 6).amps, final.amps)) ** 2
@@ -124,7 +124,7 @@ class TestComposeSolve:
             assert comp.queries_used == 2
 
     def test_interval_nesting(self, schedule_6_2):
-        comp = compose_all(6, 2, 3, schedule_6_2, [157])
+        comp = compose_all(schedule_6_2, 3, [157])
         assert comp.found[0] == 157
         assert comp.queries_used == 6
         # one row per level, t = 3, 2, 1
@@ -135,17 +135,23 @@ class TestComposeSolve:
 
     def test_inexact_schedule_rejected(self):
         # a greedy schedule is good but not exact; composition must refuse it
-        trace = greedy_run(6, 2, keep_states=False)
+        _, stages = greedy_run(6, 2)
         with pytest.raises(CompositionError):
-            compose_all(6, 2, 2, trace.phase_schedule, [11])
+            compose_all(stages, 2, [11])
 
-    def test_wrong_schedule_shape_rejected(self, schedule_6_2):
-        with pytest.raises(ValueError):
-            compose_all(5, 2, 2, schedule_6_2, [0])
+    def test_wrong_schedule_shape_rejected(self, capsys):
+        # the schedule's shape gives compose_all its M and k; compose checks
+        # them against --m and --k
+        for m, k in [(5, 2), (6, 3)]:
+            argv = ["compose", "--m", str(m), "--k", str(k), "--h", "2", "--j", "0", "--schedule", str(SCHEDULE_6_2)]
+            assert cli.main(argv) == 65
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"invinsert: {SCHEDULE_6_2}: schedule is for (n=6, k=2), expected ({m}, {k})\n"
 
     def test_hidden_range_checked(self, schedule_6_2):
         with pytest.raises(ValueError):
-            compose_all(6, 2, 2, schedule_6_2, [36])
+            compose_all(schedule_6_2, 2, [36])
 
 
 def reference_run(m, k, h, schedule, hidden):
@@ -155,7 +161,7 @@ def reference_run(m, k, h, schedule, hidden):
     for t in range(h, 0, -1):
         scale = m ** (t - 1)
         f = [1.0 if base + (s + 1) * scale - 1 >= hidden else -1.0 for s in range(m)]
-        final = hilbert.run_signs(schedule.stages, np.array(f))
+        final = hilbert.run_signs(schedule, np.array(f))
         best = int(np.argmax(2 * np.abs(final) ** 2))
         per_level.append((base, t, best))
         base += best * scale
@@ -174,17 +180,17 @@ class TestComposeAll:
     def test_matches_single_answer_runs(self, m, k, h, order):
         schedule = synthesize_exact(m, k)[0]
         hidden_js = np.arange(m**h)[::-1] if order else np.arange(m**h)
-        comp = compose_all(m, k, h, schedule, hidden_js)
+        comp = compose_all(schedule, h, hidden_js)
         assert comp.found.shape == (m**h,)  # one column per answer, in order
         for i, hidden in enumerate(hidden_js.tolist()):
-            single = compose_all(m, k, h, schedule, [hidden])
+            single = compose_all(schedule, h, [hidden])
             found, per_level = reference_run(m, k, h, schedule, hidden)
             assert comp.found[i] == single.found[0] == found == hidden
             assert comp.queries_used == single.queries_used == h * k
             assert levels(comp, i) == levels(single, 0) == per_level
 
     def test_int64_columns(self, schedule_6_2):
-        comp = compose_all(6, 2, 2, schedule_6_2, [0, 35])
+        comp = compose_all(schedule_6_2, 2, [0, 35])
         columns = [comp.found, comp.bases, comp.subanswers]
         for column, shape in zip(columns, [(2,), (2, 2), (2, 2)]):
             assert column.dtype == np.int64 and column.shape == shape
@@ -210,16 +216,16 @@ class TestComposeAll:
         assert results + "\n" == (DATA / "compose-6-2-3.results.json").read_text()
 
     def test_greedy_schedule_names_the_level(self):
-        trace = greedy_run(6, 2, keep_states=False)
+        _, stages = greedy_run(6, 2)
         with pytest.raises(CompositionError, match=r"^level 2: best overlap"):
-            compose_all(6, 2, 2, trace.phase_schedule, range(36))
+            compose_all(stages, 2, range(36))
 
     def test_hidden_range_checked(self, schedule_6_2):
         with pytest.raises(ValueError, match="got -1"):
-            compose_all(6, 2, 2, schedule_6_2, [3, -1])
+            compose_all(schedule_6_2, 2, [3, -1])
 
     def test_no_answers_give_empty_columns(self, schedule_6_2):
-        comp = compose_all(6, 2, 3, schedule_6_2, [])
+        comp = compose_all(schedule_6_2, 3, [])
         for column, shape in zip([comp.found, comp.bases, comp.subanswers], [(0,), (3, 0), (3, 0)]):
             assert column.dtype == np.int64 and column.shape == shape
         assert comp.queries_used == 6
@@ -264,33 +270,34 @@ def shifted_schedule(schedule):
     """The schedule with 2 pi p / 2N added to its last stage: a cyclic shift
     of the final state, so each run still ends on one target with unit
     overlap, but on j' - 1 mod N instead of j'."""
-    stages = schedule.stages.copy()
-    stages[-1] += 2 * np.pi * np.arange(2 * schedule.n) / (2 * schedule.n)
-    return hilbert.PhaseSchedule(n=schedule.n, k=schedule.k, stages=stages)
+    stages = schedule.copy()
+    width = stages.shape[1]
+    stages[-1] += 2 * np.pi * np.arange(width) / width
+    return hilbert.reduce_phases(stages)
 
 
 class TestOutcomeTable:
     def test_all_runs_at_most_m_rows(self, schedule_6_2, monkeypatch):
         rows = count_rows(monkeypatch)
-        comp = compose_all(6, 2, 4, schedule_6_2, range(6**4))
+        comp = compose_all(schedule_6_2, 4, range(6**4))
         assert comp.found.tolist() == list(range(6**4))
         assert 0 < sum(rows) <= 6
 
     def test_all_runs_at_most_three_rows(self, schedule_6_2, monkeypatch):
         # answer 0 and the spot-checked N // 2 and N - 1, whatever the size
         rows = count_rows(monkeypatch)
-        compose_all(6, 2, 4, schedule_6_2, range(6**4))
+        compose_all(schedule_6_2, 4, range(6**4))
         assert 0 < sum(rows) <= 3
 
     def test_one_answer_runs_at_most_h_rows(self, schedule_6_2, monkeypatch):
         rows = count_rows(monkeypatch)
-        comp = compose_all(6, 2, 3, schedule_6_2, [157])
+        comp = compose_all(schedule_6_2, 3, [157])
         assert comp.found[0] == 157 and comp.queries_used == 6
         assert 0 < sum(rows) <= 3
 
     def test_wrong_subanswer_is_reported_at_one_level(self, schedule_6_2):
         shifted = shifted_schedule(schedule_6_2)
-        comp = compose_all(6, 2, 1, shifted, range(6))
+        comp = compose_all(shifted, 1, range(6))
         assert comp.found.tolist() == [5, 0, 1, 2, 3, 4]
 
     def test_wrong_subanswer_leaves_the_interval(self, schedule_6_2):
@@ -298,7 +305,7 @@ class TestOutcomeTable:
         # a table indexed without the range check would raise IndexError
         shifted = shifted_schedule(schedule_6_2)
         with pytest.raises(ContractError, match=r"hidden index 0 outside the interval \[30, 36\)"):
-            compose_all(6, 2, 2, shifted, range(36))
+            compose_all(shifted, 2, range(36))
 
 
 class TestRate:

@@ -10,7 +10,7 @@ import pytest
 from invinsert import bounds
 from invinsert.greedy import _advance, greedy_run
 from invinsert.hilbert import load_schedule, oracle_signs, run_signs
-from hilbert_testing import doubled_state, oracle_momentum_block, run_all_answers
+from hilbert_testing import doubled_state, greedy_states, oracle_momentum_block, run_all_answers
 from test_bounds import overlap_bound
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -45,7 +45,7 @@ def one_query_asymptotic(n: int) -> float:
 class TestGreedyStep:
     def test_first_stage_amplitudes(self):
         n = 8
-        psi1 = greedy_run(n, 1).states[1]  # parity 1: p = 1, 3, ..., 2N - 1
+        psi1 = greedy_states(n, 1)[1]  # parity 1: p = 1, 3, ..., 2N - 1
         p = np.arange(1, 2 * n, 2)
         expected = 1.0 / (n * np.sin(np.pi * p / (2 * n)))
         np.testing.assert_allclose(psi1.real, expected, atol=1e-13)
@@ -61,9 +61,8 @@ class TestGreedyStep:
         # aligning each term is optimal: no single-phase change on a fine grid
         # beats the greedy overlap
         n = 3
-        trace = greedy_run(n, 1)
-        phases = trace.phase_schedule.stages[0][1::2]
-        phi = oracle_image_amps(trace.states[0], 0)
+        phases = greedy_run(n, 1)[1][0][1::2]
+        phi = oracle_image_amps(np.eye(n)[0], 0)  # from the start state
         greedy_overlap = abs(np.sum(np.exp(1j * phases) * phi)) / np.sqrt(n)
         grid = np.linspace(0, 2 * np.pi, 720, endpoint=False)
         for p in range(n):
@@ -86,62 +85,66 @@ class TestGreedyStep:
 
 class TestGreedyRun:
     def test_prob0_is_one_over_n(self):
-        assert abs(greedy_run(17, 1).probs[0] - 1 / 17) < 1e-15
+        assert abs(greedy_run(17, 1)[0][0] - 1 / 17) < 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 52])
     def test_states_are_the_n_live_amplitudes(self, n):
+        # the run's probabilities are the squared sums of the reference
+        # states, to the bit
         k = 4
-        trace = greedy_run(n, k)
-        assert len(trace.states) == k + 1
-        for state in trace.states:
+        states = greedy_states(n, k)
+        assert len(states) == k + 1
+        for state in states:
             assert state.shape == (n,)
-        np.testing.assert_array_equal(trace.states[0], np.eye(n)[0])
+        np.testing.assert_array_equal(states[0], np.eye(n)[0])
+        probs, _ = greedy_run(n, k)
+        assert probs.tolist() == [float(s.sum()) ** 2 / n for s in states]
 
     def test_schedule_bits_are_pinned(self):
         # the saved bits of this schedule: a change to greedy's arithmetic shows here
         pinned = load_schedule(DATA / "greedy-52-6.schedule.json")
-        assert np.array_equal(greedy_run(52, 6).phase_schedule.stages, pinned.stages)
+        assert np.array_equal(greedy_run(52, 6)[1], pinned)
 
     @pytest.mark.parametrize(("cell", "expected"), sorted(TABLE_SPOT_CELLS.items()))
     def test_published_cells(self, cell, expected):
         n, k = cell
-        assert abs(greedy_run(n, k, keep_states=False).probs[k] - expected) < 1e-4
+        assert abs(greedy_run(n, k)[0][k] - expected) < 1e-4
 
     @pytest.mark.parametrize("n", [2, 3, 6, 8, 16, 52])
     def test_monotone_probabilities(self, n):
-        probs = greedy_run(n, 6, keep_states=False).probs
+        probs, _ = greedy_run(n, 6)
         assert np.all(np.diff(probs) >= -1e-14)
 
     def test_fixed_point_sticks(self):
-        probs = greedy_run(2, 4, keep_states=False).probs
+        probs, _ = greedy_run(2, 4)
         assert abs(probs[1] - 1) < 1e-12
         assert np.all(np.abs(probs[1:] - 1) < 1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 6, 8, 16, 52])
     def test_bound_domination(self, n):
-        trace = greedy_run(n, 5)
+        states = greedy_states(n, 5)
         for ell in range(1, 6):
-            live = trace.states[ell].real.sum() / np.sqrt(n)
+            live = states[ell].sum() / np.sqrt(n)
             assert live <= overlap_bound(n, ell) + 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 6, 8, 16])
     def test_schedule_reproduces_probs_for_every_j(self, n):
         k = 3
-        trace = greedy_run(n, k)
-        for _, probs in run_all_answers(trace.phase_schedule):
-            np.testing.assert_allclose(probs, trace.probs[k], rtol=0, atol=1e-10)
+        greedy_probs, stages = greedy_run(n, k)
+        for _, probs in run_all_answers(stages):
+            np.testing.assert_allclose(probs, greedy_probs[k], rtol=0, atol=1e-10)
 
     def test_schedule_reproduces_probs_medium_n(self):
-        trace = greedy_run(256, 4, keep_states=False)
-        probs = np.concatenate([p for _, p in run_all_answers(trace.phase_schedule)])
+        greedy_probs, stages = greedy_run(256, 4)
+        probs = np.concatenate([p for _, p in run_all_answers(stages)])
         assert probs.shape == (256,)
-        np.testing.assert_allclose(probs, trace.probs[4], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(probs, greedy_probs[4], rtol=0, atol=1e-10)
 
     def test_memory_stays_small_at_n4096(self):
         # an N x N stage kernel at N = 4096 would take 128 MiB
         tracemalloc.start()
         try:
-            greedy_run(4096, 6, keep_states=False)
+            greedy_run(4096, 6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -149,9 +152,9 @@ class TestGreedyRun:
 
     def test_recorded_states_match_schedule_runner(self):
         n, k = 6, 3
-        trace = greedy_run(n, k)
-        final = np.fft.fft(doubled_state(run_signs(trace.phase_schedule.stages, oracle_signs(0, n)), k), norm="ortho")
-        np.testing.assert_allclose(final[k % 2 :: 2], trace.states[k], atol=1e-12)
+        _, stages = greedy_run(n, k)
+        final = np.fft.fft(doubled_state(run_signs(stages, oracle_signs(0, n)), k), norm="ortho")
+        np.testing.assert_allclose(final[k % 2 :: 2], greedy_states(n, k)[k], atol=1e-12)
         assert np.max(np.abs(final[1 - k % 2 :: 2])) < 1e-12
 
 
@@ -161,11 +164,11 @@ class TestOneQueryProb:
 
     def test_matches_greedy_and_table(self):
         assert abs(one_query_prob(64) - 0.2036) < 1e-4
-        assert abs(one_query_prob(64) - greedy_run(64, 1).probs[1]) < 1e-12
+        assert abs(one_query_prob(64) - greedy_run(64, 1)[0][1]) < 1e-12
 
     def test_matches_greedy_at_n65536(self):
         n = 2**16
-        prob = greedy_run(n, 6, keep_states=False).probs[1]
+        prob = greedy_run(n, 6)[0][1]
         assert abs(prob - one_query_prob(n)) < 1e-10 * one_query_prob(n)
 
     @pytest.mark.parametrize("n", [64, 256, 1024, 2048, 4096])
@@ -201,7 +204,7 @@ class TestBeatsClassical:
     def test_table_region(self, n):
         # once 2^k >= N classical search is already certain and greedy,
         # which is never exact, cannot beat it; compare the honest cells
-        probs = greedy_run(n, 6, keep_states=False).probs
+        probs, _ = greedy_run(n, 6)
         for k in range(1, 7):
             if 2**k < n:
                 assert probs[k] > 2.0**k / n

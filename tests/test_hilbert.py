@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,12 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from invinsert import cli, exact, hilbert, synth
+from invinsert.compose import compose_all
 from invinsert.errors import SchemaError
 from invinsert.exact import search_free_series
 from invinsert.greedy import greedy_run
 from invinsert.errors import ContractError
 from invinsert.hilbert import (
-    PhaseSchedule,
     oracle_image,
     oracle_signs,
     run_answer_zero,
@@ -73,9 +74,11 @@ class TestUniformStart:
         expected[0] = 1.0
         np.testing.assert_allclose(mom, expected, atol=1e-14)
 
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            PhaseSchedule(n=1, k=1, stages=np.zeros((1, 2)))
+    def test_rejects_small_n(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"n": 1, "k": 1, "stages": [[0.0, 0.0]]}))
+        with pytest.raises(SchemaError, match=r": problem size must be >= 2, got 1$"):
+            hilbert.load_schedule(path)
 
     def test_rejects_stages_not_twice_the_sign_width(self):
         # stages act on all 2N momenta, signs on the N positions x < N
@@ -304,7 +307,7 @@ class TestRunSchedule:
     def test_zero_phase_single_query(self):
         # independent oracle: dense matrix product over the 2N-dim space
         for n in (3, 5, 8):
-            schedule = PhaseSchedule(n=n, k=1, stages=np.zeros((1, 2 * n)))
+            schedule = np.zeros((1, 2 * n))
             _, prob = run_schedule(schedule, 0)
             f0 = np.diag(doubled_signs(0, n))
             start = np.full(2 * n, 1 / np.sqrt(2 * n))
@@ -322,7 +325,7 @@ class TestRunSchedule:
         fourier = np.exp(-1j * np.pi * np.outer(x, x) / n) / np.sqrt(2 * n)
         for j in range(n):
             psi = np.full(2 * n, 1 / np.sqrt(2 * n), dtype=complex)
-            for stage in schedule.stages:
+            for stage in schedule:
                 psi = np.diag(doubled_signs(j, n)) @ psi
                 psi = fourier.conj().T @ (np.exp(1j * stage) * (fourier @ psi))
             final, prob = run_schedule(schedule, j)
@@ -352,11 +355,19 @@ class TestRunSchedule:
             dead = mom.amps[(np.arange(2 * n) + k) % 2 == 1]
             assert np.max(np.abs(dead)) < 1e-12
 
-    def test_malformed_schedule_rejected(self):
-        with pytest.raises(SchemaError):
-            PhaseSchedule(n=4, k=2, stages=np.zeros((2, 7)))
-        with pytest.raises(SchemaError):
-            PhaseSchedule(n=4, k=2, stages=np.full((2, 8), np.nan))
+    def test_malformed_schedule_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        for doc, message in [
+            ({"n": 4, "k": 2, "stages": [[0.0] * 7] * 2}, r"expected stage array of shape \(2, 8\), got \(2, 7\)"),
+            ({"n": 4, "k": 0, "stages": []}, "query count must be >= 1, got 0"),
+        ]:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: {message}$"):
+                hilbert.load_schedule(path)
+        # a file has no NaN phases: JSON cannot carry them
+        path.write_text(json.dumps({"n": 4, "k": 2, "stages": [[float("nan")] * 8] * 2}))
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            hilbert.load_schedule(path)
 
 
 def dense_run(stages, j, n):
@@ -435,9 +446,9 @@ class TestKernelLength:
         v_column = synth.v_column
         spans = []
 
-        def recorded(phases, n):
+        def recorded(phases):
             start = len(lengths)
-            column = v_column(phases, n)
+            column = v_column(phases)
             spans.append((start, len(lengths)))
             return column
 
@@ -451,8 +462,8 @@ class TestKernelLength:
 
 
 ANSWER_SCHEDULES = {
-    "greedy-3-2": lambda: greedy_run(3, 2, keep_states=False).phase_schedule,
-    "greedy-52-4": lambda: greedy_run(52, 4, keep_states=False).phase_schedule,
+    "greedy-3-2": lambda: greedy_run(3, 2)[1],
+    "greedy-52-4": lambda: greedy_run(52, 4)[1],
     "exact-6-2": lambda: synthesize_exact(6, 2)[0],
     "exact-16-3": lambda: synthesize_exact(16, 3, search_free_series(16, 3)[0])[0],
     "random-2-3": lambda: random_schedule(2, 3, np.random.default_rng(23)),
@@ -463,7 +474,7 @@ class TestRunAllAnswers:
     @pytest.mark.parametrize("name", sorted(ANSWER_SCHEDULES))
     def test_matches_per_answer_runs(self, name, monkeypatch):
         schedule = ANSWER_SCHEDULES[name]()
-        n = schedule.n
+        k, n = schedule.shape[0], schedule.shape[1] // 2
         # blocks of 5 answers, so most sizes end on a partial block
         monkeypatch.setattr(hilbert_testing, "ANSWER_BLOCK_AMPS", 5 * 2 * n)
         blocks = list(run_all_answers(schedule))
@@ -473,7 +484,7 @@ class TestRunAllAnswers:
         assert finals.shape == (n, n) and success.shape == (n,)
         for j in range(n):
             final, prob = run_schedule(schedule, j)
-            np.testing.assert_allclose(doubled_state(finals[j], schedule.k), final.amps, atol=1e-12)
+            np.testing.assert_allclose(doubled_state(finals[j], k), final.amps, atol=1e-12)
             assert abs(success[j] - prob) < 1e-12
 
 
@@ -483,7 +494,7 @@ class TestRunAnswerZero:
     @pytest.mark.parametrize("name", sorted(ANSWER_SCHEDULES))
     def test_every_answer_is_a_translate(self, name):
         schedule = ANSWER_SCHEDULES[name]()
-        n, k = schedule.n, schedule.k
+        k, n = schedule.shape[0], schedule.shape[1] // 2
         psi = run_answer_zero(schedule)
         finals = np.concatenate([f for f, _ in run_all_answers(schedule)])
         doubled = np.concatenate([psi, (-1) ** k * psi])
@@ -510,6 +521,30 @@ class TestRunAnswerZero:
         assert captured.out == "" and captured.err == "invinsert: answer 5 ends 1.000e-09 from the translate of answer 0\n"
 
 
+class TestSchedulesAreReadOnly:
+    """A schedule is a plain array: the library hands out read-only ones and
+    never writes to a caller's."""
+
+    def test_library_schedules_are_read_only(self, tmp_path):
+        path = tmp_path / "s.json"
+        made = [greedy_run(8, 3)[1], synthesize_exact(6, 2)[0]]
+        hilbert.save_schedule(made[1], path)
+        for stages in made + [hilbert.load_schedule(path)]:
+            assert stages.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                stages[0, 0] = 1.0
+
+    def test_readers_leave_a_writeable_schedule_unchanged(self):
+        stages = np.array(synthesize_exact(6, 2)[0])
+        assert stages.flags.writeable
+        before = stages.tobytes()
+        run_answer_zero(stages)
+        synth.v_column(stages)
+        synth.schedule_report(stages)
+        compose_all(stages, 2, range(36))
+        assert stages.tobytes() == before
+
+
 class TestScheduleSerialization:
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -517,13 +552,12 @@ class TestScheduleSerialization:
         path = tmp_path / "schedule.json"
         hilbert.save_schedule(schedule, path)
         loaded = hilbert.load_schedule(path)
-        assert loaded.n == schedule.n and loaded.k == schedule.k
-        np.testing.assert_array_equal(loaded.stages, schedule.stages)
+        assert loaded.shape == schedule.shape
+        np.testing.assert_array_equal(loaded, schedule)
 
     def test_field_names_normative(self, tmp_path):
-        schedule = PhaseSchedule(n=2, k=1, stages=np.zeros((1, 4)))
         path = tmp_path / "s.json"
-        hilbert.save_schedule(schedule, path)
+        hilbert.save_schedule(np.zeros((1, 4)), path)
         data = json.loads(path.read_text())
         assert set(data) == {"n", "k", "stages"}
 
@@ -539,10 +573,11 @@ class TestScheduleSerialization:
         with pytest.raises(SchemaError):
             hilbert.load_schedule(path)
 
-    def test_phases_reduced_to_principal_range(self):
-        stages = np.array([[7.0, -1.0, 0.0, 2 * np.pi]])
-        schedule = PhaseSchedule(n=2, k=1, stages=stages)
-        assert np.all(schedule.stages >= 0) and np.all(schedule.stages < 2 * np.pi)
+    def test_phases_reduced_to_principal_range(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"n": 2, "k": 1, "stages": [[7.0, -1.0, 0.0, 2 * np.pi]]}))
+        schedule = hilbert.load_schedule(path)
+        assert np.all(schedule >= 0) and np.all(schedule < 2 * np.pi)
 
 
 def mod_rule(x):
@@ -582,13 +617,15 @@ class TestReducePhases:
         out[0] = -1.0
         assert phases[0] >= 0
 
-    def test_schedule_keeps_reduced_bits(self):
+    def test_schedule_keeps_reduced_bits(self, tmp_path):
+        # a reduced schedule reads back with its bits, and greedy's stages,
+        # reduced row by row, are reduced as a whole
         stages = hilbert.reduce_phases(np.random.default_rng(6).uniform(-20, 20, (3, 8)))
-        schedule = PhaseSchedule(n=4, k=3, stages=stages)
-        assert schedule.stages.tobytes() == stages.tobytes()
-        trace = greedy_run(64, 6, keep_states=False)
-        stages = trace.phase_schedule.stages
-        assert PhaseSchedule(n=64, k=6, stages=stages).stages.tobytes() == stages.tobytes()
+        path = tmp_path / "s.json"
+        hilbert.save_schedule(stages, path)
+        assert hilbert.load_schedule(path).tobytes() == stages.tobytes()
+        _, stages = greedy_run(64, 6)
+        assert hilbert.reduce_phases(stages).tobytes() == stages.tobytes()
 
 
 def dumped(doc) -> str:
@@ -615,7 +652,7 @@ def assert_reads_back(text, doc):
 
 @pytest.fixture(scope="module")
 def greedy_4096():
-    return greedy_run(4096, 6, keep_states=False).phase_schedule
+    return greedy_run(4096, 6)[1]
 
 
 class TestWriteJson:
@@ -626,7 +663,7 @@ class TestWriteJson:
             monkeypatch.setattr(hilbert, "JSON_PIECE", piece)
         path = tmp_path / "schedule.json"
         hilbert.save_schedule(greedy_4096, path)
-        doc = {"n": 4096, "k": 6, "stages": greedy_4096.stages.tolist()}
+        doc = {"n": 4096, "k": 6, "stages": greedy_4096.tolist()}
         assert path.read_text() == dumped(doc)
         assert_reads_back(path.read_text(), doc)
 
@@ -672,7 +709,7 @@ class TestWriteJson:
         # 0.35 MiB in pieces; one orjson.dumps of the document takes 1.0, and
         # one json.dumps of the listed stages 5.6
         assert peak < 2 * 2**20
-        assert_reads_back((tmp_path / "schedule.json").read_text(), greedy_4096.to_dict())
+        assert_reads_back((tmp_path / "schedule.json").read_text(), {"n": 4096, "k": 6, "stages": greedy_4096})
 
     def test_long_rows_of_rows_are_sliced(self, tmp_path):
         # verify's V columns at N = 4096: rows of 8192 [re, im] pairs, each

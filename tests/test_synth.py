@@ -11,7 +11,8 @@ from invinsert.errors import ContractError, FactorizationError
 from invinsert.exact import a0, b0, build_chain, search_free_series
 from invinsert.greedy import greedy_run
 from hilbert_testing import (
-    count_rows, doubled_signs, doubled_state, random_schedule, run_all_answers, run_schedule, target_state,
+    count_rows, doubled_signs, doubled_state, greedy_states, random_schedule, run_all_answers,
+    run_schedule, target_state,
 )
 from invinsert.synth import (
     phases_from_states,
@@ -433,11 +434,12 @@ class TestPhasesFromStates:
 
     @pytest.mark.parametrize("n", [3, 6, 16])
     def test_matches_greedy_recorded_phases(self, n):
-        trace = greedy_run(n, 3)
+        _, stages = greedy_run(n, 3)
+        states = greedy_states(n, 3)
         for ell in range(1, 4):
-            phi = hilbert.oracle_image(trace.states[ell - 1], ell - 1)
-            extracted = phases_from_states(phi, trace.states[ell])
-            recorded = trace.phase_schedule.stages[ell - 1, ell % 2 :: 2]
+            phi = hilbert.oracle_image(states[ell - 1], ell - 1)
+            extracted = phases_from_states(phi, states[ell])
+            recorded = stages[ell - 1, ell % 2 :: 2]
             delta = np.mod(extracted - recorded + np.pi, 2 * np.pi) - np.pi
             assert np.max(np.abs(delta)) < 1e-10
 
@@ -451,14 +453,14 @@ class TestPhasesFromStates:
 
 class TestVColumn:
     def test_zero_phases_identity_column(self):
-        col = v_column(np.zeros(8), 4)
+        col = v_column(np.zeros(8))
         np.testing.assert_allclose(col, np.eye(8)[0], atol=1e-15)
 
     def test_circulant_reconstruction(self):
         rng = np.random.default_rng(3)
         n = 5
         phases = rng.uniform(0, 2 * np.pi, 2 * n)
-        col = v_column(phases, n)
+        col = v_column(phases)
         # <x|V|y> = col[(x - y) mod 2N]: apply V to each basis vector
         for y in range(2 * n):
             basis = np.zeros(2 * n, dtype=complex)
@@ -468,12 +470,14 @@ class TestVColumn:
 
     def test_rows_of_phases_give_one_column_each(self):
         phases = np.random.default_rng(4).uniform(0, 2 * np.pi, (3, 10))
-        cols = v_column(phases, 5)
+        cols = v_column(phases)
         assert cols.shape == (3, 10)
         for row, col in zip(phases, cols):
-            np.testing.assert_array_equal(col, v_column(row, 5))
-        with pytest.raises(ValueError, match="expected 10 phases"):
-            v_column(phases[:, :8], 5)
+            np.testing.assert_array_equal(col, v_column(row))
+        # the width is 2N: eight phases a row give the N = 4 columns
+        narrow = v_column(phases[:, :8])
+        assert narrow.shape == (3, 8)
+        np.testing.assert_array_equal(narrow, np.fft.ifft(np.exp(1j * phases[:, :8])))
 
 
 @pytest.fixture(scope="module")
@@ -516,10 +520,18 @@ class TestSynthesizeN6K2:
             _, prob = run_schedule(schedule, j)
             assert prob >= 1 - 1e-9
 
+    def test_report_shares_the_verify_fields(self, result):
+        # verify and synthesis build these fields with one function
+        schedule, report = result
+        _, fields = synth.schedule_report(schedule)
+        assert list(fields) == ["n", "k", "success_probs", "min_success_prob", "v_columns"]
+        for key, value in fields.items():
+            assert np.asarray(report[key]).tobytes() == np.asarray(value).tobytes()
+
     def test_schedule_bits_are_pinned(self, result):
         # the saved bits of this schedule: a change to the synthesis arithmetic shows here
         pinned = hilbert.load_schedule(Path(__file__).parent / "data" / "synth-6-2.schedule.json")
-        assert np.array_equal(result[0].stages, pinned.stages)
+        assert np.array_equal(result[0], pinned)
 
 
 class TestSynthesizeOtherCases:
