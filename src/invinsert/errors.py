@@ -9,7 +9,8 @@ class ContractError(RuntimeError):
 
 
 class FactorizationError(RuntimeError):
-    """Spectral factorization failed a Newton solve or its |P|^2 = Q check."""
+    """Spectral factorization failed: Q is not positive on a grid of the
+    cepstral factor, its grids still disagree at their cap, or |P|^2 misses Q."""
 
 
 class CompositionError(RuntimeError):

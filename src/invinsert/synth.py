@@ -5,7 +5,7 @@ Pipeline per stage l:
 1. ``q_from_chain``  - assemble Q_l(z) = 1 + A_l + B_l with cos(r theta)
    split as (z^r + z^-r) / 2.
 2. ``spectral_factor`` - write Q_l = P_l(z) conj(P_l(1/conj(z))) on |z| = 1,
-   with P's zeros in the closed unit disk, and return P's coefficients.
+   with P's zeros in the open unit disk, and return P's coefficients.
 3. ``states_from_poly`` - read the stage state's position amplitudes
    psi(x), x < N, off P's coefficients.
 4. ``phases_from_states`` - the diagonal stage is the phase of
@@ -20,23 +20,23 @@ and l carries the parity: psi(x), x < N, in position, since
 psi(x + N) = (-1)^l psi(x), and the N momenta of parity l mod 2, one
 length-N FFT away.
 
-Numerical notes: Q positive on the circle is factored by Kolmogorov's
-minimum-phase construction, H = exp(causal part of log Q) (Sayed & Kailath,
-"A survey of spectral factorization methods", Numer. Linear Algebra Appl. 8,
-2001).  H's first N coefficients need only the first N cepstral
-coefficients, which a real FFT of log Q on a grid gives, and a power-series
-exponential turns them into h_0..h_{N-1} exactly.  The grid doubles until
-two successive grids agree within FACTOR_GRID_TOL.  Every chain's Q has real
-coefficients, so Q is even on the circle: each doubling evaluates Q only at
-the new odd points that are distinct up to mirroring, with quarter-length
-real FFTs (Makhoul's fast cosine transforms, IEEE TASSP 28, 1980).  A few
-convolutions give the change in h between two grids, and only the accepted
-grid takes the series exponential again.  Zeros on the circle, as in the
-start polynomial's squared magnitude, make log Q singular, and zeros near it
-keep the grids apart past FFT_MAX_SIZE; such Q, and Q with complex
-coefficients, are factored by Wilson's Newton iteration on the equations
-sum_j conj(h_j) h_{j+r} = q_r instead, started from a constant.  Either way
-|P|^2 - Q is checked on the circle against FACTOR_GRID_TOL.
+Numerical notes: Q must be positive on the circle, and is factored by
+Kolmogorov's minimum-phase construction, H = exp(causal part of log Q)
+(Sayed & Kailath, "A survey of spectral factorization methods", Numer.
+Linear Algebra Appl. 8, 2001).  H's first N coefficients need only the
+first N cepstral coefficients, which an FFT of log Q on a grid gives, and a
+power-series exponential turns them into h_0..h_{N-1} exactly.  The grid
+doubles until two successive grids agree within FACTOR_GRID_TOL, up to a
+cap of the first grid << LADDER_RUNGS and at most FFT_MAX_SIZE points.
+Every chain's Q has real coefficients, so Q is even on the circle: each
+doubling evaluates Q only at the new odd points that are distinct up to
+mirroring, with quarter-length real FFTs (Makhoul's fast cosine
+transforms, IEEE TASSP 28, 1980); complex Q takes all the new odd points.
+A few convolutions give the change in h between two grids, and only the
+accepted grid takes the series exponential again.  Zeros on the circle, as
+in the start polynomial's squared magnitude, make log Q singular and keep
+the grids apart up to the cap, where the factor raises FactorizationError.
+|P|^2 - Q is then checked on the circle against FACTOR_GRID_TOL.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from .exact import INFEASIBLE, build_chain, certify_chain, default_grid
 
 FACTOR_GRID_TOL = 1e-8
 FFT_MIN_SIZE = 1 << 10  # the first grid the factor may stop on is max(this, 16N)
-FFT_MAX_SIZE = 1 << 18  # points; it doubles up to this cap
-NEWTON_STEPS = 100      # cap on Newton factor steps
+FFT_MAX_SIZE = 1 << 23  # points, 64 MB a real array: no grid is finer
+LADDER_RUNGS = 10       # times the grid may double; (450,4) stage 1 takes 8
 ZERO_AMP_TOL = 1e-12    # arbitrary-phase threshold in phase extraction
 MAGNITUDE_TOL = 1e-8    # stage state vs oracle image, momentum by momentum
 
@@ -106,140 +106,114 @@ def _exp_change(h: np.ndarray, c: np.ndarray, new: np.ndarray) -> np.ndarray:
         t += 1
 
 
-def _odd_point_sums(q: np.ndarray, grid: int) -> Optional[np.ndarray]:
+def _log(values: np.ndarray, grid: int) -> np.ndarray:
+    """log Q in place, for Q's values at points of the ``grid``-point grid;
+    FactorizationError naming the grid and Q's least value where Q <= 0."""
+    least = values.min()
+    if not least > 0:
+        raise FactorizationError(
+            f"Q is not positive on the {grid}-point grid: its least value there is {least:.3e}"
+        )
+    return np.log(values, out=values)
+
+
+def _odd_point_sums(q: np.ndarray, grid: int) -> np.ndarray:
     """sum log Q(theta) e^{-i j theta}, j < N, over the odd points
-    theta = 2 pi (2m + 1) / grid, for real q_0..q_{N-1}; None where Q <= 0.
-    Such Q is even, and point 4m + 1 mirrors to grid - 4m - 1, which is 3 mod
-    4: the points 4m + 1, a grid of grid/4 turned by 2 pi / grid, hold one of
-    each pair (Makhoul's DCT-III and DCT-II, their permutations cancelled)."""
-    quarter = grid // 4
+    theta = 2 pi (2m + 1) / grid, a grid of grid/2 turned by 2 pi / grid.
+    Real q_0..q_{N-1} make Q even, and point 4m + 1 mirrors to
+    grid - 4m - 1, which is 3 mod 4: the points 4m + 1, a grid of grid/4,
+    hold one of each pair (Makhoul's DCT-III and DCT-II, their permutations
+    cancelled), and the sums are real.  Complex q takes all grid/2 points."""
+    complex_q = np.iscomplexobj(q)
+    points = grid // 2 if complex_q else grid // 4
     turn = np.exp(2j * np.pi / grid * np.arange(len(q)))
-    values = np.fft.irfft(turn * q, quarter) * quarter
-    if values.min() <= 0:
-        return None
-    log_q = np.log(values, out=values)
-    return 2 * (np.conj(turn) * np.fft.rfft(log_q)[:len(q)]).real
+    values = np.fft.irfft(turn * q, points) * points
+    sums = np.conj(turn) * np.fft.rfft(_log(values, grid))[:len(q)]
+    return sums if complex_q else 2 * sums.real
 
 
-def _cepstral_factor(q: np.ndarray) -> Optional[np.ndarray]:
+def _cepstral_factor(q: np.ndarray) -> np.ndarray:
     """Kolmogorov's minimum-phase factor: H = exp(causal part of log Q).
 
     H(z) = sum_n h_n z^n has no zeros in the disk, so the returned
-    coefficients h[:N][::-1] put P's zeros inside it.  On a grid of S
+    coefficients conj(h[:N])[::-1] put P's zeros inside it.  On a grid of S
     points, c = rfft(log Q)[:N] / S with c_0 halved are the cepstral
     coefficients up to aliasing, and ``_series_exp`` gives h[:N] from them.
-    The grid doubles from half of max(FFT_MIN_SIZE, 16N) and stops on the
-    first S whose h[:N] is within FACTOR_GRID_TOL of the S/2 grid's, the
-    coefficient error of the S/2 grid.  A grid's even points are the last
-    grid, so each later rung evaluates Q only at the S/4 of its odd points
-    that are distinct up to mirroring (``_odd_point_sums``), and
-    ``_exp_change`` carries h to it by convolutions; the accepted grid's h
-    is the series exponential of its c.  Q = 1, the last stage of every
-    chain, stops on the first rung.  Returns None for complex coefficients,
-    which no chain makes, for Q not positive on the grid, or at the cap, as
-    for zeros on the circle.
+    The grid doubles from the first rung, half of max(FFT_MIN_SIZE, 16N),
+    and stops on the first S whose h[:N] is within FACTOR_GRID_TOL of the
+    S/2 grid's, the coefficient error of the S/2 grid.  A grid's even points
+    are the last grid, so each later rung evaluates Q only at its odd points
+    (``_odd_point_sums``: S/4 of them for real q), and ``_exp_change``
+    carries h to it by convolutions; the accepted grid's h is the series
+    exponential of its c.  Q = 1, the last stage of every chain, stops on
+    the first rung.  The grid grows to at most the first rung
+    << LADDER_RUNGS, and never past FFT_MAX_SIZE.  Raises
+    FactorizationError where Q <= 0 on a grid, as for Q = 0, and at that
+    cap, as for zeros on the circle, which keep log Q's coefficients from
+    decaying.
     """
     n = len(q)
+    if not q[1:].imag.any():
+        q = q.real  # the circle values drop Im q_0
     size = max(FFT_MIN_SIZE, 1 << (16 * n - 1).bit_length()) // 2
-    if size > FFT_MAX_SIZE or q.imag.any():
-        return None
-    values = _circle_values(q, size)
-    if values.min() <= 0:
-        return None
-    log_q = np.log(values, out=values)
+    cap = min(FFT_MAX_SIZE, size << LADDER_RUNGS)
+    if size >= cap:
+        raise FactorizationError(
+            f"the ladder's first grid, {size} points, leaves no finer grid "
+            f"within FFT_MAX_SIZE = {FFT_MAX_SIZE} points"
+        )
+    log_q = _log(_circle_values(q, size), size)
     if not log_q.any():
         # log Q = 0 at all of the first grid's >= 8N points, more than the
         # 2N - 2 zeros Q - 1 can have, so Q = 1 and P = z^(N-1) is exact
         return np.eye(1, n, n - 1)[0]
-    sums = np.fft.rfft(log_q)[:n].real
+    sums = np.fft.rfft(log_q)[:n]
+    if not np.iscomplexobj(q):
+        sums = sums.real
     c = sums / size
     c[0] /= 2
     h = _series_exp(c)
-    while size < FFT_MAX_SIZE:
+    while size < cap:
         size *= 2
-        odd = _odd_point_sums(q.real, size)
-        if odd is None:
-            return None
-        sums = sums + odd
+        sums = sums + _odd_point_sums(q, size)
         new = sums / size
         new[0] /= 2
         change = _exp_change(h, c, new)
+        moved = np.max(np.abs(change))
         # the |P|^2 - Q gate alone can pass while P's coefficients are
         # still off; the change from the coarser grid tracks their error
-        if np.max(np.abs(change)) <= FACTOR_GRID_TOL:
-            return _series_exp(new)[::-1]
+        if moved <= FACTOR_GRID_TOL:
+            return np.conj(_series_exp(new))[::-1]
         h, c = h + change, new
-    return None
-
-
-def _newton_factor(q: np.ndarray) -> np.ndarray:
-    """Wilson's Newton iteration for sum_j conj(h_j) h_{j+r} = q_r, r < N,
-    for Q that the cepstral factor cannot take (G. T. Wilson, SIAM J.
-    Numer. Anal. 6, 1969).  Each step solves T h' + K conj(h') = q + T h,
-    with T[r, m] = conj(h_{m-r}) and K[r, j] = h_{j+r}, as a real system in
-    (Re h', Im h'), 32 N^2 bytes; its row for Im at r = 0 vanishes and is
-    replaced by the gauge Im h'_0 = 0.  From h = sqrt(q_0) e_0, which has no
-    zeros, the iterates converge to the minimum-phase factor, quadratically
-    for Q positive on the circle and linearly for Q with zeros on it, whose
-    coefficient error levels off near 1e-8.  So the iteration stops on the
-    first step no shorter than the one before and keeps the iterate it had.
-    Raises ContractError when q_0, the mean of Q on the circle, is not
-    positive, and FactorizationError on a singular solve or when the steps
-    still shrink after NEWTON_STEPS.
-    """
-    n = len(q)
-    if not q[0].real > 0:
-        raise ContractError(f"q_0 = {q[0].real:.3e}, the mean of Q on the circle, is not positive")
-    lag = np.arange(n) - np.arange(n)[:, None]  # < 0 indexes the zero padding
-    sums = np.arange(n) + np.arange(n)[:, None]
-    h = np.zeros(n, dtype=complex)
-    h[0] = np.sqrt(q[0].real)
-    last = np.inf
-    for _ in range(NEWTON_STEPS):
-        re, im = np.r_[h.real, np.zeros(n)], np.r_[h.imag, np.zeros(n)]
-        system = np.block([[re[lag] + re[sums], im[lag] + im[sums]],
-                           [im[sums] - im[lag], re[lag] - re[sums]]])
-        system[n] = np.arange(2 * n) == n  # the gauge row
-        rhs = q + np.correlate(h, h, "full")[n - 1:]  # q_r + sum_j conj(h_j) h_{j+r}
-        try:
-            new = np.linalg.solve(system, np.r_[rhs.real, 0.0, rhs.imag[1:]])
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(f"Newton step: {exc}") from exc
-        new = new[:n] + 1j * new[n:]
-        step = np.max(np.abs(new - h))
-        if not step < last:  # also on NaN
-            return np.conj(h[::-1])
-        h, last = new, step
-    raise FactorizationError(f"Newton steps still shrink after {NEWTON_STEPS}")
+    raise FactorizationError(
+        f"the cepstral factor's coefficients still change by {moved:.3e} on the "
+        f"{size}-point grid, the ladder's cap"
+    )
 
 
 def spectral_factor(q: np.ndarray) -> np.ndarray:
     """Factor Q(z) = P(z) conj(P(1/conj(z))) with |P|^2 = Q on the circle.
 
-    Q is given by q_0..q_{N-1}, q_{-r} = conj(q_r) implied, so it is real
-    on the circle when q_0 is.  Returns P's N complex coefficients,
-    ``coeffs[i]`` multiplying z^i.  P has its zeros in the closed unit disk
-    and a real positive leading coefficient.  Q positive on the circle takes
-    the FFT (cepstral) factor, so Q = 1 factors as z^(N-1); only Q with
-    complex coefficients, Q that is not positive on the FFT grid, or Q that
-    does not converge by its cap, takes the Newton factor.
+    Q is given by its real or complex coefficients q_0..q_{N-1},
+    q_{-r} = conj(q_r) implied, so it is real on the circle when q_0 is,
+    and it must be positive there.  Returns P's N complex coefficients,
+    ``coeffs[i]`` multiplying z^i, from the cepstral factor.  P has its
+    zeros in the open unit disk and a real positive leading coefficient, so
+    Q = 1 factors as z^(N-1).
 
     Raises ValueError unless q is 1-D with at least 2 coefficients,
-    ContractError for coefficients that are not finite, for
-    |Im q_0| > 1e-10 max(1, max |q_r|) or when q_0 is not positive, and
-    FactorizationError when the Newton iteration fails or |P|^2 misses Q
-    on the 64N-point grid by more than FACTOR_GRID_TOL, as for Q that
-    changes sign.
+    ContractError for coefficients that are not finite or for
+    |Im q_0| > 1e-10 max(1, max |q_r|), and FactorizationError where Q is
+    not positive on a grid of the cepstral factor, where its grids still
+    disagree at their cap, as for zeros on the circle, or when |P|^2 misses
+    Q on the 64N-point grid by more than FACTOR_GRID_TOL.
     """
     q = np.asarray(q)
     if q.ndim != 1 or len(q) < 2:
         raise ValueError(f"expected at least 2 coefficients in a 1-D array, got shape {q.shape}")
     if not np.isfinite(q).all() or abs(q[0].imag) > 1e-10 * max(1.0, np.abs(q).max()):
         raise ContractError("coefficients are not finite or q_0 is not real")
-    coeffs = _cepstral_factor(q)
-    if coeffs is None:
-        coeffs = _newton_factor(q)
-    coeffs = np.asarray(coeffs, dtype=complex)
+    coeffs = np.asarray(_cepstral_factor(q), dtype=complex)
 
     grid = 64 * len(q)
     p_values = grid * np.fft.ifft(coeffs, grid)

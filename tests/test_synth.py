@@ -36,6 +36,12 @@ def triangular_q(n):
     return (n - np.arange(n)) / n
 
 
+def q_with_zeros(roots):
+    """q_0..q_{N-1} of Q = |P|^2 for the monic P with these zeros."""
+    p_coeffs = np.poly(roots)[::-1]
+    return np.convolve(p_coeffs, np.conj(p_coeffs[::-1]))[len(roots):]
+
+
 def q_on_circle(q, grid):
     return synth._circle_values(q, grid)
 
@@ -84,22 +90,17 @@ class TestSpectralFactor:
             expected[n - 1] = 1.0
             np.testing.assert_allclose(p, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3, 6, 16])
-    def test_start_polynomial_recovered(self, n):
-        p = spectral_factor(triangular_q(n))
-        # canonical selection reproduces (z^{N-1} + ... + 1)/sqrt(N) up to
-        # a global phase; fix it via the largest coefficient
-        phase = p[np.argmax(np.abs(p))]
-        aligned = p * np.conj(phase) / abs(phase)
-        np.testing.assert_allclose(aligned, np.ones(n) / np.sqrt(n), atol=1e-6)
-
-    @pytest.mark.parametrize("n", [2, 3, 6, 16, 52])
-    def test_identity_on_circle_with_circle_zeros(self, n):
-        q = triangular_q(n)
-        p = spectral_factor(q)
-        grid = 64 * n
-        values = np.abs(p_on_circle(p, grid)) ** 2
-        np.testing.assert_allclose(values, q_on_circle(q, grid), atol=1e-8)
+    @pytest.mark.parametrize("q", [
+        *(triangular_q(n) for n in (2, 3, 6, 16, 52)),
+        # two zeros on the circle and one inside it, complex coefficients
+        q_with_zeros(np.exp(1j * np.array([0.3, 1.1, 2.0])) * [1.0, 1.0, 0.5]),
+    ], ids=["2", "3", "6", "16", "52", "complex"])
+    def test_circle_zeros_raise(self, q):
+        # log Q is singular at a zero on the circle: the start polynomial's
+        # squared magnitude is 0 on a grid point or keeps the grids apart
+        # up to the ladder's cap
+        with pytest.raises(FactorizationError):
+            spectral_factor(q)
 
     def test_random_round_trips(self):
         # 'oracle' direction: build Q from a known P, refactor, compare moduli
@@ -142,20 +143,49 @@ class TestSpectralFactor:
 
     @pytest.mark.parametrize("n", [3, 52])
     def test_memory_bounded_by_fft_cap(self, n):
-        # N = 3's circle zeros miss every FFT grid, so its Q walks the grid
-        # to the cap before taking the Newton path; N = 52's lie on the first grid
+        # N = 3's circle zeros miss every FFT grid, so its Q walks the ladder
+        # to its cap, 2^19 points; N = 52's lie on the first grid
         tracemalloc.start()
         try:
-            spectral_factor(triangular_q(n))
+            with pytest.raises(FactorizationError):
+                spectral_factor(triangular_q(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_first_grid_at_the_budget_raises(self):
+        # from N = 2^19 + 1 the first grid, half of 16N rounded up, is
+        # already FFT_MAX_SIZE points, and no Q is evaluated
+        q = np.zeros(2**19 + 1)
+        q[0] = 1.0
+        with pytest.raises(FactorizationError, match=(
+            r"^the ladder's first grid, 8388608 points, leaves no finer grid "
+            r"within FFT_MAX_SIZE = 8388608 points$"
+        )):
+            spectral_factor(q)
+
+    def test_large_n_factors_within_the_fft_budget(self):
+        # N = 16385 is the first N whose first rung, 2^18 points, is half
+        # of 16N rounded up; P = z^(N-1) + z^(N-2) / 2 has its zero at -1/2
+        n = 16385
+        q = np.zeros(n)
+        q[:2] = 1.25, 0.5
+        expected = np.zeros(n)
+        expected[-2:] = 0.5, 1.0
+        tracemalloc.start()
+        try:
+            coeffs = spectral_factor(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(coeffs, expected, rtol=0, atol=1e-12)
+        assert peak < 64 * 2**20
+
     def test_zeros_near_circle_recovered(self, monkeypatch):
         # P is known: monic, zeros at radius 1 - 1e-3, so log Q's
         # coefficients decay only as 0.999^r; P's coefficients are complex,
-        # so Q takes the Newton factor
+        # so each rung evaluates Q at all of its odd points
         n = 8
         angles = np.array([0.3, 1.1, 2.0, 2.9, -2.5, -1.4, -0.6])
         roots = (1 - 1e-3) * np.exp(1j * angles)
@@ -181,7 +211,6 @@ class TestSpectralFactor:
 
         monkeypatch.setattr(synth.np, "roots", no_eigensolve)
         coeffs = synth._cepstral_factor(q)
-        assert coeffs is not None
         np.testing.assert_allclose(coeffs, p_coeffs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(spectral_factor(q), p_coeffs, rtol=0, atol=1e-12)
 
@@ -191,15 +220,39 @@ class TestSpectralFactor:
         with pytest.raises((FactorizationError, ContractError)):
             spectral_factor(q)
 
-    @pytest.mark.parametrize("q", [
-        [0, 0, 0], [-1, 0, 0], [1, 0, np.nan],
+    @pytest.mark.parametrize("q,error", [
+        ([0, 0, 0], FactorizationError), ([-1, 0, 0], FactorizationError),
+        ([1, 0, np.nan], ContractError),
     ], ids=["zero", "minus-one", "nan"])
-    def test_q_without_factor_raises_typed_errors(self, q):
-        # Q = 0 and Q = -1 are not positive on any grid, so they reach the
-        # Newton factor, which has no start sqrt(q_0) e_0 for them; a Q with
-        # NaN coefficients would pass the NaN-blind |P|^2 - Q gate
-        with pytest.raises((FactorizationError, ContractError)):
+    def test_q_without_factor_raises_typed_errors(self, q, error):
+        # Q = 0 and Q = -1 are not positive on the first grid; a Q with NaN
+        # coefficients would pass the NaN-blind |P|^2 - Q gate
+        with pytest.raises(error):
             spectral_factor(np.array(q, dtype=complex))
+
+    @pytest.mark.parametrize("q,grid,least", [
+        (np.array([-1.0, 0.0, 0.0]), 512, r"-1\.000e\+00"),
+        # |P|^2 - 1e-8 for P's zeros at angles +-2 pi 129 / 1024, between the
+        # first grid's points: Q dips below 0 first on the 1024-point grid
+        (q_with_zeros(np.exp(2j * np.pi * 129 / 1024 * np.array([1, -1]))) - [1e-8, 0, 0],
+         1024, r"-1\.000e-08"),
+    ], ids=["first-rung", "later-rung"])
+    def test_error_names_the_grid_where_q_is_not_positive(self, q, grid, least):
+        with pytest.raises(FactorizationError, match=(
+            rf"^Q is not positive on the {grid}-point grid: its least value there is {least}$"
+        )):
+            spectral_factor(q)
+
+    def test_error_names_the_cap_and_the_change_left(self, monkeypatch):
+        # stage 1 of the (52,3) chain is accepted on 2^14 points, 2^5 times
+        # its first rung; three rungs stop it at 2^12
+        free = cli._load_free_series(52, 3, [PERFBENCH_INPUTS / "free-52-3.json"])
+        monkeypatch.setattr(synth, "LADDER_RUNGS", 3)
+        with pytest.raises(FactorizationError, match=(
+            r"^stage 1: the cepstral factor's coefficients still change by "
+            r"\d\.\d{3}e-\d\d on the 4096-point grid, the ladder's cap$"
+        )):
+            synthesize_exact(52, 3, free)
 
     @pytest.mark.parametrize("q,error", [
         (np.ones((2, 2)), ValueError),
@@ -218,56 +271,27 @@ class TestSpectralFactor:
         p = spectral_factor(q)
         np.testing.assert_allclose(np.abs(p_on_circle(p, 64)) ** 2, q_on_circle(q, 64), atol=1e-10)
 
-    def test_newton_step_cap_raises(self, monkeypatch):
-        # the triangular Q converges linearly, about 27 steps at N = 6
-        monkeypatch.setattr(synth, "NEWTON_STEPS", 5)
-        with pytest.raises(FactorizationError, match="after 5"):
-            spectral_factor(triangular_q(6))
-
-    @pytest.mark.parametrize("n,k", [(16, 3), (52, 3)])
-    def test_newton_factor_is_minimum_phase(self, n, k, monkeypatch):
-        # a factor with a zero reflected outside the disk passes the |P|^2 - Q
-        # gate as well; the reference selects the zeros inside it
-        free, _ = search_free_series(n, k)
+    @pytest.mark.parametrize("n,rungs", [
+        (300, [524288, 262144, 131072, 4096]),
+        (400, [1048576, 524288, 262144, 4096]),
+        (450, [1048576, 524288, 524288, 4096]),
+    ], ids=["300", "400", "450"])
+    def test_k4_stages_take_the_ladder(self, monkeypatch, n, rungs):
+        # free series from `invinsert exact search --k 4 --n N --out`; their
+        # least Q on the circle is 1e-3 to 2.4e-3, and stage 1 at N = 450
+        # climbs to 2^8 times its first rung
+        k = 4
+        free = cli._load_free_series(n, k, [Path(__file__).parent / "data" / f"free-{n}-{k}.json"])
         chain = build_chain(n, k, free)
-        monkeypatch.setattr(synth, "_cepstral_factor", lambda q: None)
+        grids = record_rungs(monkeypatch)
+        accepted = []
         for ell in range(1, k + 1):
-            q = q_from_chain(*chain[ell])
-            ref = root_reference(q)
-            coeffs = spectral_factor(q)
-            i = np.argmax(np.abs(ref))
-            phase = coeffs[i] / ref[i] / abs(coeffs[i] / ref[i])
-            np.testing.assert_allclose(coeffs, ref * phase, rtol=0, atol=1e-10)
-
-    def test_complex_q_with_circle_zeros(self):
-        # P is known, with two zeros on the circle and one inside it, and
-        # complex coefficients; its circle zeros keep Q off the cepstral factor
-        roots = np.exp(1j * np.array([0.3, 1.1, 2.0])) * np.array([1.0, 1.0, 0.5])
-        p_coeffs = np.poly(roots)[::-1]
-        q = np.convolve(p_coeffs, np.conj(p_coeffs[::-1]))[3:]
-        assert synth._cepstral_factor(q) is None
-        coeffs = spectral_factor(q)
-        phase = coeffs[-1] / abs(coeffs[-1])
-        np.testing.assert_allclose(coeffs, p_coeffs * phase, rtol=0, atol=1e-6)
-
-    def test_n300_k4_stage_one_takes_newton(self, monkeypatch):
-        # free series from `invinsert exact search --k 4 --n 300 --out`; stage
-        # 1's cepstral factor still moves by 1.8e-7 at FFT_MAX_SIZE
-        n, k = 300, 4
-        free = cli._load_free_series(n, k, [Path(__file__).parent / "data" / "free-300-4.json"])
-        chain = build_chain(n, k, free)
-        newton = synth._newton_factor
-        factored = []
-
-        def recording(q):
-            factored.append(q)
-            return newton(q)
-
-        monkeypatch.setattr(synth, "_newton_factor", recording)
+            grids.clear()
+            synth._cepstral_factor(q_from_chain(*chain[ell]))
+            accepted.append(max(grids))
+        assert accepted == rungs
         _, report = synthesize_exact(n, k, free)
         assert report["exact"]
-        assert len(factored) == 1
-        np.testing.assert_array_equal(factored[0], q_from_chain(*chain[1]))
 
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -309,7 +333,7 @@ class TestCepstralFactor:
         accepted = []
         for ell in range(1, k + 1):
             grids.clear()
-            assert synth._cepstral_factor(q_from_chain(*chain[ell])) is not None
+            synth._cepstral_factor(q_from_chain(*chain[ell]))
             accepted.append(max(grids))
         assert accepted == rungs
 
@@ -324,7 +348,7 @@ class TestCepstralFactor:
                 return transform(a, n, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, recording)
-        assert synth._cepstral_factor(q_from_chain(*chain[1])) is not None
+        synth._cepstral_factor(q_from_chain(*chain[1]))
         first = first_rung(150)
         assert lengths[:2] == [first, first] and len(lengths) == 14  # 7 rungs, 2 transforms each
         # the r-th rung after the first grid has a grid of first * 2^r points
@@ -375,12 +399,16 @@ class TestCepstralFactor:
         sums = synth._odd_point_sums(q, 64)
         np.testing.assert_allclose(sums, reference, rtol=0, atol=1e-13)
 
-    def test_complex_q_takes_newton(self):
-        # no chain makes a Q with complex coefficients; the ladder leaves it
-        q = np.array([1.0, -0.25j])
-        assert synth._cepstral_factor(q) is None
-        p = spectral_factor(q)
-        np.testing.assert_allclose(np.abs(p_on_circle(p, 64)) ** 2, q_on_circle(q, 64), atol=1e-12)
+    def test_complex_q_takes_the_ladder(self):
+        # no chain makes a Q with complex coefficients; the ladder's rungs
+        # after the first evaluate such Q at all of their odd points
+        p = np.array([0.5j, 1.0])  # P = z + i/2, its zero inside the disk
+        q = q_with_zeros([-0.5j])
+        theta = 2 * np.pi * np.arange(1, 64, 2) / 64
+        log_q = np.log(q_on_circle(q, 64)[1::2])
+        reference = np.exp(-1j * np.outer(np.arange(2), theta)) @ log_q
+        np.testing.assert_allclose(synth._odd_point_sums(q, 64), reference, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(synth._cepstral_factor(q), p, rtol=0, atol=1e-12)
 
 
 def start_momentum(n):
