@@ -102,6 +102,25 @@ class TestSpectralFactor:
         with pytest.raises(FactorizationError):
             spectral_factor(q)
 
+    ZERO_ON_FIRST_GRID = (
+        r"Q is not positive on the 512-point grid: its least value there is -?\d\.\d{3}e[-+]\d\d"
+    )
+
+    @pytest.mark.parametrize("n,message", [
+        (2, ZERO_ON_FIRST_GRID),
+        (3, r"the cepstral factor's coefficients still change by \d\.\d{3}e-\d\d "
+            r"on the 524288-point grid, the ladder's cap"),
+        (6, ZERO_ON_FIRST_GRID),
+        (16, ZERO_ON_FIRST_GRID),
+    ], ids=["2", "3", "6", "16"])
+    def test_start_polynomial_error_names_where_the_ladder_stops(self, n, message):
+        # the start polynomial's zeros lie at 2 pi j / N, j = 1..N-1: for even
+        # N the zero at pi is a point of every grid, and N = 3's zeros at
+        # 2 pi/3 and 4 pi/3 miss every grid of 2^m points, so its grids stay
+        # apart up to the cap
+        with pytest.raises(FactorizationError, match=rf"^{message}$"):
+            spectral_factor(triangular_q(n))
+
     def test_random_round_trips(self):
         # 'oracle' direction: build Q from a known P, refactor, compare moduli
         rng = np.random.default_rng(2024)
