@@ -61,18 +61,6 @@ def _emit_csv(header: list, rows: list) -> None:
         sys.stdout.write(",".join(str(v) for v in row) + "\n")
 
 
-def _grid_override(value):
-    env = os.environ.get("INVINSERT_GRID")
-    if value is not None:
-        return value
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise SchemaError(f"INVINSERT_GRID must be an integer, got {env!r}") from exc
-    return None
-
-
 def _parse_range(text: str) -> range:
     try:
         lo, hi = text.split("..")
@@ -160,9 +148,8 @@ def _feasible_one(task) -> bool:
 
 
 def cmd_exact_feasible(args) -> int:
-    grid = _grid_override(args.grid)
     ns = list(_parse_range(args.n_range))
-    tasks = [(n, args.k, grid) for n in ns]
+    tasks = [(n, args.k, args.grid) for n in ns]
     jobs = min(args.jobs, len(tasks))  # a worker per N at most
     if jobs > 1:
         # spawned, not forked: a search leaves HiGHS threads running
@@ -184,9 +171,8 @@ def cmd_exact_feasible(args) -> int:
 
 
 def cmd_exact_search(args) -> int:
-    grid = _grid_override(args.grid)
-    found = exact.search_free_series(args.n, args.k, grid)
-    params = {"k": args.k, "n": args.n, "grid": grid}
+    found = exact.search_free_series(args.n, args.k, args.grid)
+    params = {"k": args.k, "n": args.n, "grid": args.grid}
     if found is None:
         _emit_report("exact search", params, {"found": False})
         return EXIT_INFEASIBLE
@@ -248,12 +234,11 @@ def _free_series(n: int, k: int, grid, paths) -> dict | None:
 
 
 def cmd_exact_synth(args) -> int:
-    grid = _grid_override(args.grid)
-    free = _free_series(args.n, args.k, grid, args.series)
+    free = _free_series(args.n, args.k, args.grid, args.series)
     if free is None:
         _emit_report("exact synth", {"n": args.n, "k": args.k}, {"found": False})
         return EXIT_INFEASIBLE
-    stages, report = synth.synthesize_exact(args.n, args.k, free, grid)
+    stages, report = synth.synthesize_exact(args.n, args.k, free, args.grid)
     hilbert.save_schedule(stages, args.out)
     _emit_report(
         "exact synth",
@@ -264,18 +249,19 @@ def cmd_exact_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _, report = synth.schedule_report(hilbert.load_schedule(args.schedule))
+    stages = hilbert.load_schedule(args.schedule)
+    _, report = synth.schedule_report(stages)
     if args.format == "json":
         _emit_report("verify", {"schedule": args.schedule}, report)
     else:
-        n, k, columns = report["n"], report["k"], report["v_columns"]
+        n, k, columns = report["n"], report["k"], synth.v_column(stages)
         sys.stdout.write(f"n={n} k={k}\n")
         for j, prob in enumerate(report["success_probs"]):
             sys.stdout.write(f"success[j={j}] = {prob:.12f}\n")
         header = ["x"] + [f"V{ell}" for ell in range(1, k + 1)]
         sys.stdout.write("\t".join(header) + "\n")
         for x in range(2 * n):
-            row = [str(x)] + [f"{columns[ell, x, 0]:.4f}" for ell in range(k)]
+            row = [str(x)] + [f"{columns[ell, x].real:.4f}" for ell in range(k)]
             sys.stdout.write("\t".join(row) + "\n")
     return EXIT_OK
 
@@ -299,12 +285,11 @@ def cmd_compose(args) -> int:
                 f"k={stages.shape[0]}), expected ({args.m}, {args.k})"
             )
     else:
-        grid = _grid_override(None)
-        free = _free_series(args.m, args.k, grid, None)
+        free = _free_series(args.m, args.k, None, None)
         if free is None:
             _emit_report("compose", params, {"found": False})
             return EXIT_INFEASIBLE
-        stages, _ = synth.synthesize_exact(args.m, args.k, free, grid)
+        stages, _ = synth.synthesize_exact(args.m, args.k, free)
     hidden = np.arange(n_total) if args.all else np.array([args.j])
     found, bases, subanswers, queries = compose.compose_all(stages, args.h, hidden)
     # row i is answer i's (interval base, level t, subanswer j') per level;

@@ -36,7 +36,8 @@ A few convolutions give the change in h between two grids, and only the
 accepted grid takes the series exponential again.  Zeros on the circle, as
 in the start polynomial's squared magnitude, make log Q singular and keep
 the grids apart up to the cap, where the factor raises FactorizationError.
-|P|^2 - Q is then checked on the circle against FACTOR_GRID_TOL.
+|P|^2 - Q is then checked against FACTOR_GRID_TOL on 64N points of the
+circle, from its coefficients.
 """
 
 from __future__ import annotations
@@ -206,18 +207,21 @@ def spectral_factor(q: np.ndarray) -> np.ndarray:
     |Im q_0| > 1e-10 max(1, max |q_r|), and FactorizationError where Q is
     not positive on a grid of the cepstral factor, where its grids still
     disagree at their cap, as for zeros on the circle, or when |P|^2 misses
-    Q on the 64N-point grid by more than FACTOR_GRID_TOL.
+    Q on the 64N-point grid by more than FACTOR_GRID_TOL.  That check forms
+    |P|^2's coefficients in Q's layout and evaluates |P|^2 - Q from them.
     """
     q = np.asarray(q)
     if q.ndim != 1 or len(q) < 2:
         raise ValueError(f"expected at least 2 coefficients in a 1-D array, got shape {q.shape}")
     if not np.isfinite(q).all() or abs(q[0].imag) > 1e-10 * max(1.0, np.abs(q).max()):
         raise ContractError("coefficients are not finite or q_0 is not real")
+    n = len(q)
     coeffs = np.asarray(_cepstral_factor(q), dtype=complex)
-
-    grid = 64 * len(q)
-    p_values = grid * np.fft.ifft(coeffs, grid)
-    mismatch = float(np.max(np.abs(np.abs(p_values) ** 2 - _circle_values(q, grid))))
+    # |P|^2's coefficients r_j = sum_i p_{i+j} conj(p_i), j < N, in Q's
+    # layout: the autocorrelation, by one FFT of 4N points (any length of at
+    # least 2N - 1 keeps the lags -(N-1)..N-1 apart)
+    r = np.fft.ifft(np.abs(np.fft.fft(coeffs, 4 * n)) ** 2)[:n]
+    mismatch = float(np.max(np.abs(_circle_values(r - q, 64 * n))))
     if mismatch > FACTOR_GRID_TOL:
         raise FactorizationError(
             f"|P|^2 deviates from Q by {mismatch:.3e} on the circle"
@@ -271,18 +275,17 @@ def schedule_report(stages: np.ndarray) -> tuple[np.ndarray, dict]:
     """Answer 0's final position amplitudes (``hilbert.run_answer_zero``) and
     the report fields of the (k, 2N) schedule ``stages``: n, k, every
     answer's success probability, which is 2 |psi_0(0)|^2 for all of them,
-    its minimum, and each stage's V column as [re, im] pairs."""
+    and its minimum.  The V columns are a function of the stages alone, so
+    the report leaves them out; ``v_column(stages)`` gives them."""
     k, width = np.shape(stages)
     n = width // 2
     final = hilbert.run_answer_zero(stages)
     success = np.full(n, 2 * abs(final[0]) ** 2)
-    columns = v_column(stages)
     return final, {
         "n": n,
         "k": k,
         "success_probs": success,
         "min_success_prob": float(success.min()),
-        "v_columns": np.stack([columns.real, columns.imag], -1),
     }
 
 
@@ -347,7 +350,7 @@ def synthesize_exact(
     report.update(
         exact=bool(report["min_success_prob"] >= 1 - 1e-9),
         max_pairwise_overlap=float(overlaps[1:].max()),
-        max_v_imag=float(np.abs(report["v_columns"][..., 1]).max()),
+        max_v_imag=float(np.abs(v_column(stages).imag).max()),
         magnitude_mismatch=magnitude_mismatch,
         certificates={str(ell): c.to_dict() for ell, c in certificates.items()},
     )

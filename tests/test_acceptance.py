@@ -25,7 +25,7 @@ from invinsert.exact import (
     search_free_series,
 )
 from invinsert.greedy import greedy_run
-from invinsert.synth import spectral_factor, synthesize_exact
+from invinsert.synth import spectral_factor, synthesize_exact, v_column
 from test_bounds import overlap_bound
 
 PROPERTY_SIZES = [2, 3, 6, 8, 16, 52]
@@ -142,8 +142,7 @@ def test_criterion_4_n6_exact_synthesis():
                     .2428, .3473, .0034, .0640, .1367, .2011]
     published_v2 = [.9122, -.2022, -.0380, .0736, .1258, .1286,
                     -.0878, -.2022, -.0380, .0736, .1258, .1286]
-    v1 = np.array([c[0] for c in rep["v_columns"][0]])
-    v2 = np.array([c[0] for c in rep["v_columns"][1]])
+    v1, v2 = v_column(schedule).real
     table_dev = max(np.max(np.abs(v1 - published_v1)), np.max(np.abs(v2 - published_v2)))
     report(
         4,

@@ -221,13 +221,6 @@ class TestExactCommands:
         code, _, err = run_cli(capsys, "exact", "search", "--k", "2", "--n", "6", "--seed", "1")
         assert code == 64 and "--seed" in err
 
-    def test_grid_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("INVINSERT_GRID", "5000")
-        code, out, _ = run_cli(capsys, "exact", "search", "--k", "2", "--n", "6")
-        assert code == 0
-        certs = json.loads(out)["results"]["certificates"]
-        assert certs["1"]["grid_points"] == 5000
-
     @pytest.mark.parametrize("argv", [
         ("exact", "search", "--k", "3", "--n", "16", "--grid", "0"),
         ("exact", "feasible", "--k", "2", "--n-range", "6..7", "--grid", "0"),
@@ -241,6 +234,20 @@ class TestExactCommands:
         code, out, err = run_cli(capsys, *(a.format(out=out_file) for a in argv))
         assert code == 1 and "grid intervals" in err and out == ""
         assert not out_file.exists()
+
+    def test_synth_refuses_a_chain_negative_off_the_grid(self, capsys, tmp_path):
+        # `exact search --k 4 --n 550` finds this chain and exits 0, but its
+        # stage 2 dips below 0 between the grid's points (ROADMAP item 1)
+        series = Path(__file__).parent / "data" / "free-550-4.json"
+        out_file = tmp_path / "s.json"
+        code, out, err = run_cli(
+            capsys, "exact", "synth", "--n", "550", "--k", "4",
+            "--series", str(series), "--out", str(out_file),
+        )
+        assert code == 1 and out == "" and not out_file.exists()
+        assert err.startswith(
+            "invinsert: stage 2: Q is not positive on the 65536-point grid"
+        )
 
     def test_results_deterministic_across_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "exact", "search", "--k", "3", "--n", "8")
@@ -322,6 +329,21 @@ class TestSynthVerifyRoundTrip:
         assert header == ["x", "V1", "V2"]
         first = lines[8].split("\t")
         assert first[1] == "0.7572" and first[2] == "0.9122"
+        # every row is x and the real parts of the stages' V columns
+        columns = synth.v_column(hilbert.load_schedule(path)).real
+        rows = [line.split("\t") for line in lines[8:]]
+        assert rows == [[str(x)] + [f"{v:.4f}" for v in columns[:, x]] for x in range(12)]
+
+    def test_verify_json_reports_success_only(self, capsys, tmp_path):
+        # the V columns follow from the schedule file, so the report leaves
+        # them out; with them it would take 2.4 MB at (4096, 6)
+        path = tmp_path / "g.json"
+        run_cli(capsys, "greedy", "--n", "4096", "--k", "6", "--emit-schedule", str(path))
+        code, out, _ = run_cli(capsys, "verify", "--schedule", str(path), "--format", "json")
+        assert code == 0 and len(out.encode()) < 128 * 1024
+        results = json.loads(out)["results"]
+        assert list(results) == ["n", "k", "success_probs", "min_success_prob"]
+        assert (results["n"], results["k"], len(results["success_probs"])) == (4096, 6, 4096)
 
     def test_serialized_precision(self, tmp_path):
         # at least 15 significant digits survive the file round trip

@@ -3,6 +3,7 @@
 import functools
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from exact_testing import (
     eval_series,
 )
 
-from invinsert import exact
+from invinsert import cli, exact
 from invinsert.errors import ContractError, SchemaError, SolverError
 from invinsert.exact import (
     CERTIFIED_POSITIVE,
@@ -210,6 +211,29 @@ class TestCertifyNonneg:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestChainOffTheGrid:
+    """The (550,4) chain of `invinsert exact search --k 4 --n 550 --out`:
+    every stage is at least 1.8e-3 on the default grid, and stage 2 dips to
+    -2.96e-3 between its points."""
+
+    FINE_GRID = 2**21
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_stages_negative_off_the_grid_are_infeasible(self):
+        path = Path(__file__).parent / "data" / "free-550-4.json"
+        chain = build_chain(550, 4, cli._load_free_series(550, 4, [path]))
+        stages = chain_constraints(chain)
+        fine_min = {
+            ell: (1 + sum(grid_values(s, self.FINE_GRID) for s in series)).min()
+            for ell, series in stages.items()
+        }
+        assert min(fine_min.values()) < -1e-9
+        certs = certify_chain(chain, default_grid(550))
+        for ell, least in fine_min.items():
+            if least < -1e-9:
+                assert certs[ell].verdict == INFEASIBLE, f"stage {ell}: {certs[ell].verdict}"
 
 
 class TestFeasibilityBoundaries:

@@ -712,11 +712,11 @@ class TestWriteJson:
         assert_reads_back((tmp_path / "schedule.json").read_text(), {"n": 4096, "k": 6, "stages": greedy_4096})
 
     def test_long_rows_of_rows_are_sliced(self, tmp_path):
-        # verify's V columns at N = 4096: rows of 8192 [re, im] pairs, each
-        # longer than a piece; one orjson.dumps of the document, or of each
-        # column, peaks at 1.0 MiB (one json.dumps per column at 1.8)
+        # rows of 8192 [re, im] pairs, each longer than a piece; one
+        # orjson.dumps of the document, or of each row, peaks at 1.0 MiB
+        # (one json.dumps per row at 1.8)
         rng = np.random.default_rng(3)
-        doc = {"v_columns": [rng.random((8192, 2)).tolist() for _ in range(2)]}
+        doc = {"rows": [rng.random((8192, 2)).tolist() for _ in range(2)]}
         path = tmp_path / "report.json"
         with open(path, "w") as fh:
             tracemalloc.start()

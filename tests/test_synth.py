@@ -199,7 +199,9 @@ class TestSpectralFactor:
         finally:
             tracemalloc.stop()
         np.testing.assert_allclose(coeffs, expected, rtol=0, atol=1e-12)
-        assert peak < 64 * 2**20
+        # the |P|^2 - Q gate evaluates its coefficients on the 64N-point
+        # grid, 8 MiB a real array here
+        assert peak < 24 * 2**20
 
     def test_zeros_near_circle_recovered(self, monkeypatch):
         # P is known: monic, zeros at radius 1 - 1e-3, so log Q's
@@ -551,9 +553,8 @@ class TestSynthesizeN6K2:
         assert report["max_v_imag"] < 1e-9
 
     def test_published_column_table(self, result):
-        _, report = result
-        v1 = np.array([c[0] for c in report["v_columns"][0]])
-        v2 = np.array([c[0] for c in report["v_columns"][1]])
+        schedule, _ = result
+        v1, v2 = v_column(schedule).real
         assert np.max(np.abs(v1 - V1_COLUMN)) < 1e-3
         assert np.max(np.abs(v2 - V2_COLUMN)) < 1e-3
 
@@ -571,7 +572,7 @@ class TestSynthesizeN6K2:
         # verify and synthesis build these fields with one function
         schedule, report = result
         _, fields = synth.schedule_report(schedule)
-        assert list(fields) == ["n", "k", "success_probs", "min_success_prob", "v_columns"]
+        assert list(fields) == ["n", "k", "success_probs", "min_success_prob"]
         for key, value in fields.items():
             assert np.asarray(report[key]).tobytes() == np.asarray(value).tobytes()
 
