@@ -28,8 +28,7 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 EXIT_SCHEMA = 65
 
-# compose --all holds a report record per answer: 101 MB peak RSS at 2^16
-# answers (compose --m 2 --k 1 --h 16 --all, fresh process)
+# compose --all: a record per answer, 51 MiB peak RSS at 2^16 (--m 2 --k 1 --h 16, fresh process)
 ALL_ANSWERS_MAX = 2**16
 
 
@@ -85,6 +84,17 @@ def _at_least(flag: str, lo: int):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _epsilon(text: str) -> float:
+    """An argparse type for ``bound --epsilon``: a float in (0, 1]; NaN too raises _UsageError."""
+    value = float(text)
+    if not 0 < value <= 1:
+        raise _UsageError(f"--epsilon must lie in (0, 1], got {value}")
+    return value
+
+
+_epsilon.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 def _out_path(path: str) -> str:
@@ -291,16 +301,10 @@ def cmd_compose(args) -> int:
             return EXIT_INFEASIBLE
         stages, _ = synth.synthesize_exact(args.m, args.k, free)
     hidden = np.arange(n_total) if args.all else np.array([args.j])
-    found, bases, subanswers, queries = compose.compose_all(stages, args.h, hidden)
-    # row i is answer i's (interval base, level t, subanswer j') per level;
-    # C order, so orjson writes each row without a tolist fallback
-    per_level = np.empty((hidden.size, args.h, 3), dtype=np.int64)
-    per_level[..., 0] = bases.T
-    per_level[..., 1] = np.arange(args.h, 0, -1)
-    per_level[..., 2] = subanswers.T
+    found, queries = compose.compose_all(stages, args.h, hidden)
     runs = [
-        {"hidden_j": j, "found_j": found_j, "queries_used": queries, "per_level": row}
-        for j, found_j, row in zip(hidden.tolist(), found.tolist(), per_level)
+        {"hidden_j": j, "found_j": found_j, "queries_used": queries}
+        for j, found_j in zip(hidden.tolist(), found.tolist())
     ]
     ok = bool(np.array_equal(found, hidden))
     _emit_report("compose", params, {"n": n_total, "all_recovered": ok, "runs": runs})
@@ -333,7 +337,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bound", help="invariant overlap bound and query count")
     p.add_argument("--n", type=_at_least("--n", 2), required=True)
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--epsilon", type=_epsilon, default=1.0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(handler="cmd_bound")
 

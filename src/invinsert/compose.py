@@ -27,18 +27,17 @@ SUCCESS_FLOOR = 1 - 1e-6
 
 
 class Composition(NamedTuple):
-    """``compose_all``'s J answers as columns; level row i is t = h - i."""
+    """``compose_all``'s J answers; level t's subanswer of a recovered j is
+    its base-M digit (j // M^(t-1)) % M."""
 
     found: np.ndarray  # (J,) int64: the located answer
-    bases: np.ndarray  # (h, J) int64: the interval base at each level
-    subanswers: np.ndarray  # (h, J) int64: the measured subanswer j'
     queries_used: int  # h k, the same for every answer
 
 
 def compose_all(stages: np.ndarray, h: int, hidden_js) -> Composition:
     """Locate every hidden answer in 0..M^h - 1 with h runs of the (M, k)
-    subroutine whose schedule is the (k, 2M) array ``stages``; column j of
-    the result is ``hidden_js[j]``.
+    subroutine whose schedule is the (k, 2M) array ``stages``; entry j of
+    ``found`` is where ``hidden_js[j]`` was located.
 
     Measurement is simulated deterministically: the exact subroutine leaves
     essentially unit overlap with exactly one target, and that subanswer is
@@ -65,10 +64,8 @@ def compose_all(stages: np.ndarray, h: int, hidden_js) -> Composition:
             f"level {h}: best overlap {overlap:.6f} below {SUCCESS_FLOOR}; "
             "the subroutine schedule is not exact"
         )
-    bases = np.empty((h, hidden.size), dtype=np.int64)
-    subanswers = np.empty_like(bases)
     base = np.zeros_like(hidden)
-    for row, t in enumerate(range(h, 0, -1)):
+    for t in range(h, 0, -1):
         scale = m ** (t - 1)
         sub = (hidden - base) // scale
         outside = (sub < 0) | (sub >= m)
@@ -78,10 +75,8 @@ def compose_all(stages: np.ndarray, h: int, hidden_js) -> Composition:
                 f"hidden index {hidden[i]} outside the interval "
                 f"[{base[i]}, {base[i] + m * scale})"
             )
-        bases[row] = base
-        subanswers[row] = (sub + shift) % m
-        base = base + subanswers[row] * scale
-    return Composition(base, bases, subanswers, h * k)
+        base = base + (sub + shift) % m * scale
+    return Composition(base, h * k)
 
 
 def rate(k: int, m: int) -> float:

@@ -190,21 +190,21 @@ def run_signs(stages: np.ndarray, signs: np.ndarray) -> np.ndarray:
     are the rows of ``signs`` (shape (..., N)): each stage is the oracle, then
     exp(i alpha(p)).  Stage l transforms psi at length N on parity l mod 2.
     Raises ValueError unless the stages are twice as wide as the signs."""
-    factors = np.exp(1j * np.asarray(stages, dtype=float))
+    stages = np.asarray(stages, dtype=float)
     signs = np.asarray(signs, dtype=float)
     n = signs.shape[-1]
-    if factors.shape[-1] != 2 * n:
-        raise ValueError(f"stages of width {factors.shape[-1]} do not fit signs of width {n}")
+    if stages.shape[-1] != 2 * n:
+        raise ValueError(f"stages of width {stages.shape[-1]} do not fit signs of width {n}")
     twist = _twist(n)
     untwist = twist.conj()
     amps = np.full(signs.shape, 1.0 / np.sqrt(2 * n), dtype=complex)
-    for ell, factor in enumerate(factors, 1):  # in place where it can
+    for ell, row in enumerate(stages, 1):  # in place where it can
         odd = ell % 2
         np.multiply(amps, signs, out=amps)
         if odd:
             np.multiply(amps, untwist, out=amps)
         amps = np.fft.fft(amps)
-        amps = np.fft.ifft(np.multiply(amps, factor[odd::2], out=amps))
+        amps = np.fft.ifft(np.multiply(amps, np.exp(1j * row[odd::2]), out=amps))
         if odd:
             np.multiply(amps, twist, out=amps)
     return amps

@@ -68,6 +68,16 @@ class TestBoundCommand:
         assert results["asymptotic_log2"] is not None
         assert results["min_queries"] >= 3
 
+    @pytest.mark.parametrize("epsilon, shown", [("0", "0.0"), ("1.5", "1.5"), ("nan", "nan")])
+    def test_epsilon_outside_unit_interval_is_64(self, capsys, monkeypatch, epsilon, shown):
+        # refused as the arguments are parsed, before any bound is computed
+        def no_report(*args, **kwargs):
+            raise AssertionError("a bound was computed")
+
+        monkeypatch.setattr(cli.bounds, "bound_report", no_report)
+        code, out, err = run_cli(capsys, "bound", "--n", "64", "--epsilon", epsilon)
+        assert (code, out, err) == (64, "", f"invinsert: --epsilon must lie in (0, 1], got {shown}\n")
+
 
 class TestExactCommands:
     def test_feasible_boundary_pattern(self, capsys):
@@ -367,8 +377,7 @@ class TestComposeAndRate:
         results = json.loads(out)["results"]
         assert results["all_recovered"]
         run = results["runs"][0]
-        assert run["found_j"] == 17 and run["queries_used"] == 4
-        assert [level[1] for level in run["per_level"]] == [2, 1]
+        assert run == {"hidden_j": 17, "found_j": 17, "queries_used": 4}
 
     def test_compose_without_a_free_series_reports_every_param(self, capsys):
         # two queries are exact only up to N = 6, so (7, 2) has no free series

@@ -125,12 +125,13 @@ class TestComposeSolve:
 
     def test_interval_nesting(self, schedule_6_2):
         comp = compose_all(schedule_6_2, 3, [157])
-        assert comp.found[0] == 157
+        assert comp.found.tolist() == [157]
         assert comp.queries_used == 6
-        # one row per level, t = 3, 2, 1
-        assert comp.bases.shape == comp.subanswers.shape == (3, 1)
-        # each interval contains the hidden answer and shrinks by a factor m
-        for base, t in zip(comp.bases[:, 0], [3, 2, 1]):
+        # each interval contains the hidden answer and shrinks by a factor m;
+        # its base is the answer with its base-m digits below level t cleared
+        _, per_level = reference_run(6, 2, 3, schedule_6_2, 157)
+        assert per_level == [(157 - 157 % 6**t, t, 157 // 6 ** (t - 1) % 6) for t in [3, 2, 1]]
+        for base, t, _ in per_level:
             assert base <= 157 < base + 6**t
 
     def test_inexact_schedule_rejected(self):
@@ -168,12 +169,6 @@ def reference_run(m, k, h, schedule, hidden):
     return base, per_level
 
 
-def levels(comp, i):
-    """Answer i's (interval base, level t, subanswer j') per level."""
-    h = comp.bases.shape[0]
-    return list(zip(comp.bases[:, i].tolist(), range(h, 0, -1), comp.subanswers[:, i].tolist()))
-
-
 class TestComposeAll:
     @pytest.mark.parametrize("m, k, h", [(6, 2, 2), (2, 1, 5), (6, 2, 3)])
     @pytest.mark.parametrize("order", [None, "reversed"])
@@ -184,16 +179,13 @@ class TestComposeAll:
         assert comp.found.shape == (m**h,)  # one column per answer, in order
         for i, hidden in enumerate(hidden_js.tolist()):
             single = compose_all(schedule, h, [hidden])
-            found, per_level = reference_run(m, k, h, schedule, hidden)
+            found, _ = reference_run(m, k, h, schedule, hidden)
             assert comp.found[i] == single.found[0] == found == hidden
             assert comp.queries_used == single.queries_used == h * k
-            assert levels(comp, i) == levels(single, 0) == per_level
 
     def test_int64_columns(self, schedule_6_2):
         comp = compose_all(schedule_6_2, 2, [0, 35])
-        columns = [comp.found, comp.bases, comp.subanswers]
-        for column, shape in zip(columns, [(2,), (2, 2), (2, 2)]):
-            assert column.dtype == np.int64 and column.shape == shape
+        assert comp.found.dtype == np.int64 and comp.found.shape == (2,)
         assert type(comp.queries_used) is int
 
     def test_plain_ints(self, capsys):
@@ -201,10 +193,26 @@ class TestComposeAll:
         argv = ["compose", "--m", "6", "--k", "2", "--h", "2", "--all", "--schedule", str(SCHEDULE_6_2)]
         assert cli.main(argv) == 0
         runs = json.loads(capsys.readouterr().out)["results"]["runs"]
-        values = [v for run in runs for key, v in run.items() if key != "per_level"]
-        values += [v for run in runs for level in run["per_level"] for v in level]
-        assert len(values) == 36 * (3 + 2 * 3)
+        values = [v for run in runs for v in run.values()]
+        assert len(values) == 36 * 3
         assert all(type(v) is int for v in values)
+
+    def test_records_hold_the_answer_and_its_queries(self, schedule_2_1, tmp_path, monkeypatch):
+        # a record states hidden_j, found_j and queries_used and nothing its
+        # answer fixes: level t's subanswer of j is its base-m digit
+        path = tmp_path / "s2.json"
+        hilbert.save_schedule(schedule_2_1, path)
+        report = tmp_path / "report.json"
+        for select in [["--j", "40000"], ["--all"]]:
+            argv = ["compose", "--m", "2", "--k", "1", "--h", "16", *select, "--schedule", str(path)]
+            with open(report, "w") as out:
+                monkeypatch.setattr(sys, "stdout", out)
+                assert cli.main(argv) == 0
+            runs = json.loads(report.read_text())["results"]["runs"]
+            assert len(runs) == (1 if select[0] == "--j" else 2**16)
+            assert all(run.keys() == {"hidden_j", "found_j", "queries_used"} for run in runs)
+        # 3.45 MB for 2^16 answers; with each answer's per-level rows, 16.75 MB
+        assert report.stat().st_size < 4 * 10**6
 
     def test_report_matches_the_pinned_results(self, capsys):
         # the results text of compose --m 6 --k 2 --h 3 --all, as written
@@ -226,8 +234,7 @@ class TestComposeAll:
 
     def test_no_answers_give_empty_columns(self, schedule_6_2):
         comp = compose_all(schedule_6_2, 3, [])
-        for column, shape in zip([comp.found, comp.bases, comp.subanswers], [(0,), (3, 0), (3, 0)]):
-            assert column.dtype == np.int64 and column.shape == shape
+        assert comp.found.dtype == np.int64 and comp.found.shape == (0,)
         assert comp.queries_used == 6
 
     def test_memory_of_compose_all_52_3_2(self, tmp_path, capsys):
@@ -248,8 +255,8 @@ class TestComposeAll:
         assert peak < 8 * 2**20
 
     def test_memory_of_the_2_1_14_report(self, schedule_2_1, tmp_path, monkeypatch):
-        # 2^14 answers: 15.5 MiB with one array row of levels per answer;
-        # a tuple per level and answer took 32.9 MiB
+        # 2^14 answers: 4.7 MiB with three ints per answer; one array row of
+        # levels per answer took 15.4 MiB, and a tuple per level and answer 32.9
         path = tmp_path / "s2.json"
         hilbert.save_schedule(schedule_2_1, path)
         argv = ["compose", "--m", "2", "--k", "1", "--h", "14", "--all", "--schedule", str(path)]
@@ -263,7 +270,7 @@ class TestComposeAll:
                 tracemalloc.stop()
         assert code == 0
         assert json.loads((tmp_path / "report.json").read_text())["results"]["all_recovered"]
-        assert peak < 24 * 2**20
+        assert peak < 8 * 2**20
 
 
 def shifted_schedule(schedule):

@@ -520,6 +520,18 @@ class TestRunAnswerZero:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "invinsert: answer 5 ends 1.000e-09 from the translate of answer 0\n"
 
+    def test_memory_is_one_stage_row(self):
+        # (4096, 64): 0.7 MiB with one row's exp(i alpha) at a time; all k
+        # rows' exp(i alpha) and i alpha at once took 16.1 MiB (8 MiB each)
+        stages = np.random.default_rng(0).uniform(0, 2 * np.pi, (64, 2 * 4096))
+        tracemalloc.start()
+        try:
+            run_answer_zero(stages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestSchedulesAreReadOnly:
     """A schedule is a plain array: the library hands out read-only ones and
@@ -731,8 +743,8 @@ class TestWriteJson:
 
 
     def test_dict_rows_are_sliced_by_their_values(self, monkeypatch):
-        # compose --all at h = 16: each run holds 3 ints and 16 levels of 3,
-        # 51 values under 4 keys; no orjson.dumps call may take more than a piece
+        # each dict row holds 3 ints and a (16, 3) array, 51 values under 4
+        # keys; no orjson.dumps call may take more than a piece
         rng = np.random.default_rng(6)
         runs = [{"hidden_j": j, "found_j": j, "queries_used": 16, "per_level": rng.integers(0, 9, (16, 3))}
                 for j in range(300)]
