@@ -1,7 +1,7 @@
 """Command-line front end: simulation, bounds, feasibility, synthesis, composition.
 
-Exit codes: 0 success, 1 failed stage or unwritable output file,
-2 infeasible or empty result, 64 usage error, 65 malformed or unreadable
+Exit codes: 0 success, 1 failed stage, out of memory or unwritable output
+file, 2 infeasible or empty result, 64 usage error, 65 malformed or unreadable
 input file.  JSON reports carry full-precision values; CSV tables round
 probabilities to 4 decimal places.
 """
@@ -407,7 +407,9 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         sys.stderr.write(f"invinsert: {exc}\n")
         return EXIT_SCHEMA
-    except (ContractError, FactorizationError, CompositionError, SolverError, ValueError, OSError) as exc:
+    except (
+        ContractError, FactorizationError, CompositionError, SolverError, ValueError, OSError, MemoryError,
+    ) as exc:
         sys.stderr.write(f"invinsert: {exc}\n")
         return 1
 

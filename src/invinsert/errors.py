@@ -34,9 +34,12 @@ class SchemaError(ValueError):
         return value
 
     @staticmethod
-    def require_numbers(data: dict, key: str, document: str):
-        """``data[key]`` if it is a JSON number or nested lists of them;
-        strings, booleans and null raise SchemaError."""
+    def require_array(data: dict, key: str, document: str, shape: tuple) -> np.ndarray:
+        """``data[key]`` as a float array if it is a JSON number or nested
+        lists of them.  Strings, booleans and null raise SchemaError naming the
+        first met breadth-first; nested lists of unequal lengths raise
+        SchemaError naming ``shape``, the one expected.  Other shapes are the
+        caller's to check."""
         items = [data[key]]
         for item in items:  # grows as lists are opened: a breadth-first walk
             if type(item) is list:
@@ -44,16 +47,8 @@ class SchemaError(ValueError):
                     items.extend(item)
             elif type(item) not in (int, float):
                 raise SchemaError(f"{document} field {key!r} must hold only numbers, got {item!r}")
-        return data[key]
-
-    @staticmethod
-    def require_array(data: dict, key: str, document: str, shape: tuple) -> np.ndarray:
-        """``data[key]`` as a float array, for numbers as ``require_numbers``
-        takes them; nested lists of unequal lengths raise SchemaError naming
-        ``shape``, the one expected.  Other shapes are the caller's to check."""
-        values = SchemaError.require_numbers(data, key, document)
         try:
-            return np.array(values, dtype=float)
+            return np.array(data[key], dtype=float)
         except ValueError as exc:  # numpy's "inhomogeneous shape"
             raise SchemaError(
                 f"{document} field {key!r} must be an array of shape {shape}, got a ragged list"

@@ -47,8 +47,10 @@ JSON_PIECE = 1 << 12  # values per orjson.dumps call: bounds the text in memory
 def write_json(doc, fh) -> None:
     """Write ``doc`` and a newline to ``fh``: the text of ``orjson.dumps`` with
     OPT_SERIALIZE_NUMPY, in pieces so the text in memory stays small.  Dicts
-    go member by member (keys must be strings), lists and arrays of rows in
-    slices of about JSON_PIECE values, a longer row alone."""
+    go member by member (keys must be strings); a list or array goes in
+    slices of JSON_PIECE // w items, w the length of its first item (1 for a
+    scalar), so each slice holds about JSON_PIECE values; an item wider than
+    a piece goes alone and is sliced in turn."""
     fh.writelines(_json_pieces(doc))
     fh.write("\n")
 
@@ -59,32 +61,19 @@ def _json_pieces(doc) -> Iterator[str]:
             yield f"{',' if i else '{'}{_dumps(key)}:"
             yield from _json_pieces(value)
         yield "}"
-    elif isinstance(doc, (list, np.ndarray)) and len(doc) and isinstance(doc[0], (list, dict, np.ndarray)):
-        step = JSON_PIECE // (_values(doc[0], JSON_PIECE) + 1)
+    elif isinstance(doc, (list, np.ndarray)) and len(doc):
+        first = doc[0]
+        width = len(first) if isinstance(first, (list, dict)) or np.ndim(first) else 1  # 0-d: a scalar
+        step = JSON_PIECE // max(width, 1)
         for lo in range(0, len(doc), step or 1):
             yield "," if lo else "["
             if step:
                 yield _dumps(doc[lo : lo + step])[1:-1]
-            else:  # a row longer than a piece goes alone, its own rows sliced in turn
+            else:  # an item wider than a piece goes alone, sliced in turn
                 yield from _json_pieces(doc[lo])
         yield "]"
     else:
         yield _dumps(doc)
-
-
-def _values(doc, cap: int) -> int:
-    """The number of scalar values in ``doc``, keys left out, counted until
-    it passes ``cap``."""
-    if isinstance(doc, np.ndarray):
-        return doc.size
-    if not isinstance(doc, (dict, list, tuple)):
-        return 1
-    count = 0
-    for item in doc.values() if isinstance(doc, dict) else doc:
-        count += _values(item, cap - count)
-        if count > cap:
-            break
-    return count
 
 
 def _dumps(value) -> str:

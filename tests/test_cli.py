@@ -569,7 +569,7 @@ class TestInputNumbers:
     ])
     def test_error_names_the_first_bad_value(self, value, bad):
         with pytest.raises(SchemaError, match=f"field 'stages' must hold only numbers, got {bad}$"):
-            SchemaError.require_numbers({"stages": value}, "stages", "schedule")
+            SchemaError.require_array({"stages": value}, "stages", "schedule", (2, 2048))
 
     @pytest.mark.parametrize("kind", ["schedule", "series"])
     def test_integer_entries_load(self, capsys, tmp_path, kind):
@@ -712,6 +712,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "exact", "synth", "--n", "6", "--k", "2", "--out", str(path))
         assert code == 1 and err == "invinsert: stage 1: refused\n"
         assert path.read_text() == "kept"
+
+    def test_out_of_memory_is_one_line_and_1(self, capsys, monkeypatch):
+        # numpy's _ArrayMemoryError, as `exact search --grid 4000000000` raises it
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 59.6 GiB for an array with shape (4000000001, 2)")
+
+        monkeypatch.setattr(exact, "search_free_series", fail)
+        code, out, err = run_cli(capsys, "exact", "search", "--k", "3", "--n", "16")
+        assert code == 1 and out == ""
+        assert err == "invinsert: Unable to allocate 59.6 GiB for an array with shape (4000000001, 2)\n"
 
     def test_console_script_installed(self, tmp_path):
         # Run the [project.scripts] entry point of this checkout through the

@@ -741,14 +741,31 @@ class TestWriteJson:
         assert_reads_back(path.read_text(), doc)
         assert peak < 2**20
 
+    def test_memory_of_long_rows(self, tmp_path):
+        # a greedy (2^17, 6) schedule file, rows of 2^18 phases, and a report
+        # of 2^17 success values: 6.8 and 6.4 MiB when a flat row or array
+        # went to one orjson.dumps call, 0.1 and 0.3 in pieces
+        stages = greedy_run(2**17, 6)[1]
+        report = {"command": "verify", "params": {}, "results": synth.schedule_report(stages)[1]}
 
-    def test_dict_rows_are_sliced_by_their_values(self, monkeypatch):
-        # each dict row holds 3 ints and a (16, 3) array, 51 values under 4
-        # keys; no orjson.dumps call may take more than a piece
-        rng = np.random.default_rng(6)
-        runs = [{"hidden_j": j, "found_j": j, "queries_used": 16, "per_level": rng.integers(0, 9, (16, 3))}
-                for j in range(300)]
-        doc = {"results": {"n": 2**16, "runs": runs}}
+        def peak(write):
+            tracemalloc.start()
+            try:
+                write()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        schedule_peak = peak(lambda: hilbert.save_schedule(stages, tmp_path / "schedule.json"))
+        with open(tmp_path / "report.json", "w") as fh:
+            report_peak = peak(lambda: hilbert.write_json(report, fh))
+        assert schedule_peak < 2**20 and report_peak < 2**20, (schedule_peak, report_peak)
+        assert (tmp_path / "schedule.json").read_text() == dumped({"n": 2**17, "k": 6, "stages": stages})
+        assert (tmp_path / "report.json").read_text() == dumped(report)
+
+    def test_no_piece_holds_more_than_piece_values(self, greedy_4096, tmp_path, capsys, monkeypatch):
+        # the greedy (4096, 6) schedule file (rows of 8192), a verify report
+        # and a compose --all report of 52^2 records
         sizes = []
         dumps = hilbert._dumps
 
@@ -757,9 +774,21 @@ class TestWriteJson:
             return dumps(value)
 
         monkeypatch.setattr(hilbert, "_dumps", counted)
-        assert written(doc) == dumped(doc)
+        path = tmp_path / "greedy.json"
+        hilbert.save_schedule(greedy_4096, path)
+        assert path.read_text() == dumped({"n": 4096, "k": 6, "stages": greedy_4096})
+        assert cli.main(["verify", "--schedule", str(path), "--format", "json"]) == 0
+        schedule = synthesize_exact(52, 3, search_free_series(52, 3)[0])[0]
+        hilbert.save_schedule(schedule, path)
+        assert cli.main(["compose", "--m", "52", "--k", "3", "--h", "2", "--all", "--schedule", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out.splitlines()[-1])["results"]["runs"]) == 52**2
         assert max(sizes) <= hilbert.JSON_PIECE
-        assert sum(sizes) >= 300 * 51  # every value went through a dump
+        assert sum(sizes) >= 6 * 8192 + 4096 + 3 * 52**2  # every value went through a dump
+
+    @pytest.mark.parametrize("doc", [[[], [1.0]], [{}, {}], [[], []], {"a": [[], [[]], [{}]]}])
+    @pytest.mark.parametrize("piece", [None, 1])
+    def test_empty_first_items(self, doc, piece):
+        assert written(doc, piece) == dumped(doc)
 
 
 def scalars(value) -> int:

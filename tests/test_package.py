@@ -55,6 +55,8 @@ def test_cli_import_leaves_out(package):
 
 
 def test_third_party_imports_are_declared():
+    # the library's imports are dependencies; the suite's, in tests/ and
+    # perfbench/, are dependencies or in the test extra
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
@@ -62,17 +64,29 @@ def test_third_party_imports_are_declared():
 
     repo = Path(__file__).resolve().parents[1]
     with open(repo / "pyproject.toml", "rb") as fh:
-        requirements = tomllib.load(fh)["project"]["dependencies"]
-    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in requirements}
-    imported = set()
-    for path in (repo / "src" / "invinsert").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
-    third_party = imported - set(sys.stdlib_module_names) - {"invinsert"}
-    assert third_party and third_party <= declared, sorted(third_party - declared)
+        project = tomllib.load(fh)["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in requirements}
+
+    def third_party(paths):
+        imported = set()
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        # tomllib is stdlib from Python 3.11; tomli stands in before
+        return imported - set(sys.stdlib_module_names) - {"tomllib", "invinsert"}
+
+    declared = names(project["dependencies"])
+    library = third_party((repo / "src" / "invinsert").glob("*.py"))
+    assert library and library <= declared, sorted(library - declared)
+    suite_modules = {"hilbert_testing", "exact_testing", "test_bounds", "checks", "tracing", "workloads"}
+    suite = third_party([*(repo / "tests").glob("*.py"), *(repo / "perfbench").glob("*.py")]) - suite_modules
+    declared |= names(project["optional-dependencies"]["test"])
+    assert suite and suite <= declared, sorted(suite - declared)
 
 
 def test_public_library_names_are_used_by_the_library():
