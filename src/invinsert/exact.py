@@ -89,11 +89,11 @@ def b0(n: int) -> np.ndarray:
     """Fixed antisymmetric endpoint: coefficient of cos(r theta) is 1 - 2r/N."""
     if n < 2:
         raise ValueError(f"problem size must be >= 2, got {n}")
-    coeffs = np.zeros(n - 1)
-    for r in range(1, n // 2 + 1):
-        value = 1.0 - 2.0 * r / n
-        coeffs[r - 1] = value
-        coeffs[n - r - 1] = -value  # exact antisymmetry by construction
+    half = n // 2
+    coeffs = np.empty(n - 1)
+    coeffs[:half] = 1.0 - 2.0 * np.arange(1, half + 1) / n
+    # c_{N-r} = -c_r exactly; at even N the middle entry becomes -0.0
+    coeffs[::-1][:half] = -coeffs[:half]
     return coeffs
 
 
@@ -125,27 +125,27 @@ def certify_nonneg(
     """Grid-plus-Lipschitz certificate for f = 1 + sum of series on [0, pi].
 
     Evaluates f on grid_points + 1 equally spaced angles (spacing
-    h = pi / grid_points), bounds |f'| by L = sum over series of
-    sum_r r |c_r|, and certifies positivity when grid_min - L h / 2 >= 0.
-    A grid minimum below -1e-9 is reported infeasible; anything between is
-    numerically nonnegative but uncertified.
+    h = pi / grid_points) by one ``grid_values`` of the series' sum, bounds
+    |f'| by L = sum over series of sum_r r |c_r|, and certifies positivity
+    when grid_min - L h / 2 >= 0.  A grid minimum below -1e-9 is reported
+    infeasible; anything between is numerically nonnegative but uncertified.
 
-    Requires grid_points >= 8N so the grid resolves every harmonic.
+    Requires grid_points >= 8N so the grid resolves every harmonic.  Raises
+    ValueError for non-finite coefficients, before any transform.
     """
-    one_plus = list(one_plus)
+    one_plus = [np.asarray(c, dtype=float) for c in one_plus]
     if one_plus:
         n = len(one_plus[0]) + 1
         if any(len(c) + 1 != n for c in one_plus):
             raise ValueError("all series must share the same problem size")
         if grid_points < 8 * n:
             raise ValueError(f"need at least {8 * n} grid intervals, got {grid_points}")
+        if not np.isfinite(one_plus).all():
+            raise ValueError("series have non-finite coefficients")
     elif grid_points < 1:
         raise ValueError("grid_points must be positive")
-    f = np.ones(grid_points + 1)
-    lipschitz = 0.0
-    for coeffs in one_plus:
-        f += grid_values(coeffs, grid_points)
-        lipschitz += float(np.sum(np.arange(1, n) * np.abs(coeffs)))
+    f = 1 + grid_values(sum(one_plus), grid_points) if one_plus else np.ones(grid_points + 1)
+    lipschitz = sum((float(np.sum(np.arange(1, n) * np.abs(c))) for c in one_plus), 0.0)
     grid_min = float(f.min())
     margin = grid_min - lipschitz * (np.pi / grid_points) / 2
     if margin >= 0:
@@ -206,21 +206,11 @@ def build_chain(
     )
 
 
-def chain_constraints(chain: Sequence[tuple]) -> dict[int, list[np.ndarray]]:
-    """The nontrivial positivity constraints: stage l -> series of 1 + A_l + B_l.
-
-    Stage 0 holds identically (it is a squared magnitude) and stage
-    k = len(chain) - 1 is 1 >= 0, so only l = 1..k-1 is returned.
-    """
-    return {
-        ell: [s for s in stage if s.any()]
-        for ell, stage in enumerate(chain[1:-1], start=1)
-    }
-
-
 def certify_chain(chain: Sequence[tuple], grid_points: int) -> dict[int, FeasibilityCertificate]:
-    """:func:`certify_nonneg` of each stage of :func:`chain_constraints`, by stage."""
-    return {ell: certify_nonneg(s, grid_points) for ell, s in chain_constraints(chain).items()}
+    """:func:`certify_nonneg` of 1 + A_l + B_l for each stage l = 1..k-1, by
+    stage.  Stage 0 holds identically (it is a squared magnitude) and stage
+    k = len(chain) - 1 is 1 >= 0, so neither is certified."""
+    return {ell: certify_nonneg(stage, grid_points) for ell, stage in enumerate(chain[1:-1], 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def _odd_point_sums(q: np.ndarray, grid: int) -> np.ndarray:
     complex_q = np.iscomplexobj(q)
     points = grid // 2 if complex_q else grid // 4
     turn = np.exp(2j * np.pi / grid * np.arange(len(q)))
-    values = np.fft.irfft(turn * q, points) * points
+    values = _circle_values(turn * q, points)
     sums = np.conj(turn) * np.fft.rfft(_log(values, grid))[:len(q)]
     return sums if complex_q else 2 * sums.real
 

@@ -16,8 +16,10 @@ at every solve, the third reports every solve of a model after a row
 deletion as unbounded, and the fourth reports the last variable a roundoff
 lower at every solve after the first.
 ``eval_series`` sums a cosine series directly, the reference for the
-library's FFT grid values.  ``matching_stages`` writes the chain out from
-the matching conditions, independently of the library's ``build_chain``.
+library's FFT grid values, and ``b0_loop`` writes B_0 coefficient by
+coefficient, the reference for the library's ``b0``.  ``matching_stages``
+writes the chain out from the matching conditions, independently of the
+library's ``build_chain``.
 """
 
 import numpy as np
@@ -34,6 +36,17 @@ def eval_series(coeffs, theta) -> np.ndarray | float:
     r = np.arange(1, len(coeffs) + 1)
     values = np.cos(th[..., None] * r) @ coeffs
     return float(values) if np.isscalar(theta) else values
+
+
+def b0_loop(n: int) -> np.ndarray:
+    """B_0's coefficients 1 - 2r/N, written pair by pair: c_r, then its
+    mirror c_{N-r} = -c_r, so the middle entry at even N ends as -0.0."""
+    coeffs = np.zeros(n - 1)
+    for r in range(1, n // 2 + 1):
+        value = 1.0 - 2.0 * r / n
+        coeffs[r - 1] = value
+        coeffs[n - r - 1] = -value
+    return coeffs
 
 
 class NonOptimalHighs:

@@ -18,7 +18,6 @@ from invinsert.exact import (
     INFEASIBLE,
     b0,
     certify_nonneg,
-    chain_constraints,
     build_chain,
     certify_chain,
     default_grid,
@@ -165,7 +164,7 @@ def test_criterion_5_n52_k3(n52_search, n52_synthesis):
         if cert.verdict != CERTIFIED_POSITIVE:
             assert cert.verdict != INFEASIBLE
             finer = certify_nonneg(
-                chain_constraints(build_chain(52, 3, free))[ell],
+                build_chain(52, 3, free)[ell],
                 10 * cert.grid_points,
             )
             assert finer.grid_min >= -1e-12, f"stage {ell} fails at 10x grid"

@@ -12,6 +12,7 @@ from exact_testing import (
     FalseUnboundedHighs,
     NonOptimalHighs,
     RoundoffHighs,
+    b0_loop,
     dense_lp,
     eval_series,
 )
@@ -27,7 +28,6 @@ from invinsert.exact import (
     build_chain,
     certify_chain,
     certify_nonneg,
-    chain_constraints,
     chain_free_names,
     default_grid,
     grid_values,
@@ -53,6 +53,12 @@ class TestEndpoints:
         for n in range(2, 40):
             c = b0(n)
             np.testing.assert_array_equal(c, -c[::-1])
+
+    def test_b0_bits_match_the_loop(self):
+        for n in [*range(2, 66), 1024, 1025]:
+            assert b0(n).tobytes() == b0_loop(n).tobytes(), n
+            if n % 2 == 0:  # the middle entry is -0.0, as the loop leaves it
+                assert np.signbit(b0(n)[n // 2 - 1]), n
 
     @pytest.mark.parametrize("n", [2, 3, 6, 11, 16])
     def test_q0_identity(self, n):
@@ -191,6 +197,17 @@ class TestCertifyNonneg:
         with pytest.raises(ValueError):
             certify_nonneg([b0(6)], 40)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, monkeypatch, bad):
+        def no_transform(*args):
+            raise AssertionError("a transform ran")
+
+        series = np.zeros(5)
+        series[2] = bad
+        monkeypatch.setattr(exact, "grid_values", no_transform)
+        with pytest.raises(ValueError, match="non-finite coefficients"):
+            certify_nonneg([b0(6), series], default_grid(6))
+
     def test_to_dict_fields(self):
         cert = certify_nonneg([b0(6)], default_grid(6))
         assert cert.to_dict() == {
@@ -224,16 +241,42 @@ class TestChainOffTheGrid:
     def test_stages_negative_off_the_grid_are_infeasible(self):
         path = Path(__file__).parent / "data" / "free-550-4.json"
         chain = build_chain(550, 4, cli._load_free_series(550, 4, [path]))
-        stages = chain_constraints(chain)
         fine_min = {
-            ell: (1 + sum(grid_values(s, self.FINE_GRID) for s in series)).min()
-            for ell, series in stages.items()
+            ell: (1 + sum(grid_values(s, self.FINE_GRID) for s in stage)).min()
+            for ell, stage in enumerate(chain[1:-1], 1)
         }
         assert min(fine_min.values()) < -1e-9
         certs = certify_chain(chain, default_grid(550))
         for ell, least in fine_min.items():
             if least < -1e-9:
                 assert certs[ell].verdict == INFEASIBLE, f"stage {ell}: {certs[ell].verdict}"
+
+
+class TestCertifyChain:
+    def test_one_transform_per_stage(self, monkeypatch):
+        path = Path(__file__).parent / "data" / "free-300-4.json"
+        chains = {
+            (52, 2): build_chain(52, 3, search_free_series(52, 3)[0]),
+            (300, 3): build_chain(300, 4, cli._load_free_series(300, 4, [path])),
+        }
+        calls = []
+        grid_values = exact.grid_values
+        monkeypatch.setattr(
+            exact, "grid_values", lambda *args: calls.append(args) or grid_values(*args)
+        )
+        for (n, stages), chain in chains.items():
+            calls.clear()
+            certify_chain(chain, default_grid(n))
+            assert len(calls) == stages, n
+
+    def test_n2_zero_stage_has_the_grid_floor(self):
+        # the k = 2 chain's one stage is 1 + 0 + B_0(2), all zeros, and
+        # needs 8N = 16 intervals like every other stage
+        with pytest.raises(ValueError, match="need at least 16 grid intervals, got 10"):
+            certify_chain(build_chain(2, 2), 10)
+        assert certify_chain(build_chain(2, 2), 16) == {
+            1: FeasibilityCertificate(16, 1.0, 0.0, 1.0, CERTIFIED_POSITIVE)
+        }
 
 
 class TestFeasibilityBoundaries:
@@ -267,14 +310,11 @@ class TestBuildChain:
     def test_k3_constraints_reduce_to_two(self):
         # structurally: stage 1 is 1 + A1 + B0, stage 2 is 1 + A1
         n = 8
-        free = {"A1": np.zeros(n - 1)}
-        chain = build_chain(n, 3, free)
-        constraints = chain_constraints(chain)
-        assert set(constraints) == {1, 2}
-        stage1 = constraints[1]
-        assert len(stage1) == 1  # A1 = 0 dropped, B0 stays
-        np.testing.assert_array_equal(stage1[0], b0(n))
-        assert constraints[2] == []  # 1 + 0 >= 0
+        chain = build_chain(n, 3, {"A1": np.zeros(n - 1)})
+        certs = certify_chain(chain, 8 * n)
+        assert set(certs) == {1, 2}
+        assert certs[1] == certify_nonneg([b0(n)], 8 * n)  # A1 = 0 adds nothing
+        assert (certs[2].grid_min, certs[2].lipschitz) == (1.0, 0.0)  # 1 + 0 >= 0
 
     def test_k3_with_nonzero_free(self):
         n = 8

@@ -590,6 +590,12 @@ class TestSynthesizeOtherCases:
             _, prob = run_schedule(schedule, j)
             assert prob >= 1 - 1e-12
 
+    def test_n2_k2_has_the_grid_floor(self):
+        with pytest.raises(ValueError, match="need at least 16 grid intervals, got 10"):
+            synthesize_exact(2, 2, grid_points=10)
+        _, report = synthesize_exact(2, 2, grid_points=16)
+        assert report["min_success_prob"] >= 1 - 1e-12
+
     def test_infeasible_chain_rejected(self):
         with pytest.raises(ContractError):
             synthesize_exact(7, 2)
