@@ -16,6 +16,7 @@ import numpy as np
 
 EULER_GAMMA = 0.5772156649015329
 HARMONIC_BLOCK = 1 << 16  # terms of the inverse-sine sum taken at a time
+THRESHOLD_SLACK = 4 * np.finfo(float).eps  # (S / sqrt(2))^2 = 1 at N = 2 rounds down
 
 
 class HarmonicSum(NamedTuple):
@@ -50,15 +51,15 @@ def harmonic_sum(n: int) -> HarmonicSum:
 
 def bound_report(n: int, epsilon: float = 1.0) -> BoundReport:
     """The per-stage bounds S^l / sqrt(N) up to the smallest k whose squared
-    bound reaches epsilon, and both log conventions of the asymptotic
-    estimate ln N / (2 ln ln N), reported only for n >= 16 where ln ln N is
-    comfortably positive."""
+    bound reaches epsilon (within THRESHOLD_SLACK), and both log conventions
+    of the asymptotic estimate ln N / (2 ln ln N), reported only for n >= 16
+    where ln ln N is comfortably positive."""
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     hs = harmonic_sum(n)
     bound = 1.0 / math.sqrt(n)
     k_min = 0
-    while bound * bound < epsilon:
+    while bound * bound < epsilon * (1 - THRESHOLD_SLACK):
         bound *= hs.exact
         k_min += 1
     per_ell = hs.exact ** np.arange(k_min + 1) / math.sqrt(n)

@@ -16,7 +16,8 @@ F_1..F_{k-2} (A1, B2, A3, ...) come from a maximize-minimum-slack linear
 program on a theta grid (none for k <= 2: k = 2 is 1 + B_0 >= 0, k = 1 is
 B_0 = 0), and one Lipschitz grid certificate per stage checks the chain.
 A series is the array of its N - 1 coefficients c_1..c_{N-1}, its class the
-first letter of its slot's name; ``grid_values`` evaluates it by one FFT.
+first letter of its slot's name.  ``circle_values`` evaluates every sum on a
+grid but the LP's fixed 1 + B_0 rows, here and for Q_l in ``synth``.
 
 The LP is never written out over the whole grid.  Where every free series
 of a stage vanishes (N theta an odd multiple of pi for class A, an even one
@@ -111,12 +112,14 @@ def _checked(coeffs, n: int, klass: str) -> np.ndarray:
     return coeffs
 
 
-def grid_values(coeffs: np.ndarray, grid_points: int) -> np.ndarray:
-    """sum_r c_r cos(r pi m / G) for m = 0..G, where coeffs[r - 1] = c_r: the
-    real part of the length-2G real FFT of the zero-padded coefficients."""
-    if len(coeffs) >= 2 * grid_points:  # the FFT would fold high harmonics
-        raise ValueError(f"{grid_points} grid intervals fold {len(coeffs)} harmonics")
-    return np.fft.rfft(np.concatenate([[0.0], coeffs]), 2 * grid_points).real
+def circle_values(q: np.ndarray, points: int) -> np.ndarray:
+    """Q(e^{i theta}) = sum_{|r| < N} q_r e^{i r theta} at theta = 2 pi m / points,
+    m < points, with q_{-r} = conj(q_r): the unnormalized inverse real FFT of
+    q_0..q_{N-1}.  On 2G points, q = [c_0, c_1/2, c_2/2, ...] gives the cosine
+    sum c_0 + sum_r c_r cos(r pi m / G), m = 0..G, as the first G + 1 values."""
+    if points < 2 * len(q) - 1:  # the FFT would fold high harmonics
+        raise ValueError(f"{points} points fold {len(q) - 1} harmonics")
+    return np.fft.irfft(q, points, norm="forward")
 
 
 def certify_nonneg(
@@ -125,7 +128,7 @@ def certify_nonneg(
     """Grid-plus-Lipschitz certificate for f = 1 + sum of series on [0, pi].
 
     Evaluates f on grid_points + 1 equally spaced angles (spacing
-    h = pi / grid_points) by one ``grid_values`` of the series' sum, bounds
+    h = pi / grid_points) by one ``circle_values`` of the series' sum, bounds
     |f'| by L = sum over series of sum_r r |c_r|, and certifies positivity
     when grid_min - L h / 2 >= 0.  A grid minimum below -1e-9 is reported
     infeasible; anything between is numerically nonnegative but uncertified.
@@ -144,9 +147,9 @@ def certify_nonneg(
             raise ValueError("series have non-finite coefficients")
     elif grid_points < 1:
         raise ValueError("grid_points must be positive")
-    f = 1 + grid_values(sum(one_plus), grid_points) if one_plus else np.ones(grid_points + 1)
+    q = np.concatenate([[1.0], sum(one_plus) / 2]) if one_plus else np.ones(1)
     lipschitz = sum((float(np.sum(np.arange(1, n) * np.abs(c))) for c in one_plus), 0.0)
-    grid_min = float(f.min())
+    grid_min = float(circle_values(q, 2 * grid_points)[: grid_points + 1].min())
     margin = grid_min - lipschitz * (np.pi / grid_points) / 2
     if margin >= 0:
         verdict = CERTIFIED_POSITIVE
@@ -350,7 +353,9 @@ def _stage_rows(n: int, k: int, grid: int) -> tuple[dict, list]:
         width += size
     groups: dict[tuple, tuple] = {}
     for ell in range(1, k):
-        fixed = 1 + grid_values(b0(n), grid) if ell == 1 else np.ones(grid + 1)
+        # 1 + B_0 by a real FFT, not circle_values: the exchange path hangs on
+        # these rows' last bits (6 solves at (100, 4), 13 with circle_values)
+        fixed = 1 + np.fft.rfft(np.r_[0.0, b0(n)], 2 * grid).real if ell == 1 else np.ones(grid + 1)
         names = tuple(free_names[i - 1] for i in (ell - 1, ell) if 1 <= i <= k - 2)
         members, least = groups.get(names, ((), fixed))
         groups[names] = (members + (ell,), np.minimum(least, fixed))
@@ -391,8 +396,8 @@ def _max_min_slack(n: int, k: int, grid: int) -> tuple[float, dict]:
         active.flat[dropped] = False
         indices = []
         for (_, names, fixed, pinned), used in zip(stages, active):
-            coeffs = sum(_expand(n, name[0], x[params[name]]) for name in names)
-            slack = fixed - x[-1] + grid_values(coeffs, grid)
+            half = sum(_expand(n, name[0], x[params[name]]) for name in names) / 2
+            slack = fixed + circle_values(np.concatenate([[-x[-1]], half]), 2 * grid)[: grid + 1]
             slack[pinned | used] = np.inf
             low = slack < -1e-9
             padded = np.r_[np.inf, slack, np.inf]
@@ -433,7 +438,7 @@ def search_free_series(
     * The LP without the fixed rows is solved by exchange.  It starts from
       N + 1 evenly spread angles of each stage, enough to bound delta.
       After each solve every stage is evaluated on the full grid by one
-      ``grid_values`` of the sum of its free series, each expanded from its
+      ``circle_values`` of the sum of its free series, each expanded from its
       free half.  The angles outside the LP that fall below delta by more
       than 1e-9 and are local minima there (all of them, if none is) become
       rows, and HiGHS re-solves warm from its last basis.  After a solve in

@@ -25,9 +25,10 @@ Kolmogorov's minimum-phase construction, H = exp(causal part of log Q)
 (Sayed & Kailath, "A survey of spectral factorization methods", Numer.
 Linear Algebra Appl. 8, 2001).  H's first N coefficients need only the
 first N cepstral coefficients, which an FFT of log Q on a grid gives, and a
-power-series exponential turns them into h_0..h_{N-1} exactly.  The grid
-doubles until two successive grids agree within FACTOR_GRID_TOL, up to a
-cap of the first grid << LADDER_RUNGS and at most FFT_MAX_SIZE points.
+power-series exponential turns them into h_0..h_{N-1} exactly.  Q's values
+on the circle all come from ``exact.circle_values``, the one grid evaluator.
+The grid doubles until two successive grids agree within FACTOR_GRID_TOL, up
+to a cap of the first grid << LADDER_RUNGS and at most FFT_MAX_SIZE points.
 Every chain's Q has real coefficients, so Q is even on the circle: each
 doubling evaluates Q only at the new odd points that are distinct up to
 mirroring, with quarter-length real FFTs (Makhoul's fast cosine
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import ContractError, FactorizationError
-from .exact import INFEASIBLE, build_chain, certify_chain, default_grid
+from .exact import INFEASIBLE, build_chain, certify_chain, circle_values, default_grid
 
 FACTOR_GRID_TOL = 1e-8
 FFT_MIN_SIZE = 1 << 10  # the first grid the factor may stop on is max(this, 16N)
@@ -62,14 +63,6 @@ def q_from_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Q's coefficients q_0..q_{N-1} for a chain stage's 1 + A(theta) + B(theta):
     q_0 = 1 and q_r = (a_r + b_r) / 2, with q_{-r} = conj(q_r) implied."""
     return np.r_[1.0, (a + b) / 2]
-
-
-def _circle_values(q: np.ndarray, grid: int) -> np.ndarray:
-    """Q(e^{i theta}) at theta = 2 pi m / grid, m = 0..grid-1: with
-    q_{-r} = conj(q_r), the inverse real FFT of q_0..q_{N-1}."""
-    if grid < 2 * len(q) - 1:
-        raise ValueError(f"{grid} angles fold {len(q) - 1} harmonics")
-    return np.fft.irfft(q, grid) * grid
 
 
 def _series_exp(c: np.ndarray) -> np.ndarray:
@@ -128,7 +121,7 @@ def _odd_point_sums(q: np.ndarray, grid: int) -> np.ndarray:
     complex_q = np.iscomplexobj(q)
     points = grid // 2 if complex_q else grid // 4
     turn = np.exp(2j * np.pi / grid * np.arange(len(q)))
-    values = _circle_values(turn * q, points)
+    values = circle_values(turn * q, points)
     sums = np.conj(turn) * np.fft.rfft(_log(values, grid))[:len(q)]
     return sums if complex_q else 2 * sums.real
 
@@ -163,7 +156,7 @@ def _cepstral_factor(q: np.ndarray) -> np.ndarray:
             f"the ladder's first grid, {size} points, leaves no finer grid "
             f"within FFT_MAX_SIZE = {FFT_MAX_SIZE} points"
         )
-    log_q = _log(_circle_values(q, size), size)
+    log_q = _log(circle_values(q, size), size)
     if not log_q.any():
         # log Q = 0 at all of the first grid's >= 8N points, more than the
         # 2N - 2 zeros Q - 1 can have, so Q = 1 and P = z^(N-1) is exact
@@ -221,7 +214,7 @@ def spectral_factor(q: np.ndarray) -> np.ndarray:
     # layout: the autocorrelation, by one FFT of 4N points (any length of at
     # least 2N - 1 keeps the lags -(N-1)..N-1 apart)
     r = np.fft.ifft(np.abs(np.fft.fft(coeffs, 4 * n)) ** 2)[:n]
-    mismatch = float(np.max(np.abs(_circle_values(r - q, 64 * n))))
+    mismatch = float(np.max(np.abs(circle_values(r - q, 64 * n))))
     if mismatch > FACTOR_GRID_TOL:
         raise FactorizationError(
             f"|P|^2 deviates from Q by {mismatch:.3e} on the circle"

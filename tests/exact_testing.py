@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
-from invinsert.exact import _symmetric_basis, b0, grid_values
+from invinsert.exact import _symmetric_basis, b0
 
 
 def eval_series(coeffs, theta) -> np.ndarray | float:
@@ -154,7 +154,8 @@ def dense_lp(n: int, k: int, grid: int) -> tuple[float, list, list]:
                 cols = bases[series]
                 block[:, offsets[series]: offsets[series] + cols.shape[1]] = cols
             elif series is not None:
-                fixed += grid_values(series, grid)
+                # as the library's fixed rows take it, so the two agree bit for bit
+                fixed += np.fft.rfft(np.r_[0.0, series], 2 * grid).real
         blocks.append(block)
         rhs.append(fixed)
     a_ub = np.hstack([-np.vstack(blocks), np.ones((len(blocks) * thetas.size, 1))])

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invinsert.bounds import bound_report, harmonic_sum
+from invinsert.bounds import THRESHOLD_SLACK, bound_report, harmonic_sum
 from invinsert.greedy import greedy_run
 from hilbert_testing import greedy_states
 
@@ -86,13 +86,16 @@ class TestOverlapBound:
 
 class TestMinQueries:
     @pytest.mark.parametrize(
-        ("n", "epsilon"), [(16, 0.5), (100, 1.0), (4096, 1.0), (4096, 0.01), (2, 1.0)]
+        ("n", "epsilon"), [(16, 0.5), (100, 1.0), (4096, 1.0), (4096, 0.01), (2, 1.0), (2, 0.5)]
     )
     def test_threshold_definition(self, n, epsilon):
+        # reached within THRESHOLD_SLACK: at N = 2 the squared bounds 1/2 and 1
+        # after zero and one queries round down
         k_min = bound_report(n, epsilon).min_queries
-        assert overlap_bound(n, k_min) ** 2 >= epsilon
+        target = epsilon * (1 - THRESHOLD_SLACK)
+        assert overlap_bound(n, k_min) ** 2 >= target
         if k_min > 0:
-            assert overlap_bound(n, k_min - 1) ** 2 < epsilon
+            assert overlap_bound(n, k_min - 1) ** 2 < target
 
     def test_n4096_needs_at_least_three(self):
         assert bound_report(4096, 1.0).min_queries >= 3

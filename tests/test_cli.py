@@ -68,6 +68,13 @@ class TestBoundCommand:
         assert results["asymptotic_log2"] is not None
         assert results["min_queries"] >= 3
 
+    def test_n2_needs_one_query(self, capsys):
+        # the squared bound after one query is 1 up to rounding, and
+        # `exact synth --n 2 --k 1` is exact with that one query
+        code, out, _ = run_cli(capsys, "bound", "--n", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["min_queries"] == 1
+
     @pytest.mark.parametrize("epsilon, shown", [("0", "0.0"), ("1.5", "1.5"), ("nan", "nan")])
     def test_epsilon_outside_unit_interval_is_64(self, capsys, monkeypatch, epsilon, shown):
         # refused as the arguments are parsed, before any bound is computed

@@ -29,8 +29,8 @@ from invinsert.exact import (
     certify_chain,
     certify_nonneg,
     chain_free_names,
+    circle_values,
     default_grid,
-    grid_values,
     load_series,
     save_series,
     search_free_series,
@@ -135,16 +135,35 @@ def random_series(n, klass, rng):
     return (c + c[::-1] if klass == "A" else c - c[::-1]) / 2
 
 
+def cosine_values(series, grid):
+    """sum_r c_r cos(r pi m / G), m = 0..G, as the library takes it: the first
+    G + 1 of ``circle_values`` of [0, c/2] on 2G points."""
+    return circle_values(np.r_[0.0, series / 2], 2 * grid)[: grid + 1]
+
+
 class TestGridValues:
-    @pytest.mark.parametrize("klass", ["A", "B"])
+    @pytest.mark.parametrize("klass", ["A", "B", "Hermitian"])
     @pytest.mark.parametrize("n", [2, 7, 16, 51, 52])
     def test_matches_direct_sum_at_grid_angles(self, n, klass):
-        series = random_series(n, klass, np.random.default_rng(n))
+        rng = np.random.default_rng(n)
+        if klass == "Hermitian":
+            # complex q_1..q_{N-1}, q_{-r} = conj(q_r): Q is real on the circle,
+            # checked at odd and even point counts from the least unfolded one
+            q = np.r_[rng.standard_normal(), [1, 1j] @ rng.standard_normal((2, n - 1))]
+            r = np.arange(-(n - 1), n)
+            coeffs = np.r_[np.conj(q[:0:-1]), q]
+            for points in (2 * n - 1, 2 * n, 8 * n + 3, 12 * n):
+                thetas = 2 * np.pi * np.arange(points) / points
+                direct = np.exp(1j * np.multiply.outer(thetas, r)) @ coeffs
+                np.testing.assert_allclose(direct.imag, 0, atol=1e-10)
+                np.testing.assert_allclose(circle_values(q, points), direct.real, atol=1e-10)
+            return
+        series = random_series(n, klass, rng)
         # 8N + 3 and 12N + 1 are not powers of two
         for grid in (8 * n, 8 * n + 3, 12 * n + 1, default_grid(n)):
             thetas = np.linspace(0.0, np.pi, grid + 1)
             np.testing.assert_allclose(
-                grid_values(series, grid), eval_series(series, thetas), atol=1e-10
+                cosine_values(series, grid), eval_series(series, thetas), atol=1e-10
             )
 
     def test_endpoints_at_n1024(self):
@@ -152,12 +171,15 @@ class TestGridValues:
         thetas = np.linspace(0.0, np.pi, grid + 1)
         for series in (a0(1024), b0(1024)):
             np.testing.assert_allclose(
-                grid_values(series, grid), eval_series(series, thetas), atol=1e-10
+                cosine_values(series, grid), eval_series(series, thetas), atol=1e-10
             )
 
     def test_too_coarse_grid_rejected(self):
-        with pytest.raises(ValueError):
-            grid_values(b0(52), 25)
+        # 2N - 1 points hold the harmonics -(N-1)..N-1 apart; one fewer folds them
+        q = np.r_[1.0, b0(52) / 2]
+        assert circle_values(q, 2 * 52 - 1).shape == (103,)
+        with pytest.raises(ValueError, match="^102 points fold 51 harmonics$"):
+            circle_values(q, 2 * 52 - 2)
 
 
 class TestCertifyNonneg:
@@ -204,7 +226,7 @@ class TestCertifyNonneg:
 
         series = np.zeros(5)
         series[2] = bad
-        monkeypatch.setattr(exact, "grid_values", no_transform)
+        monkeypatch.setattr(exact, "circle_values", no_transform)
         with pytest.raises(ValueError, match="non-finite coefficients"):
             certify_nonneg([b0(6), series], default_grid(6))
 
@@ -242,7 +264,7 @@ class TestChainOffTheGrid:
         path = Path(__file__).parent / "data" / "free-550-4.json"
         chain = build_chain(550, 4, cli._load_free_series(550, 4, [path]))
         fine_min = {
-            ell: (1 + sum(grid_values(s, self.FINE_GRID) for s in stage)).min()
+            ell: (1 + sum(cosine_values(s, self.FINE_GRID) for s in stage)).min()
             for ell, stage in enumerate(chain[1:-1], 1)
         }
         assert min(fine_min.values()) < -1e-9
@@ -260,9 +282,9 @@ class TestCertifyChain:
             (300, 3): build_chain(300, 4, cli._load_free_series(300, 4, [path])),
         }
         calls = []
-        grid_values = exact.grid_values
+        circle_values = exact.circle_values
         monkeypatch.setattr(
-            exact, "grid_values", lambda *args: calls.append(args) or grid_values(*args)
+            exact, "circle_values", lambda *args: calls.append(args) or circle_values(*args)
         )
         for (n, stages), chain in chains.items():
             calls.clear()
@@ -538,7 +560,7 @@ class TestExchangeSearch:
         exact._checked(coeffs, n, klass)  # of the class's symmetry
         grid = 8 * n
         rows = exact._symmetric_basis(n, klass, np.pi * np.arange(grid + 1) / grid) @ half
-        np.testing.assert_allclose(rows, grid_values(coeffs, grid), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows, cosine_values(coeffs, grid), rtol=0, atol=1e-12)
 
     def test_k3_stages_share_their_rows(self):
         # 1 + B0 + A1 and 1 + A1 have the one free series A1
@@ -555,6 +577,17 @@ class TestExchangeSearch:
         monkeypatch.setattr(CountingHighs, "rows", [])
         assert search_free_series(n, k) is not None
         assert max(CountingHighs.rows) <= peak < parent_peak
+
+    @pytest.mark.parametrize("n,k,solves,peak", [
+        (52, 3, 10, 125), (56, 3, 11, 174), (57, 3, 10, 169), (100, 4, 6, 330),
+    ])
+    def test_exchange_path_of_the_benchmark_searches(self, monkeypatch, n, k, solves, peak):
+        # the exchange's path hangs on the last bits of the LP's fixed rows:
+        # with 1 + B_0 from circle_values, (100, 4) takes 13 solves
+        monkeypatch.setattr(exact, "_Highs", CountingHighs)
+        monkeypatch.setattr(CountingHighs, "rows", [])
+        search_free_series(n, k)
+        assert (len(CountingHighs.rows), max(CountingHighs.rows)) == (solves, peak)
 
     def test_verdicts_at_paper_sizes(self):
         found = {n: search_free_series(n, 3) is not None for n in (52, 56, 57)}

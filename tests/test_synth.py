@@ -8,7 +8,7 @@ import pytest
 
 from invinsert import cli, hilbert, synth
 from invinsert.errors import ContractError, FactorizationError
-from invinsert.exact import a0, b0, build_chain, search_free_series
+from invinsert.exact import a0, b0, build_chain, circle_values, search_free_series
 from invinsert.greedy import greedy_run
 from hilbert_testing import (
     count_rows, doubled_signs, doubled_state, greedy_states, random_schedule, run_all_answers,
@@ -40,10 +40,6 @@ def q_with_zeros(roots):
     """q_0..q_{N-1} of Q = |P|^2 for the monic P with these zeros."""
     p_coeffs = np.poly(roots)[::-1]
     return np.convolve(p_coeffs, np.conj(p_coeffs[::-1]))[len(roots):]
-
-
-def q_on_circle(q, grid):
-    return synth._circle_values(q, grid)
 
 
 def p_on_circle(coeffs, grid):
@@ -139,7 +135,7 @@ class TestSpectralFactor:
             q = q_arr[deg:]
             p = spectral_factor(q)
             grid = 64 * n
-            err = np.max(np.abs(np.abs(p_on_circle(p, grid)) ** 2 - q_on_circle(q, grid)))
+            err = np.max(np.abs(np.abs(p_on_circle(p, grid)) ** 2 - circle_values(q, grid)))
             worst = max(worst, err)
         assert worst < 1e-9
 
@@ -290,7 +286,7 @@ class TestSpectralFactor:
         # Im q_0 at rounding level, which the factor takes as real
         q = np.array([1.0 + 1e-12j, 0.25])
         p = spectral_factor(q)
-        np.testing.assert_allclose(np.abs(p_on_circle(p, 64)) ** 2, q_on_circle(q, 64), atol=1e-10)
+        np.testing.assert_allclose(np.abs(p_on_circle(p, 64)) ** 2, circle_values(q, 64), atol=1e-10)
 
     @pytest.mark.parametrize("n,rungs", [
         (300, [524288, 262144, 131072, 4096]),
@@ -322,7 +318,7 @@ def record_rungs(monkeypatch):
     """The grid of every rung ``_cepstral_factor`` evaluates Q on, in order:
     the first rung's circle values, then each later rung's odd points."""
     grids = []
-    circle_values, odd_point_sums = synth._circle_values, synth._odd_point_sums
+    odd_point_sums = synth._odd_point_sums
 
     def first(q, grid):
         grids.append(grid)
@@ -332,7 +328,7 @@ def record_rungs(monkeypatch):
         grids.append(grid)
         return odd_point_sums(q, grid)
 
-    monkeypatch.setattr(synth, "_circle_values", first)
+    monkeypatch.setattr(synth, "circle_values", first)
     monkeypatch.setattr(synth, "_odd_point_sums", odd)
     return grids
 
@@ -415,7 +411,7 @@ class TestCepstralFactor:
         p = np.array([1.0, -0.3, 0.2, 0.1, -0.05])  # |P| >= 0.35 on the circle
         q = np.convolve(p, p[::-1])[4:]
         theta = 2 * np.pi * np.arange(1, 64, 2) / 64
-        log_q = np.log(q_on_circle(q, 64)[1::2])
+        log_q = np.log(circle_values(q, 64)[1::2])
         reference = np.exp(-1j * np.outer(np.arange(5), theta)) @ log_q
         sums = synth._odd_point_sums(q, 64)
         np.testing.assert_allclose(sums, reference, rtol=0, atol=1e-13)
@@ -426,7 +422,7 @@ class TestCepstralFactor:
         p = np.array([0.5j, 1.0])  # P = z + i/2, its zero inside the disk
         q = q_with_zeros([-0.5j])
         theta = 2 * np.pi * np.arange(1, 64, 2) / 64
-        log_q = np.log(q_on_circle(q, 64)[1::2])
+        log_q = np.log(circle_values(q, 64)[1::2])
         reference = np.exp(-1j * np.outer(np.arange(2), theta)) @ log_q
         np.testing.assert_allclose(synth._odd_point_sums(q, 64), reference, rtol=0, atol=1e-13)
         np.testing.assert_allclose(synth._cepstral_factor(q), p, rtol=0, atol=1e-12)
