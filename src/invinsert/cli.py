@@ -207,7 +207,7 @@ def _load_free_series(n: int, k: int, paths: list) -> dict:
     fills the one unfilled slot of its class.  Raises SchemaError naming the
     file when a series has no slot, fills a slot already filled or does not
     fit its slot, or a slot stays empty."""
-    needed = exact.chain_free_names(n, k)
+    needed = exact.chain_free_names(k)
     loaded: dict[str, np.ndarray] = {}
     for path in paths:
         if not needed:

@@ -170,8 +170,8 @@ def certify_nonneg(
 # matching-condition chain
 # ---------------------------------------------------------------------------
 
-def chain_free_names(n: int, k: int) -> tuple[str, ...]:
-    """Names of the independently choosable series for a (n, k) chain:
+def chain_free_names(k: int) -> tuple[str, ...]:
+    """Names of the independently choosable series for a k-query chain:
     F_1..F_{k-2}, named A1, B2, A3, ... by class (A at odd l, B at even l)."""
     if k < 1:
         raise ValueError(f"query count must be >= 1, got {k}")
@@ -192,7 +192,7 @@ def build_chain(
     chain forces B_0 = 0, so it only exists for N = 2.
     """
     free = dict(free or {})
-    free_names = chain_free_names(n, k)
+    free_names = chain_free_names(k)
     if set(free) != set(free_names):
         raise ContractError(
             f"free series must be exactly {sorted(free_names)}, got {sorted(free)}"
@@ -345,7 +345,7 @@ def _stage_rows(n: int, k: int, grid: int) -> tuple[dict, list]:
     at k = 3: stages 1 + B0 + A1 and 1 + A1).  A group is (its stages, its
     free series, its fixed values on the grid, its mask of x-independent
     rows)."""
-    free_names = chain_free_names(n, k)
+    free_names = chain_free_names(k)
     params, width = {}, 0
     for name in free_names:
         size = len(_basis_orders(n, name[0])[0])
@@ -470,7 +470,7 @@ def search_free_series(
     if grid < 8 * n:
         raise ValueError(f"need at least {8 * n} grid intervals, got {grid}")
     free = {}
-    if chain_free_names(n, k):
+    if chain_free_names(k):
         delta, free = _max_min_slack(n, k, grid)
         if delta < 0:
             return None

@@ -61,7 +61,7 @@ def _json_pieces(doc) -> Iterator[str]:
             yield f"{',' if i else '{'}{_dumps(key)}:"
             yield from _json_pieces(value)
         yield "}"
-    elif isinstance(doc, (list, np.ndarray)) and len(doc):
+    elif isinstance(doc, list) and doc or isinstance(doc, np.ndarray) and doc.ndim and len(doc):
         first = doc[0]
         width = len(first) if isinstance(first, (list, dict)) or np.ndim(first) else 1  # 0-d: a scalar
         step = JSON_PIECE // max(width, 1)

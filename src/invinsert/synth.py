@@ -15,10 +15,11 @@ P is the plain array of its N coefficients in ascending powers, and Q the
 plain array of its N coefficients q_0..q_{N-1}: q_{-r} = conj(q_r) is
 implied, so Q is Hermitian, and real on the circle, by construction.
 
-As in ``hilbert``, a state after l queries is a plain array of N amplitudes
-and l carries the parity: psi(x), x < N, in position, since
-psi(x + N) = (-1)^l psi(x), and the N momenta of parity l mod 2, one
-length-N FFT away.
+As in ``hilbert``, a state after l queries is the plain array of its N
+position amplitudes psi(x), x < N, since psi(x + N) = (-1)^l psi(x), and l
+carries the parity; its N momenta of parity l mod 2 are one length-N FFT
+away.  Synthesis carries these states as ``hilbert.run_signs`` does: F_0
+keeps them, so one FFT of psi_{l-1} and psi_l gives step 4 both momenta.
 
 Numerical notes: Q must be positive on the circle, and is factored by
 Kolmogorov's minimum-phase construction, H = exp(causal part of log Q)
@@ -306,8 +307,7 @@ def synthesize_exact(
                 f"stage {ell} positivity fails: grid minimum {cert.grid_min:.3e}"
             )
 
-    psi_prev = np.zeros(n, dtype=complex)
-    psi_prev[0] = 1.0  # the uniform start state is momentum p = 0
+    prev = np.full(n, 1 / np.sqrt(2 * n), dtype=complex)  # the uniform start
     magnitude_mismatch = []
     stages = np.zeros((k, 2 * n))
     untwist = hilbert._twist(n).conj()
@@ -315,26 +315,19 @@ def synthesize_exact(
         odd = ell % 2
         try:
             psi = states_from_poly(spectral_factor(q_from_chain(*chain[ell])))
+            # F_0 keeps the position amplitudes, so the oracle image is prev
+            # on parity l; psi's largest amplitude, psi(x), takes its phase
+            x = int(np.argmax(np.abs(psi)))
+            gamma = (np.angle(prev[x]) if abs(prev[x]) > 1e-9 else 0.0) - np.angle(psi[x])
+            psi = psi * np.exp(1j * gamma)
+            # <p|.> = sqrt(2/N) sum_{x<N} exp(-i pi p x / N) (.)(x): one FFT of both
+            both = np.sqrt(2) * np.array([prev, psi])
+            phi_mom, psi_mom = np.fft.fft(untwist * both if odd else both, norm="ortho")
+            magnitude_mismatch.append(float(np.max(np.abs(np.abs(psi_mom) - np.abs(phi_mom)))))
+            stages[ell - 1, odd::2] = phases_from_states(phi_mom, psi_mom)
         except (FactorizationError, ContractError) as exc:
             raise type(exc)(f"stage {ell}: {exc}") from exc
-        phi = hilbert.oracle_image(psi_prev, ell - 1)
-        # the global phase: psi's largest position amplitude, psi(x), takes
-        # the phase of phi's, the sum over p = 2m + odd of
-        # exp(i pi p x / N) phi(p) / sqrt(2N)
-        x = int(np.argmax(np.abs(psi)))
-        p = 2 * np.arange(n) + odd
-        ref = np.exp(1j * np.pi * (p * x % (2 * n)) / n) @ phi / np.sqrt(2 * n)
-        gamma = (np.angle(ref) if abs(ref) > 1e-9 else 0.0) - np.angle(psi[x])
-        # <p|psi> = sqrt(2/N) sum_{x<N} exp(-i pi p x / N) psi(x): one length-N FFT
-        psi_mom = np.fft.fft(
-            np.sqrt(2) * np.exp(1j * gamma) * (untwist * psi if odd else psi), norm="ortho"
-        )
-        magnitude_mismatch.append(float(np.max(np.abs(np.abs(psi_mom) - np.abs(phi)))))
-        try:
-            stages[ell - 1, odd::2] = phases_from_states(phi, psi_mom)
-        except ContractError as exc:
-            raise ContractError(f"stage {ell}: {exc}") from exc
-        psi_prev = psi_mom
+        prev = psi
 
     stages.setflags(write=False)
     final, report = schedule_report(stages)

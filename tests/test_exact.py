@@ -322,7 +322,7 @@ class TestFeasibilityBoundaries:
 class TestBuildChain:
     def test_k2_chain_shape(self):
         chain = build_chain(6, 2)
-        assert chain_free_names(6, 2) == ()
+        assert chain_free_names(2) == ()
         a_1, b_1 = chain[1]
         assert not a_1.any()
         np.testing.assert_array_equal(b_1, b0(6))
@@ -352,7 +352,7 @@ class TestBuildChain:
         assert not chain[3][0].any()
 
     def test_k4_free_names(self):
-        assert chain_free_names(10, 4) == ("A1", "B2")
+        assert chain_free_names(4) == ("A1", "B2")
         chain = build_chain(
             10, 4, {"A1": np.zeros(9), "B2": np.zeros(9)}
         )
@@ -364,17 +364,17 @@ class TestBuildChain:
         assert not chain[4][0].any() and not chain[4][1].any()
 
     def test_k5_free_names(self):
-        assert chain_free_names(9, 5) == ("A1", "B2", "A3")
+        assert chain_free_names(5) == ("A1", "B2", "A3")
 
     def test_free_count_is_k_minus_2(self):
         for k in range(2, 9):
-            assert len(chain_free_names(12, k)) == k - 2
+            assert len(chain_free_names(k)) == k - 2
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_every_stage_obeys_the_matching_conditions(self, k):
         n = 2 if k == 1 else 10
         names = ("A1", "B2", "A3", "B4", "A5", "B6")[: max(k - 2, 0)]
-        assert chain_free_names(n, k) == names
+        assert chain_free_names(k) == names
         rng = np.random.default_rng(k)
         free = {}
         for name in names:

@@ -430,8 +430,9 @@ class TestKernelLength:
         assert blocks[0][0].shape == (6, 6)
 
     def test_synthesis(self, monkeypatch):
-        # one oracle image per stage, and the only length-2N transform is
-        # the V columns' inverse FFT
+        # synthesis carries position states, which F_0 keeps, so it takes no
+        # oracle image, and the only length-2N transform is the V columns'
+        # inverse FFT
         n, k = 52, 3
         free = search_free_series(n, k)[0]
         images = []
@@ -454,7 +455,7 @@ class TestKernelLength:
 
         monkeypatch.setattr(synth, "v_column", recorded)
         synthesize_exact(n, k, free)
-        assert images == [0, 1, 2]
+        assert images == []
         (start, end), = spans
         outside = lengths[:start] + lengths[end:]
         assert lengths[start:end] == [2 * n]
@@ -789,6 +790,14 @@ class TestWriteJson:
     @pytest.mark.parametrize("piece", [None, 1])
     def test_empty_first_items(self, doc, piece):
         assert written(doc, piece) == dumped(doc)
+
+    @pytest.mark.parametrize("piece", [None, 1])
+    def test_zero_d_and_empty_arrays(self, piece):
+        # a 0-d array is one value, alone as in a list; (0, 3) has no rows.
+        # orjson takes 0-d arrays only through ``default``, as their tolist()
+        doc = {"a": np.array(1.0), "l": [np.array(2.5), np.array(-3.0)], "e": np.zeros((0, 3))}
+        listed = {"a": 1.0, "l": [2.5, -3.0], "e": doc["e"]}
+        assert written(doc, piece) == dumped(listed) == '{"a":1.0,"l":[2.5,-3.0],"e":[]}\n'
 
 
 def scalars(value) -> int:

@@ -641,3 +641,19 @@ class TestOneRun:
         synthesize_exact(52, 3, free)
         assert 0 < sum(rows) <= 3
 
+    @pytest.mark.parametrize("n, k, path", [
+        (6, 2, None),
+        (52, 3, PERFBENCH_INPUTS / "free-52-3.json"),
+        (150, 4, PERFBENCH_INPUTS / "free-150-4.json"),
+        (300, 4, Path(__file__).parent / "data" / "free-300-4.json"),
+    ])
+    def test_each_prefix_reaches_its_stage_state(self, n, k, path):
+        # the first l rows take the uniform start to stage l's state up to a
+        # global phase; psi(x + N) = +-psi(x) doubles the overlap
+        free = cli._load_free_series(n, k, [path]) if path else None
+        stages = synthesize_exact(n, k, free)[0]
+        chain = build_chain(n, k, free)
+        for ell in range(1, k + 1):
+            run = hilbert.run_signs(stages[:ell], hilbert.oracle_signs([0], n))[0]
+            psi = states_from_poly(spectral_factor(q_from_chain(*chain[ell])))
+            assert 2 * abs(np.vdot(psi, run)) >= 1 - 1e-12, ell
