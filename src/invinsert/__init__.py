@@ -11,13 +11,13 @@ from .exact import (
     b0,
     build_chain,
     certify_nonneg,
+    q_from_chain,
     search_free_series,
 )
 from .greedy import greedy_run
 from .hilbert import load_schedule, save_schedule
 from .synth import (
     phases_from_states,
-    q_from_chain,
     spectral_factor,
     states_from_poly,
     synthesize_exact,

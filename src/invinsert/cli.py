@@ -174,7 +174,7 @@ def cmd_exact_feasible(args) -> int:
     else:
         _emit_report(
             "exact feasible",
-            {"k": args.k, "n_range": args.n_range},
+            {"k": args.k, "n_range": args.n_range, "grid": args.grid},
             {"n": ns, "feasible": flags},
         )
     return EXIT_OK if any(flags) else EXIT_INFEASIBLE
@@ -245,16 +245,13 @@ def _free_series(n: int, k: int, grid, paths) -> dict | None:
 
 def cmd_exact_synth(args) -> int:
     free = _free_series(args.n, args.k, args.grid, args.series)
+    params = {"n": args.n, "k": args.k, "grid": args.grid}
     if free is None:
-        _emit_report("exact synth", {"n": args.n, "k": args.k}, {"found": False})
+        _emit_report("exact synth", params, {"found": False})
         return EXIT_INFEASIBLE
     stages, report = synth.synthesize_exact(args.n, args.k, free, args.grid)
     hilbert.save_schedule(stages, args.out)
-    _emit_report(
-        "exact synth",
-        {"n": args.n, "k": args.k, "out": args.out},
-        report,
-    )
+    _emit_report("exact synth", {**params, "out": args.out}, report)
     return EXIT_OK if report["exact"] else EXIT_INFEASIBLE
 
 
@@ -266,8 +263,7 @@ def cmd_verify(args) -> int:
     else:
         n, k, columns = report["n"], report["k"], synth.v_column(stages)
         sys.stdout.write(f"n={n} k={k}\n")
-        for j, prob in enumerate(report["success_probs"]):
-            sys.stdout.write(f"success[j={j}] = {prob:.12f}\n")
+        sys.stdout.write(f"success = {report['min_success_prob']:.12f} (every answer)\n")
         header = ["x"] + [f"V{ell}" for ell in range(1, k + 1)]
         sys.stdout.write("\t".join(header) + "\n")
         for x in range(2 * n):
@@ -277,9 +273,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    n_total = args.m**args.h
-    if n_total >= 2**63:  # hidden indices are int64
+    # hidden indices are int64; M >= 2 puts h >= 63 past them before M^h is formed
+    if args.h >= 63 or args.m**args.h >= 2**63:
         raise _UsageError(f"--h {args.h}: M^h = {args.m}^{args.h} must be below 2^63")
+    n_total = args.m**args.h
     if args.all and n_total > ALL_ANSWERS_MAX:
         raise _UsageError(
             f"--all: M^h = {args.m}^{args.h} answers, more than {ALL_ANSWERS_MAX}; use --j"

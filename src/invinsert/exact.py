@@ -16,8 +16,10 @@ F_1..F_{k-2} (A1, B2, A3, ...) come from a maximize-minimum-slack linear
 program on a theta grid (none for k <= 2: k = 2 is 1 + B_0 >= 0, k = 1 is
 B_0 = 0), and one Lipschitz grid certificate per stage checks the chain.
 A series is the array of its N - 1 coefficients c_1..c_{N-1}, its class the
-first letter of its slot's name.  ``circle_values`` evaluates every sum on a
-grid but the LP's fixed 1 + B_0 rows, here and for Q_l in ``synth``.
+first letter of its slot's name.  Stage l's Q_l = 1 + A_l + B_l is one real
+array q_0..q_{N-1} (``q_from_chain``), which the certificate here and the
+factor in ``synth`` both take.  ``circle_values`` evaluates every sum on a
+grid but the LP's fixed 1 + B_0 rows.
 
 The LP is never written out over the whole grid.  Where every free series
 of a stage vanishes (N theta an odd multiple of pi for class A, an even one
@@ -67,7 +69,9 @@ def default_grid(n: int) -> int:
 
 @dataclass(frozen=True)
 class FeasibilityCertificate:
-    """Grid evidence for nonnegativity of 1 + (sum of series) on [0, pi]."""
+    """Grid evidence for nonnegativity of a stage's Q on [0, pi]: Q's least
+    value on the grid, the bound L = 2 sum_r r |q_r| of |Q'|, and
+    margin = grid_min - L h / 2 for the grid spacing h."""
 
     grid_points: int
     grid_min: float
@@ -122,33 +126,35 @@ def circle_values(q: np.ndarray, points: int) -> np.ndarray:
     return np.fft.irfft(q, points, norm="forward")
 
 
-def certify_nonneg(
-    one_plus: Sequence[np.ndarray], grid_points: int
-) -> FeasibilityCertificate:
-    """Grid-plus-Lipschitz certificate for f = 1 + sum of series on [0, pi].
+def q_from_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Q's coefficients q_0..q_{N-1} for a chain stage's 1 + A(theta) + B(theta):
+    q_0 = 1 and q_r = (a_r + b_r) / 2, with q_{-r} = q_r implied."""
+    return np.r_[1.0, (a + b) / 2]
 
-    Evaluates f on grid_points + 1 equally spaced angles (spacing
-    h = pi / grid_points) by one ``circle_values`` of the series' sum, bounds
-    |f'| by L = sum over series of sum_r r |c_r|, and certifies positivity
-    when grid_min - L h / 2 >= 0.  A grid minimum below -1e-9 is reported
-    infeasible; anything between is numerically nonnegative but uncertified.
 
-    Requires grid_points >= 8N so the grid resolves every harmonic.  Raises
-    ValueError for non-finite coefficients, before any transform.
+def certify_nonneg(q: np.ndarray, grid_points: int) -> FeasibilityCertificate:
+    """Grid-plus-Lipschitz certificate for Q = q_0 + 2 sum_r q_r cos(r theta)
+    on [0, pi], for a stage's q of ``q_from_chain``.
+
+    Evaluates Q on grid_points + 1 equally spaced angles (spacing
+    h = pi / grid_points) by one ``circle_values``, bounds |Q'| by
+    L = 2 sum_r r |q_r|, and certifies positivity when grid_min - L h / 2 >= 0.
+    A grid minimum below -1e-9 is reported infeasible; anything between is
+    numerically nonnegative but uncertified.
+
+    Raises ValueError, before any transform, unless q is a real 1-D array of
+    at least one finite coefficient and grid_points >= 8N, so that the grid
+    resolves every harmonic.
     """
-    one_plus = [np.asarray(c, dtype=float) for c in one_plus]
-    if one_plus:
-        n = len(one_plus[0]) + 1
-        if any(len(c) + 1 != n for c in one_plus):
-            raise ValueError("all series must share the same problem size")
-        if grid_points < 8 * n:
-            raise ValueError(f"need at least {8 * n} grid intervals, got {grid_points}")
-        if not np.isfinite(one_plus).all():
-            raise ValueError("series have non-finite coefficients")
-    elif grid_points < 1:
-        raise ValueError("grid_points must be positive")
-    q = np.concatenate([[1.0], sum(one_plus) / 2]) if one_plus else np.ones(1)
-    lipschitz = sum((float(np.sum(np.arange(1, n) * np.abs(c))) for c in one_plus), 0.0)
+    q = np.asarray(q)
+    if q.ndim != 1 or not len(q) or np.iscomplexobj(q):
+        raise ValueError(f"expected a real 1-D array of coefficients, got shape {q.shape}")
+    n = len(q)
+    if grid_points < 8 * n:
+        raise ValueError(f"need at least {8 * n} grid intervals, got {grid_points}")
+    if not np.isfinite(q).all():
+        raise ValueError("q has non-finite coefficients")
+    lipschitz = 2 * float(np.sum(np.arange(1, n) * np.abs(q[1:])))
     grid_min = float(circle_values(q, 2 * grid_points)[: grid_points + 1].min())
     margin = grid_min - lipschitz * (np.pi / grid_points) / 2
     if margin >= 0:
@@ -210,10 +216,14 @@ def build_chain(
 
 
 def certify_chain(chain: Sequence[tuple], grid_points: int) -> dict[int, FeasibilityCertificate]:
-    """:func:`certify_nonneg` of 1 + A_l + B_l for each stage l = 1..k-1, by
-    stage.  Stage 0 holds identically (it is a squared magnitude) and stage
-    k = len(chain) - 1 is 1 >= 0, so neither is certified."""
-    return {ell: certify_nonneg(stage, grid_points) for ell, stage in enumerate(chain[1:-1], 1)}
+    """:func:`certify_nonneg` of each stage's Q (:func:`q_from_chain`),
+    l = 1..k-1, by stage.  Stage 0 holds identically (it is a squared
+    magnitude) and stage k = len(chain) - 1 is 1 >= 0, so neither is
+    certified."""
+    return {
+        ell: certify_nonneg(q_from_chain(*stage), grid_points)
+        for ell, stage in enumerate(chain[1:-1], 1)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Pipeline per stage l:
 
-1. ``q_from_chain``  - assemble Q_l(z) = 1 + A_l + B_l with cos(r theta)
-   split as (z^r + z^-r) / 2.
+1. ``exact.q_from_chain`` - assemble Q_l(z) = 1 + A_l + B_l with cos(r theta)
+   split as (z^r + z^-r) / 2, the array the stage's certificate takes.
 2. ``spectral_factor`` - write Q_l = P_l(z) conj(P_l(1/conj(z))) on |z| = 1,
    with P's zeros in the open unit disk, and return P's coefficients.
 3. ``states_from_poly`` - read the stage state's position amplitudes
@@ -12,8 +12,8 @@ Pipeline per stage l:
    <p|psi_l> / <p|F_0|psi_{l-1}> on parity l mod 2.
 
 P is the plain array of its N coefficients in ascending powers, and Q the
-plain array of its N coefficients q_0..q_{N-1}: q_{-r} = conj(q_r) is
-implied, so Q is Hermitian, and real on the circle, by construction.
+plain array of its N real coefficients q_0..q_{N-1}: q_{-r} = q_r is
+implied, so Q is real and even on the circle by construction.
 
 As in ``hilbert``, a state after l queries is the plain array of its N
 position amplitudes psi(x), x < N, since psi(x + N) = (-1)^l psi(x), and l
@@ -30,10 +30,9 @@ power-series exponential turns them into h_0..h_{N-1} exactly.  Q's values
 on the circle all come from ``exact.circle_values``, the one grid evaluator.
 The grid doubles until two successive grids agree within FACTOR_GRID_TOL, up
 to a cap of the first grid << LADDER_RUNGS and at most FFT_MAX_SIZE points.
-Every chain's Q has real coefficients, so Q is even on the circle: each
-doubling evaluates Q only at the new odd points that are distinct up to
-mirroring, with quarter-length real FFTs (Makhoul's fast cosine
-transforms, IEEE TASSP 28, 1980); complex Q takes all the new odd points.
+Q is even on the circle, so each doubling evaluates Q only at the new odd
+points that are distinct up to mirroring, with quarter-length real FFTs
+(Makhoul's fast cosine transforms, IEEE TASSP 28, 1980).
 A few convolutions give the change in h between two grids, and only the
 accepted grid takes the series exponential again.  Zeros on the circle, as
 in the start polynomial's squared magnitude, make log Q singular and keep
@@ -50,7 +49,9 @@ import numpy as np
 
 from . import hilbert
 from .errors import ContractError, FactorizationError
-from .exact import INFEASIBLE, build_chain, certify_chain, circle_values, default_grid
+from .exact import (
+    INFEASIBLE, build_chain, certify_chain, circle_values, default_grid, q_from_chain,
+)
 
 FACTOR_GRID_TOL = 1e-8
 FFT_MIN_SIZE = 1 << 10  # the first grid the factor may stop on is max(this, 16N)
@@ -58,12 +59,6 @@ FFT_MAX_SIZE = 1 << 23  # points, 64 MB a real array: no grid is finer
 LADDER_RUNGS = 10       # times the grid may double; (450,4) stage 1 takes 8
 ZERO_AMP_TOL = 1e-12    # arbitrary-phase threshold in phase extraction
 MAGNITUDE_TOL = 1e-8    # stage state vs oracle image, momentum by momentum
-
-
-def q_from_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Q's coefficients q_0..q_{N-1} for a chain stage's 1 + A(theta) + B(theta):
-    q_0 = 1 and q_r = (a_r + b_r) / 2, with q_{-r} = conj(q_r) implied."""
-    return np.r_[1.0, (a + b) / 2]
 
 
 def _series_exp(c: np.ndarray) -> np.ndarray:
@@ -118,13 +113,10 @@ def _odd_point_sums(q: np.ndarray, grid: int) -> np.ndarray:
     Real q_0..q_{N-1} make Q even, and point 4m + 1 mirrors to
     grid - 4m - 1, which is 3 mod 4: the points 4m + 1, a grid of grid/4,
     hold one of each pair (Makhoul's DCT-III and DCT-II, their permutations
-    cancelled), and the sums are real.  Complex q takes all grid/2 points."""
-    complex_q = np.iscomplexobj(q)
-    points = grid // 2 if complex_q else grid // 4
+    cancelled), and the sums are real."""
     turn = np.exp(2j * np.pi / grid * np.arange(len(q)))
-    values = circle_values(turn * q, points)
-    sums = np.conj(turn) * np.fft.rfft(_log(values, grid))[:len(q)]
-    return sums if complex_q else 2 * sums.real
+    values = circle_values(turn * q, grid // 4)
+    return 2 * (np.conj(turn) * np.fft.rfft(_log(values, grid))[:len(q)]).real
 
 
 def _cepstral_factor(q: np.ndarray) -> np.ndarray:
@@ -138,7 +130,7 @@ def _cepstral_factor(q: np.ndarray) -> np.ndarray:
     and stops on the first S whose h[:N] is within FACTOR_GRID_TOL of the
     S/2 grid's, the coefficient error of the S/2 grid.  A grid's even points
     are the last grid, so each later rung evaluates Q only at its odd points
-    (``_odd_point_sums``: S/4 of them for real q), and ``_exp_change``
+    (``_odd_point_sums``: S/4 of them), and ``_exp_change``
     carries h to it by convolutions; the accepted grid's h is the series
     exponential of its c.  Q = 1, the last stage of every chain, stops on
     the first rung.  The grid grows to at most the first rung
@@ -148,8 +140,6 @@ def _cepstral_factor(q: np.ndarray) -> np.ndarray:
     decaying.
     """
     n = len(q)
-    if not q[1:].imag.any():
-        q = q.real  # the circle values drop Im q_0
     size = max(FFT_MIN_SIZE, 1 << (16 * n - 1).bit_length()) // 2
     cap = min(FFT_MAX_SIZE, size << LADDER_RUNGS)
     if size >= cap:
@@ -162,9 +152,7 @@ def _cepstral_factor(q: np.ndarray) -> np.ndarray:
         # log Q = 0 at all of the first grid's >= 8N points, more than the
         # 2N - 2 zeros Q - 1 can have, so Q = 1 and P = z^(N-1) is exact
         return np.eye(1, n, n - 1)[0]
-    sums = np.fft.rfft(log_q)[:n]
-    if not np.iscomplexobj(q):
-        sums = sums.real
+    sums = np.fft.rfft(log_q)[:n].real
     c = sums / size
     c[0] /= 2
     h = _series_exp(c)
@@ -189,26 +177,25 @@ def _cepstral_factor(q: np.ndarray) -> np.ndarray:
 def spectral_factor(q: np.ndarray) -> np.ndarray:
     """Factor Q(z) = P(z) conj(P(1/conj(z))) with |P|^2 = Q on the circle.
 
-    Q is given by its real or complex coefficients q_0..q_{N-1},
-    q_{-r} = conj(q_r) implied, so it is real on the circle when q_0 is,
-    and it must be positive there.  Returns P's N complex coefficients,
-    ``coeffs[i]`` multiplying z^i, from the cepstral factor.  P has its
-    zeros in the open unit disk and a real positive leading coefficient, so
-    Q = 1 factors as z^(N-1).
+    Q is given by its real coefficients q_0..q_{N-1} (``q_from_chain``),
+    q_{-r} = q_r implied, and must be positive on the circle.  Returns P's N
+    complex coefficients, ``coeffs[i]`` multiplying z^i, from the cepstral
+    factor.  P has its zeros in the open unit disk and a real positive
+    leading coefficient, so Q = 1 factors as z^(N-1).
 
     Raises ValueError unless q is 1-D with at least 2 coefficients,
-    ContractError for coefficients that are not finite or for
-    |Im q_0| > 1e-10 max(1, max |q_r|), and FactorizationError where Q is
-    not positive on a grid of the cepstral factor, where its grids still
-    disagree at their cap, as for zeros on the circle, or when |P|^2 misses
-    Q on the 64N-point grid by more than FACTOR_GRID_TOL.  That check forms
-    |P|^2's coefficients in Q's layout and evaluates |P|^2 - Q from them.
+    ContractError, before any transform, for complex or non-finite
+    coefficients, and FactorizationError where Q is not positive on a grid
+    of the cepstral factor, where its grids still disagree at their cap, as
+    for zeros on the circle, or when |P|^2 misses Q on the 64N-point grid by
+    more than FACTOR_GRID_TOL.  That check forms |P|^2's coefficients in Q's
+    layout and evaluates |P|^2 - Q from them.
     """
     q = np.asarray(q)
     if q.ndim != 1 or len(q) < 2:
         raise ValueError(f"expected at least 2 coefficients in a 1-D array, got shape {q.shape}")
-    if not np.isfinite(q).all() or abs(q[0].imag) > 1e-10 * max(1.0, np.abs(q).max()):
-        raise ContractError("coefficients are not finite or q_0 is not real")
+    if np.iscomplexobj(q) or not np.isfinite(q).all():
+        raise ContractError("Q's coefficients are not real and finite")
     n = len(q)
     coeffs = np.asarray(_cepstral_factor(q), dtype=complex)
     # |P|^2's coefficients r_j = sum_i p_{i+j} conj(p_i), j < N, in Q's

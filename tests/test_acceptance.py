@@ -21,11 +21,13 @@ from invinsert.exact import (
     build_chain,
     certify_chain,
     default_grid,
+    q_from_chain,
     search_free_series,
 )
 from invinsert.greedy import greedy_run
 from invinsert.synth import spectral_factor, synthesize_exact, v_column
 from test_bounds import overlap_bound
+from test_synth import conjugate_paired_roots
 
 PROPERTY_SIZES = [2, 3, 6, 8, 16, 52]
 
@@ -164,7 +166,7 @@ def test_criterion_5_n52_k3(n52_search, n52_synthesis):
         if cert.verdict != CERTIFIED_POSITIVE:
             assert cert.verdict != INFEASIBLE
             finer = certify_nonneg(
-                build_chain(52, 3, free)[ell],
+                q_from_chain(*build_chain(52, 3, free)[ell]),
                 10 * cert.grid_points,
             )
             assert finer.grid_min >= -1e-12, f"stage {ell} fails at 10x grid"
@@ -245,14 +247,10 @@ class TestCriterion8Properties:
         for _ in range(100):
             deg = int(rng.integers(1, 9))
             n = deg + 1
-            roots = rng.uniform(0.2, 0.9, deg) * np.exp(
-                2j * np.pi * rng.uniform(0, 1, deg)
-            )
-            if rng.random() < 0.5:
-                roots[: deg // 2] = 1 / np.conj(roots[: deg // 2])
-            coeffs = np.poly(roots)[::-1] * (0.3 + rng.random())
-            q_arr = np.convolve(coeffs, np.conj(coeffs[::-1]))
-            q = q_arr[deg:] / q_arr[deg].real
+            roots = conjugate_paired_roots(deg, rng)
+            coeffs = np.poly(roots)[::-1].real * (0.3 + rng.random())
+            q_arr = np.convolve(coeffs, coeffs[::-1])
+            q = q_arr[deg:] / q_arr[deg]
             p = spectral_factor(q)
             grid = 64 * n
             err = np.max(

@@ -266,6 +266,17 @@ class TestExactCommands:
             "invinsert: stage 2: Q is not positive on the 65536-point grid"
         )
 
+    @pytest.mark.parametrize("argv", [
+        "exact search --k 2 --n 6",
+        "exact feasible --k 2 --n-range 6..7 --format json",
+        "exact synth --n 6 --k 2 --out {out}",
+    ])
+    def test_reports_record_a_given_grid(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "s.json"
+        argv = shlex.split(argv.format(out=out_file)) + ["--grid", "100"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["params"]["grid"] == 100
+
     def test_results_deterministic_across_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "exact", "search", "--k", "3", "--n", "8")
         _, out2, _ = run_cli(capsys, "exact", "search", "--k", "3", "--n", "8")
@@ -289,8 +300,16 @@ class TestOneVerdictPerChain:
         line, key = VERDICT_COMMANDS[command]
         out_file = tmp_path / "s.json"
         code, out, _ = run_cli(capsys, *shlex.split(line.format(k=k, n=n, out=out_file)))
-        results = json.loads(out)["results"]
+        report = json.loads(out)
+        results = report["results"]
         assert code == (0 if feasible else 2)
+        # each report records the grid that decided its verdict
+        assert report["params"] == {
+            "search": {"k": k, "n": n, "grid": None},
+            "feasible": {"k": k, "n_range": f"{n}..{n}", "grid": None},
+            "synth": {"n": n, "k": k, "grid": None, **({"out": str(out_file)} if feasible else {})},
+            "compose": {"m": n, "k": k, "h": 1},
+        }[command]
         if command == "feasible":
             assert results["feasible"] == [feasible]
         elif feasible:
@@ -342,13 +361,15 @@ class TestSynthVerifyRoundTrip:
         code, out, _ = run_cli(capsys, "verify", "--schedule", str(path))
         assert code == 0
         lines = out.strip().splitlines()
-        header = lines[7].split("\t")
+        # every answer has the same success, so it is printed once
+        assert lines[:2] == ["n=6 k=2", "success = 1.000000000000 (every answer)"]
+        header = lines[2].split("\t")
         assert header == ["x", "V1", "V2"]
-        first = lines[8].split("\t")
+        first = lines[3].split("\t")
         assert first[1] == "0.7572" and first[2] == "0.9122"
         # every row is x and the real parts of the stages' V columns
         columns = synth.v_column(hilbert.load_schedule(path)).real
-        rows = [line.split("\t") for line in lines[8:]]
+        rows = [line.split("\t") for line in lines[3:]]
         assert rows == [[str(x)] + [f"{v:.4f}" for v in columns[:, x]] for x in range(12)]
 
     def test_verify_json_reports_success_only(self, capsys, tmp_path):
@@ -419,6 +440,21 @@ class TestComposeAndRate:
         code, out, err = run_cli(capsys, "compose", "--m", "6", "--k", "2", *argv)
         assert code == 64 and out == ""
         assert err.startswith("invinsert: --") and err.count("\n") == 1
+
+    def test_compose_huge_h_exits_64_at_once(self):
+        # M >= 2 puts h >= 63 past int64 before M^h is formed; forming
+        # 3^(10^8) alone takes over a minute.  In a child process with a
+        # timeout, so that a slow check fails the test instead of hanging it
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "invinsert.cli",
+             "compose", "--m", "3", "--k", "1", "--h", "100000000", "--j", "0"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (64, "")
+        assert proc.stderr == "invinsert: --h 100000000: M^h = 3^100000000 must be below 2^63\n"
 
     @pytest.mark.parametrize("m", ["-2", "0", "1"])
     def test_compose_m_below_two_exits_64(self, capsys, m):

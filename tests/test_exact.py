@@ -32,6 +32,7 @@ from invinsert.exact import (
     circle_values,
     default_grid,
     load_series,
+    q_from_chain,
     save_series,
     search_free_series,
 )
@@ -182,25 +183,32 @@ class TestGridValues:
             circle_values(q, 2 * 52 - 2)
 
 
+def stage_q(series):
+    """Q of the stage 1 + (sum of the given series), as ``q_from_chain``
+    builds it from the stage's pair."""
+    zero = np.zeros_like(series[0])
+    return q_from_chain(series[0], series[1] if len(series) > 1 else zero)
+
+
 class TestCertifyNonneg:
-    def test_empty_list_is_certified_one(self):
-        cert = certify_nonneg([], 64)
-        assert cert.verdict == CERTIFIED_POSITIVE
-        assert abs(cert.grid_min - 1.0) < 1e-15
-        assert abs(cert.margin - 1.0) < 1e-15
+    def test_constant_q_is_certified(self):
+        # a q of one coefficient is the constant Q = q_0, with L = 0, and
+        # needs the 8N = 8 intervals of every N
+        cert = certify_nonneg(np.ones(1), 8)
+        assert cert == FeasibilityCertificate(8, 1.0, 0.0, 1.0, CERTIFIED_POSITIVE)
 
     def test_boundary_case_n6(self):
-        ok = certify_nonneg([b0(6)], default_grid(6))
+        ok = certify_nonneg(stage_q([b0(6)]), default_grid(6))
         assert ok.verdict != INFEASIBLE
         assert ok.grid_min > 0.03  # the true minimum is about 0.0321
 
     def test_violation_n7(self):
-        cert = certify_nonneg([b0(7)], default_grid(7))
+        cert = certify_nonneg(stage_q([b0(7)]), default_grid(7))
         assert cert.verdict == INFEASIBLE
         assert cert.grid_min < -0.06  # the violation is about -0.0674
 
     def test_certified_positive_needs_margin(self):
-        cert = certify_nonneg([b0(6)], default_grid(6))
+        cert = certify_nonneg(stage_q([b0(6)]), default_grid(6))
         # Lipschitz slack exceeds the 0.032 minimum on the default grid
         assert cert.margin == cert.grid_min - cert.lipschitz * (
             np.pi / cert.grid_points
@@ -210,14 +218,14 @@ class TestCertifyNonneg:
         # soundness: a certified verdict cannot be contradicted at 10x
         series = np.array([0.1, 0.1, 0.1])
         base = 8 * 4 * 64
-        cert = certify_nonneg([series], base)
+        cert = certify_nonneg(stage_q([series]), base)
         assert cert.verdict == CERTIFIED_POSITIVE
-        finer = certify_nonneg([series], base * 10)
+        finer = certify_nonneg(stage_q([series]), base * 10)
         assert finer.grid_min >= -1e-12
 
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):
-            certify_nonneg([b0(6)], 40)
+            certify_nonneg(stage_q([b0(6)]), 40)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficients_rejected(self, monkeypatch, bad):
@@ -228,10 +236,27 @@ class TestCertifyNonneg:
         series[2] = bad
         monkeypatch.setattr(exact, "circle_values", no_transform)
         with pytest.raises(ValueError, match="non-finite coefficients"):
-            certify_nonneg([b0(6), series], default_grid(6))
+            certify_nonneg(stage_q([b0(6), series]), default_grid(6))
+
+    @pytest.mark.parametrize("q", [
+        build_chain(6, 2)[1],  # a stage's pair (A, B), not its Q
+        np.ones((1, 6)),
+        np.float64(1.0),
+        np.empty(0),
+        np.ones(6, dtype=complex),
+    ], ids=["stage-pair", "2-D", "0-d", "empty", "complex"])
+    def test_anything_but_one_real_q_rejected(self, monkeypatch, q):
+        # a stage's pair would otherwise be read as a 2-D array; at the
+        # (52,3) stages its grid minimum comes out near -10
+        def no_transform(*args):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(exact, "circle_values", no_transform)
+        with pytest.raises(ValueError, match="^expected a real 1-D array of coefficients"):
+            certify_nonneg(q, default_grid(6))
 
     def test_to_dict_fields(self):
-        cert = certify_nonneg([b0(6)], default_grid(6))
+        cert = certify_nonneg(stage_q([b0(6)]), default_grid(6))
         assert cert.to_dict() == {
             "grid_points": cert.grid_points,
             "grid_min": cert.grid_min,
@@ -301,6 +326,47 @@ class TestCertifyChain:
         }
 
 
+
+def committed_chains():
+    """Every chain committed as a series file, by (N, k): the ``tests/data``
+    fixtures and the benchmark's inputs."""
+    tests = Path(__file__).resolve().parent
+    dirs = (tests / "data", tests.parent / "perfbench" / "inputs")
+    chains = {}
+    for path in sorted(p for d in dirs for p in d.glob("free-*-*.json")):
+        n, k = map(int, path.stem.split("-")[1:])
+        chains[n, k] = build_chain(n, k, cli._load_free_series(n, k, [path]))
+    return chains
+
+
+def max_slope(q, grid):
+    """max |Q'| = max |sum_r 2 r q_r sin(r theta)| at theta = pi m / G,
+    m = 0..G: the imaginary part of a real FFT of 2 r q_r on 2G points."""
+    return np.abs(np.fft.rfft(2 * np.arange(len(q)) * q, 2 * grid).imag).max()
+
+
+class TestLipschitzBound:
+    def test_bounds_the_slope_of_random_q(self):
+        rng = np.random.default_rng(33)
+        for n in (1, 2, 3, 8, 52, 300):
+            for _ in range(5):
+                q = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 1e3])
+                cert = certify_nonneg(q, 8 * n)
+                assert max_slope(q, 1024 * n) <= cert.lipschitz, n
+
+    def test_bounds_the_slope_of_every_committed_stage(self):
+        two_series = 0
+        for (n, k), chain in committed_chains().items():
+            for ell, cert in certify_chain(chain, default_grid(n)).items():
+                a, b = chain[ell]
+                assert max_slope(q_from_chain(a, b), 64 * n) <= cert.lipschitz, (n, ell)
+                # the stage's own sum: sum_r r |a_r + b_r|, not the sum of
+                # the two series' bounds
+                assert cert.lipschitz == float(np.sum(np.arange(1, n) * np.abs(a + b))), (n, ell)
+                two_series += bool(a.any() and b.any())
+        # stage 1 (A1 + B0) of all six chains, stage 2 (A1 + B2) of the five at k = 4
+        assert two_series == 11
+
 class TestFeasibilityBoundaries:
     def test_k2_boundary(self):
         for n in range(2, 7):
@@ -335,7 +401,7 @@ class TestBuildChain:
         chain = build_chain(n, 3, {"A1": np.zeros(n - 1)})
         certs = certify_chain(chain, 8 * n)
         assert set(certs) == {1, 2}
-        assert certs[1] == certify_nonneg([b0(n)], 8 * n)  # A1 = 0 adds nothing
+        assert certs[1] == certify_nonneg(stage_q([b0(n)]), 8 * n)  # A1 = 0 adds nothing
         assert (certs[2].grid_min, certs[2].lipschitz) == (1.0, 0.0)  # 1 + 0 >= 0
 
     def test_k3_with_nonzero_free(self):
@@ -463,8 +529,8 @@ class TestSearchFreeSeries:
         assert all(c.verdict != INFEASIBLE for c in certs.values())
         # the found series really satisfies both constraints on a fine grid
         fine = 10 * default_grid(6)
-        assert certify_nonneg([free["A1"], b0(6)], fine).grid_min > -1e-12
-        assert certify_nonneg([free["A1"]], fine).grid_min > -1e-12
+        assert certify_nonneg(stage_q([free["A1"], b0(6)]), fine).grid_min > -1e-12
+        assert certify_nonneg(stage_q([free["A1"]]), fine).grid_min > -1e-12
 
     def test_search_beats_zero_choice(self):
         # for n = 6, A1 = 0 already works; the LP must do at least as well
@@ -489,7 +555,7 @@ class TestSearchFreeSeries:
         for n in range(2, 301):
             assert (search_free_series(n, 2) is not None) == (k2_cert(n).verdict != INFEASIBLE)
         for n in (6, 7):  # the chain's one stage is 1 + B_0
-            assert k2_cert(n) == certify_nonneg([b0(n)], default_grid(n))
+            assert k2_cert(n) == certify_nonneg(stage_q([b0(n)]), default_grid(n))
 
     @pytest.mark.parametrize("n,k,grid", [(300, 4, 2000), (16, 3, 0), (6, 2, 47)])
     def test_coarse_grid_rejected_before_any_lp(self, monkeypatch, n, k, grid):
@@ -504,7 +570,7 @@ class TestSearchFreeSeries:
         infeasible = FeasibilityCertificate(
             grid_points=1, grid_min=-1.0, lipschitz=0.0, margin=-1.0, verdict=INFEASIBLE
         )
-        monkeypatch.setattr(exact, "certify_nonneg", lambda series, grid: infeasible)
+        monkeypatch.setattr(exact, "certify_nonneg", lambda q, grid: infeasible)
         assert search_free_series(6, 3) is None
 
 

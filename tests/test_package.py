@@ -83,7 +83,9 @@ def test_third_party_imports_are_declared():
     declared = names(project["dependencies"])
     library = third_party((repo / "src" / "invinsert").glob("*.py"))
     assert library and library <= declared, sorted(library - declared)
-    suite_modules = {"hilbert_testing", "exact_testing", "test_bounds", "checks", "tracing", "workloads"}
+    suite_modules = {
+        "hilbert_testing", "exact_testing", "test_bounds", "test_synth", "checks", "tracing", "workloads",
+    }
     suite = third_party([*(repo / "tests").glob("*.py"), *(repo / "perfbench").glob("*.py")]) - suite_modules
     declared |= names(project["optional-dependencies"]["test"])
     assert suite and suite <= declared, sorted(suite - declared)

@@ -8,7 +8,7 @@ import pytest
 
 from invinsert import cli, hilbert, synth
 from invinsert.errors import ContractError, FactorizationError
-from invinsert.exact import a0, b0, build_chain, circle_values, search_free_series
+from invinsert.exact import a0, b0, build_chain, circle_values, q_from_chain, search_free_series
 from invinsert.greedy import greedy_run
 from hilbert_testing import (
     count_rows, doubled_signs, doubled_state, greedy_states, random_schedule, run_all_answers,
@@ -16,7 +16,6 @@ from hilbert_testing import (
 )
 from invinsert.synth import (
     phases_from_states,
-    q_from_chain,
     spectral_factor,
     states_from_poly,
     synthesize_exact,
@@ -40,6 +39,17 @@ def q_with_zeros(roots):
     """q_0..q_{N-1} of Q = |P|^2 for the monic P with these zeros."""
     p_coeffs = np.poly(roots)[::-1]
     return np.convolve(p_coeffs, np.conj(p_coeffs[::-1]))[len(roots):]
+
+
+def conjugate_paired_roots(deg, rng):
+    """deg zeros of radius 0.2..0.9 in conjugate pairs, with one real zero
+    at odd deg, so the polynomial with these zeros has real coefficients;
+    half the time the first half of the pairs is reflected out of the disk."""
+    pairs = rng.uniform(0.2, 0.9, deg // 2) * np.exp(1j * np.pi * rng.uniform(0, 1, deg // 2))
+    if rng.random() < 0.5:
+        pairs[: deg // 4] = 1 / np.conj(pairs[: deg // 4])
+    real = rng.uniform(0.2, 0.9, deg % 2) * rng.choice([-1.0, 1.0])
+    return np.r_[pairs, np.conj(pairs), real]
 
 
 def p_on_circle(coeffs, grid):
@@ -88,9 +98,9 @@ class TestSpectralFactor:
 
     @pytest.mark.parametrize("q", [
         *(triangular_q(n) for n in (2, 3, 6, 16, 52)),
-        # two zeros on the circle and one inside it, complex coefficients
-        q_with_zeros(np.exp(1j * np.array([0.3, 1.1, 2.0])) * [1.0, 1.0, 0.5]),
-    ], ids=["2", "3", "6", "16", "52", "complex"])
+        # two conjugate pairs of zeros on the circle and one inside it
+        q_with_zeros(np.r_[1, 1, 0.5, 1, 1, 0.5] * np.exp(1j * np.r_[0.3, 1.1, 2.0, -0.3, -1.1, -2.0])),
+    ], ids=["2", "3", "6", "16", "52", "conjugate-pairs"])
     def test_circle_zeros_raise(self, q):
         # log Q is singular at a zero on the circle: the start polynomial's
         # squared magnitude is 0 on a grid point or keeps the grids apart
@@ -124,14 +134,10 @@ class TestSpectralFactor:
         for trial in range(120):
             deg = int(rng.integers(1, 9))
             n = deg + 1
-            roots = rng.uniform(0.2, 0.9, deg) * np.exp(
-                2j * np.pi * rng.uniform(0, 1, deg)
-            )
-            if rng.random() < 0.5:
-                roots[: deg // 2] = 1 / np.conj(roots[: deg // 2])
-            coeffs = np.poly(roots)[::-1] * (0.3 + rng.random())
-            q_arr = np.convolve(coeffs, np.conj(coeffs[::-1]))
-            q_arr = q_arr / q_arr[deg].real  # normalize the zero-lag term to 1
+            roots = conjugate_paired_roots(deg, rng)
+            coeffs = np.poly(roots)[::-1].real * (0.3 + rng.random())
+            q_arr = np.convolve(coeffs, coeffs[::-1])
+            q_arr = q_arr / q_arr[deg]  # normalize the zero-lag term to 1
             q = q_arr[deg:]
             p = spectral_factor(q)
             grid = 64 * n
@@ -200,14 +206,13 @@ class TestSpectralFactor:
         assert peak < 24 * 2**20
 
     def test_zeros_near_circle_recovered(self, monkeypatch):
-        # P is known: monic, zeros at radius 1 - 1e-3, so log Q's
-        # coefficients decay only as 0.999^r; P's coefficients are complex,
-        # so each rung evaluates Q at all of its odd points
+        # P is known: monic, zeros at radius 1 - 1e-3 in conjugate pairs and
+        # one at -1 + 1e-3, so log Q's coefficients decay only as 0.999^r
         n = 8
-        angles = np.array([0.3, 1.1, 2.0, 2.9, -2.5, -1.4, -0.6])
-        roots = (1 - 1e-3) * np.exp(1j * angles)
-        p_coeffs = np.poly(roots)[::-1]
-        q = np.convolve(p_coeffs, np.conj(p_coeffs[::-1]))[n - 1:]
+        angles = np.array([0.3, 1.1, 2.0])
+        roots = (1 - 1e-3) * np.exp(1j * np.r_[angles, -angles, np.pi])
+        p_coeffs = np.poly(roots)[::-1].real
+        q = np.convolve(p_coeffs, p_coeffs[::-1])[n - 1:]
 
         def no_eigensolve(_):
             raise AssertionError("a positive Q reached np.roots")
@@ -245,7 +250,7 @@ class TestSpectralFactor:
         # Q = 0 and Q = -1 are not positive on the first grid; a Q with NaN
         # coefficients would pass the NaN-blind |P|^2 - Q gate
         with pytest.raises(error):
-            spectral_factor(np.array(q, dtype=complex))
+            spectral_factor(np.array(q, dtype=float))
 
     @pytest.mark.parametrize("q,grid,least", [
         (np.array([-1.0, 0.0, 0.0]), 512, r"-1\.000e\+00"),
@@ -281,12 +286,20 @@ class TestSpectralFactor:
         with pytest.raises(error):
             spectral_factor(q)
 
-    def test_q0_roundoff_accepted(self):
-        # normalizing a convolution by its real zero-lag term leaves
-        # Im q_0 at rounding level, which the factor takes as real
-        q = np.array([1.0 + 1e-12j, 0.25])
-        p = spectral_factor(q)
-        np.testing.assert_allclose(np.abs(p_on_circle(p, 64)) ** 2, circle_values(q, 64), atol=1e-10)
+    @pytest.mark.parametrize("q", [
+        np.array([1.0 + 1e-12j, 0.25]),
+        q_with_zeros([-0.5j]),  # P = z + i/2, its zero inside the disk
+        np.array([1.0, 0.25], dtype=complex),
+    ], ids=["im-q0-roundoff", "complex-p", "complex-dtype"])
+    def test_complex_q_rejected_before_any_transform(self, monkeypatch, q):
+        # every chain's Q is real (q_from_chain), so the factor takes real Q only
+        def no_transform(*args):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(synth, "circle_values", no_transform)
+        monkeypatch.setattr(synth, "_cepstral_factor", no_transform)
+        with pytest.raises(ContractError, match="^Q's coefficients are not real and finite$"):
+            spectral_factor(q)
 
     @pytest.mark.parametrize("n,rungs", [
         (300, [524288, 262144, 131072, 4096]),
@@ -415,17 +428,6 @@ class TestCepstralFactor:
         reference = np.exp(-1j * np.outer(np.arange(5), theta)) @ log_q
         sums = synth._odd_point_sums(q, 64)
         np.testing.assert_allclose(sums, reference, rtol=0, atol=1e-13)
-
-    def test_complex_q_takes_the_ladder(self):
-        # no chain makes a Q with complex coefficients; the ladder's rungs
-        # after the first evaluate such Q at all of their odd points
-        p = np.array([0.5j, 1.0])  # P = z + i/2, its zero inside the disk
-        q = q_with_zeros([-0.5j])
-        theta = 2 * np.pi * np.arange(1, 64, 2) / 64
-        log_q = np.log(circle_values(q, 64)[1::2])
-        reference = np.exp(-1j * np.outer(np.arange(2), theta)) @ log_q
-        np.testing.assert_allclose(synth._odd_point_sums(q, 64), reference, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(synth._cepstral_factor(q), p, rtol=0, atol=1e-12)
 
 
 def start_momentum(n):
